@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, QuadratureError
-from .geometry import bisect_increasing, build_vase_grid, shape_from_spec
+from .geometry import build_vase_grid, shape_from_spec
 from .kernels import _layer_rates
 
 
@@ -53,58 +53,13 @@ class Quadrature:
 _QUAD = Quadrature()
 
 
-# ---------------------------------------------------------------------------
-# regularized incomplete beta (continued fraction)
-# ---------------------------------------------------------------------------
-
-def _beta_contfrac(a: float, b: float, x: float, itmax: int = 300,
-                   eps: float = 1e-16) -> float:
-    """Continued fraction for the incomplete beta; modified Lentz scheme."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
-    h = d
-    for m in range(1, itmax + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise QuadratureError("incomplete beta continued fraction did not converge")
-
-
 def regularized_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) accurate to ~1e-15 on [0, 1]."""
+    """I_x(a, b) on [0, 1]."""
+    from scipy.special import betainc
+
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+    return float(betainc(a, b, x))
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +145,14 @@ def sc_deriv(a: float) -> float:
     return (a * (1.0 - a)) ** (-2.0 / 3.0) / B_THIRD
 
 
-def sc_inverse(x: float, tol: float = 1e-10) -> float:
-    """Monotone inverse of sc_map on [0, 1]."""
+def sc_inverse(x: float) -> float:
+    """Monotone inverse of sc_map on [0, 1]; sc_map is I_a(1/3, 1/3), so the
+    inverse is the inverse incomplete beta."""
+    from scipy.special import betaincinv
+
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"need x in [0,1], got {x}")
-    if x in (0.0, 1.0):
-        return float(x)
-    return bisect_increasing(sc_map, x, lo=0.0, hi=1.0, tol=tol)
+    return float(betaincinv(1.0 / 3.0, 1.0 / 3.0, x))
 
 
 def watts_composed(s: float) -> float:
@@ -309,38 +265,24 @@ def ks_statistic(samples, cdf: Optional[Callable[[float], float]] = None) -> flo
     return float(max((grid - u).max(), (u - (grid - 1.0 / n)).max()))
 
 
-def kolmogorov_sf(x: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov survival function 2 sum (-1)^{j-1} e^{-2 j^2 x^2}."""
-    if x <= 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, terms + 1):
-        term = math.exp(-2.0 * j * j * x * x)
-        total += term if j % 2 == 1 else -term
-        if term < 1e-18:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def kolmogorov_critical(alpha: float, n: int) -> float:
     """Critical KS distance at level alpha for sample size n (asymptotic)."""
+    from scipy.special import kolmogi
+
     if not 0 < alpha < 1:
         raise ParameterError("alpha in (0,1)")
-    lo, hi = 1e-6, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / math.sqrt(n)
+    return float(kolmogi(alpha)) / math.sqrt(n)
 
 
 def ks_test(samples, cdf=None) -> dict:
+    """KS distance and its asymptotic p-value from the Kolmogorov survival
+    function."""
+    from scipy.special import kolmogorov
+
     d = ks_statistic(samples, cdf)
     n = len(samples)
     return {"distance": d, "n": n,
-            "p_value": kolmogorov_sf(d * math.sqrt(n))}
+            "p_value": float(kolmogorov(d * math.sqrt(n)))}
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,10 @@ def parse_angle(token) -> float:
         t = token.strip().replace(" ", "")
         if t in _EXACT_RADIANS:
             return _EXACT_RADIANS[t]
-        return float(t)
+        try:
+            return float(t)
+        except ValueError:
+            raise ParameterError(f"cannot parse angle {token!r}") from None
     return float(token)
 
 
@@ -233,14 +236,17 @@ def shape_from_spec(spec) -> ShapeFunction:
         if kind == "table":
             import csv
             xs, hs = [], []
-            with open(arg) as fh:
-                for row in csv.reader(fh):
-                    try:
-                        x, h = float(row[0]), float(row[1])
-                    except (IndexError, ValueError):
-                        continue    # header or blank line
-                    xs.append(x)
-                    hs.append(h)
+            try:
+                with open(arg) as fh:
+                    for row in csv.reader(fh):
+                        try:
+                            x, h = float(row[0]), float(row[1])
+                        except (IndexError, ValueError):
+                            continue    # header or blank line
+                        xs.append(x)
+                        hs.append(h)
+            except OSError as exc:
+                raise ParameterError(f"cannot read shape table {arg!r}: {exc}") from exc
             return tabulated_shape(xs, hs)
         raise ParameterError(f"unknown shape spec {spec!r}")
     xs, hs = spec

@@ -39,6 +39,24 @@ def _resolve_mode(mode: str, s2_exact) -> str:
     return mode
 
 
+def _csr_from_rows(rows, n_cols: int, diagonal=None):
+    """Float CSR matrix of dict rows ``{column: value}``, with sorted column
+    indices; ``diagonal`` (one value per row) is added on the diagonal."""
+    import scipy.sparse as sp
+
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter((j for r in rows for j in r), dtype=np.int64, count=nnz)
+    data = np.fromiter((float(v) for r in rows for v in r.values()),
+                       dtype=float, count=nnz)
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
+    if diagonal is not None:
+        A = A + sp.diags(np.asarray(diagonal, dtype=float), format="csr")
+    A.sort_indices()
+    return A
+
+
 @dataclass
 class StochasticKernel:
     """Sparse row-stochastic operator over an enumerated state space."""
@@ -76,20 +94,7 @@ class StochasticKernel:
         return np.array([self.is_absorbing(i) for i in range(self.n_states)])
 
     def to_csr(self):
-        import scipy.sparse as sp
-
-        n = self.n_states
-        indptr = [0]
-        indices, data = [], []
-        for row in self.rows:
-            for j in sorted(row):
-                indices.append(j)
-                data.append(float(row[j]))
-            indptr.append(len(indices))
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-    def to_float_rows(self) -> list:
-        return [{j: float(v) for j, v in row.items()} for row in self.rows]
+        return _csr_from_rows(self.rows, self.n_states)
 
 
 @dataclass
@@ -113,17 +118,10 @@ class RateMatrix:
     def n_states(self) -> int:
         return len(self.states)
 
-    def diagonal(self) -> np.ndarray:
-        return np.array([-sum(r.values()) for r in self.off_rows], dtype=float)
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n_states
-        Q = np.zeros((n, n))
-        for i, row in enumerate(self.off_rows):
-            for j, v in row.items():
-                Q[i, j] = v
-            Q[i, i] = -sum(row.values())
-        return Q
+    def to_csr(self):
+        """The full generator, diagonal included."""
+        return _csr_from_rows(self.off_rows, self.n_states,
+                             diagonal=[-sum(r.values()) for r in self.off_rows])
 
     def is_absorbing(self, i: int) -> bool:
         return not self.off_rows[i]
@@ -139,20 +137,6 @@ class RateMatrix:
                 rows.append({j: v / tot for j, v in row.items()})
         return StochasticKernel(states=self.states, rows=rows, mode=FLOAT,
                                 layers=self.layers)
-
-    def uniformized(self, rate: Optional[float] = None):
-        """Return (P, rate) with P = I + Q/rate row-stochastic."""
-        need = max((sum(r.values()) for r in self.off_rows), default=0.0)
-        lam = rate if rate is not None else 1.01 * max(need, 1e-12)
-        if lam < need:
-            raise ParameterError(f"uniformization rate {lam} below max exit rate {need}")
-        rows = []
-        for i, row in enumerate(self.off_rows):
-            r = {j: v / lam for j, v in row.items()}
-            r[i] = r.get(i, 0.0) + 1.0 - sum(row.values()) / lam
-            rows.append(r)
-        return StochasticKernel(states=self.states, rows=rows, mode=FLOAT,
-                                layers=self.layers), lam
 
 
 # ---------------------------------------------------------------------------

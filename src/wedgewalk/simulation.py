@@ -97,21 +97,22 @@ class PathAggregate:
 
 def padded_kernel(kernel: StochasticKernel):
     """(cumulative rows, target rows) padded to the max row support."""
-    W = max(len(r) for r in kernel.rows)
+    P = kernel.to_csr()
     n = kernel.n_states
-    cum = np.ones((n, W))
-    tgt = np.zeros((n, W), dtype=np.int64)
-    for i, row in enumerate(kernel.rows):
-        acc = 0.0
-        items = sorted(row.items())
-        for w, (j, v) in enumerate(items):
-            acc += float(v)
-            cum[i, w] = acc
-            tgt[i, w] = j
-        last = items[-1][0] if items else i
-        for w in range(len(items), W):
-            tgt[i, w] = last
-        cum[i, W - 1] = 1.0 + 1e-15   # guard against u == 1 - eps rounding
+    counts = np.diff(P.indptr)
+    W = int(counts.max())
+    row = np.repeat(np.arange(n), counts)
+    pos = np.arange(P.nnz) - P.indptr[row]
+    pad = np.arange(W) >= counts[:, None]
+    cum = np.zeros((n, W))
+    cum[row, pos] = P.data
+    cum = np.cumsum(cum, axis=1)
+    cum[pad] = 1.0
+    cum[:, W - 1] = 1.0 + 1e-15   # guard against u == 1 - eps rounding
+    # padding slots repeat the row's last target
+    last = P.indices[P.indptr[1:] - 1].astype(np.int64)
+    tgt = np.repeat(last[:, None], W, axis=1)
+    tgt[row, pos] = P.indices
     return cum, tgt
 
 

@@ -25,7 +25,7 @@ from wedgewalk import (
     watts_via_hypergeometric,
     watts_via_integral,
 )
-from wedgewalk.analytics import B_THIRD, B_TWO_THIRDS, kolmogorov_sf, log_beta
+from wedgewalk.analytics import B_THIRD, B_TWO_THIRDS, log_beta
 
 
 def test_beta_constants_from_log_gamma():
@@ -120,7 +120,7 @@ def test_sc_map_basics():
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.8, 0.97])
 def test_sc_map_is_incomplete_beta_third(a):
-    # dual route: quadrature map vs continued-fraction incomplete beta
+    # dual route: quadrature map vs scipy's incomplete beta
     assert sc_map(a) == pytest.approx(regularized_beta(1 / 3, 1 / 3, a), abs=1e-10)
 
 
@@ -234,8 +234,8 @@ def test_ks_on_own_grid():
 
 def test_kolmogorov_distribution():
     # classical table values of the Kolmogorov statistic
-    assert kolmogorov_sf(1.3581) == pytest.approx(0.05, abs=2e-4)
-    assert kolmogorov_sf(1.6276) == pytest.approx(0.01, abs=1e-4)
+    assert kolmogorov_critical(0.05, 1) == pytest.approx(1.3581, abs=1e-4)
+    assert kolmogorov_critical(0.01, 1) == pytest.approx(1.6276, abs=1e-4)
     c = kolmogorov_critical(0.05, 10000)
     assert c == pytest.approx(1.3581 / 100, rel=1e-3)
 

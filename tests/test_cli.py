@@ -1,10 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wedgewalk.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("WEDGEWALK_OUTDIR", None)
+    return env
 
 
 def run_cli(args):
@@ -119,9 +130,12 @@ def test_usage_errors():
 
 
 def test_domain_error_exit_code(capsys):
-    code = run_cli(["verify-intertwining", "--alpha", "2.0", "--layers", "10"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    for argv in (["verify-intertwining", "--alpha", "2.0", "--layers", "10"],
+                 ["green", "--alpha", "foo"],
+                 ["verify-intertwining", "--shape", "table:/nonexistent.csv"]):
+        code = run_cli(argv)
+        assert code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_outdir_env(tmp_path, monkeypatch, capsys):
@@ -140,3 +154,27 @@ def test_console_entry_point():
                 "green", "reverse", "watts", "bessel-check", "strip-check",
                 "vase-generator"):
         assert cmd in out.stdout
+
+
+def test_vase_rate_check_memory_scales_with_nonzeros(tmp_path):
+    # 16,641 states: dense n x n operators would need more than 2 GB
+    with open(tmp_path / "stderr.txt", "w") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "wedgewalk", "verify-intertwining",
+             "--shape", "power:2", "--resolution", "128", "--layers", "128",
+             "--output", str(tmp_path / "record.json")],
+            stdout=subprocess.DEVNULL, stderr=err, env=child_env())
+        _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, (tmp_path / "stderr.txt").read_text()
+    assert usage.ru_maxrss / 1024 < 600     # ru_maxrss is in KiB on Linux
+
+
+def test_import_loads_no_scipy():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wedgewalk; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wedgewalk import (
     ParameterError,
@@ -87,7 +88,8 @@ def test_vase_identity_defect_of_plain_rates():
     link = build_link(grid)
     Q2 = vase_rate_matrix(grid, exact_projection=False)
     Q1 = projected_vase_rates(grid)
-    R = link.to_dense() @ Q2.to_dense() - Q1.to_dense() @ link.to_dense()
+    L = link.to_csr()
+    R = (L @ Q2.to_csr() - Q1.to_csr() @ L).toarray()
     cot = grid.cot_angles()
     for k in range(1, 8):
         c, d = _layer_rates(cot, k)
@@ -198,3 +200,44 @@ def test_residual_report_json():
     rec = json.loads(rep.to_json())
     assert set(rec) == {"identity", "mode", "size", "residual", "pass"}
     assert rec["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# the float form of every operator is its CSR conversion
+# ---------------------------------------------------------------------------
+
+def dense_rows(rows, n_cols):
+    D = np.zeros((len(rows), n_cols))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            D[i, j] = float(v)
+    return D
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.05, math.pi / 2 - 0.05), n=st.integers(2, 12))
+def test_wedge_csr_and_residual_random_angle(alpha, n):
+    lat, P, Q, link = wedge_ops(alpha, n, mode="float")
+    for op, n_cols in ((P, P.n_states), (Q, Q.n_states), (link, link.n_target)):
+        assert np.array_equal(op.to_csr().toarray(), dense_rows(op.rows, n_cols))
+    rep = intertwining_residual(link, P, Q, mode="stochastic")
+    assert rep.residual <= 1e-12
+
+
+# vase_rate_matrix accepts every power shape with beta in [0.7, 4] at K <= 12
+@settings(max_examples=20, deadline=None)
+@given(beta=st.floats(0.7, 4.0), K=st.integers(2, 12))
+def test_vase_csr_generator_and_residuals_random_power(beta, K):
+    grid = build_vase_grid(power_shape(beta), K, K)
+    link = build_link(grid)
+    Q2, Q1 = vase_rate_matrix(grid), projected_vase_rates(grid)
+    for Q in (Q2, Q1):
+        expected = dense_rows(Q.off_rows, Q.n_states)
+        np.fill_diagonal(expected, [-sum(r.values()) for r in Q.off_rows])
+        G = Q.to_csr().toarray()
+        assert np.array_equal(G, expected)
+        assert np.abs(G.sum(axis=1)).max() <= 1e-12
+    rep = intertwining_residual(link, Q2, Q1, mode="rates")
+    assert rep.residual <= 1e-12
+    semis = semigroup_residual(link, Q2, Q1, times=[0.1, 1.0])
+    assert max(semis.values()) <= 1e-10
