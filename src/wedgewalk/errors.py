@@ -28,9 +28,11 @@ class QuadratureError(WedgewalkError, RuntimeError):
 class SimulationTimeout(WedgewalkError, RuntimeError):
     """A path exceeded the per-path step cap before absorption.
 
-    Carries the partial aggregate collected so far in ``partial``.
+    Carries the aggregate of the paths absorbed so far in ``partial`` and the
+    number of paths still active in ``active``.
     """
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, active=0):
         super().__init__(message)
         self.partial = partial
+        self.active = active

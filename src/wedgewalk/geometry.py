@@ -229,10 +229,14 @@ def shape_from_spec(spec) -> ShapeFunction:
         return spec
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
-        if kind == "linear":
-            return linear_shape(float(arg or 1.0))
-        if kind == "power":
-            return power_shape(float(arg or 2.0))
+        if kind in ("linear", "power"):
+            try:
+                value = float(arg or (1.0 if kind == "linear" else 2.0))
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParameterError(f"shape spec {spec!r}: {arg!r} is not a finite number")
+            return linear_shape(value) if kind == "linear" else power_shape(value)
         if kind == "table":
             import csv
             xs, hs = [], []

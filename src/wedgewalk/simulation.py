@@ -6,9 +6,12 @@ bit-identical for any worker count and reproducible from (seed, parameters)
 alone.  Aggregation is a sum of per-block integer counts, hence associative
 and order-independent.
 
-All chains are stepped through one vectorized kernel representation: per
-state a cumulative probability row padded to fixed width plus the matching
-target states.  Vase chains enter through their embedded jump chain, whose
+All chains are stepped through one vectorized kernel representation.  A
+path's state is the pair (site, last reflecting side), so the target table
+carries the side and tracking it costs nothing per step.  Each step draws
+one uniform per live path and picks the target column j by counting the
+row's cumulative thresholds at or below it, one contiguous threshold column
+at a time.  Vase chains enter through their embedded jump chain, whose
 hitting statistics coincide with the continuous-time chain's.
 """
 
@@ -95,25 +98,38 @@ class PathAggregate:
                              params=self.params)
 
 
-def padded_kernel(kernel: StochasticKernel):
-    """(cumulative rows, target rows) padded to the max row support."""
+def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
+    """Step tables of the walk on pairs ``a = 3 * state + last side``.
+
+    ``side`` gives each state's reflecting side (0 for none).  With W the
+    widest row, returns ``(thresholds, targets)``: row c of the (W-1, 3n)
+    array ``thresholds`` holds every pair's cumulative transition probability
+    through its c-th target (1.0 past the end of a short row, which no
+    uniform reaches); a pair whose uniform reaches j of its thresholds moves
+    to ``targets[a * W + j]``, the target state paired with its own side, or
+    with the pair's side if the target lies on none.  The row's last
+    cumulative value is never compared, so j stays below W even when
+    rounding leaves the row sum under a uniform.
+    """
     P = kernel.to_csr()
     n = kernel.n_states
     counts = np.diff(P.indptr)
     W = int(counts.max())
     row = np.repeat(np.arange(n), counts)
     pos = np.arange(P.nnz) - P.indptr[row]
-    pad = np.arange(W) >= counts[:, None]
     cum = np.zeros((n, W))
     cum[row, pos] = P.data
     cum = np.cumsum(cum, axis=1)
-    cum[pad] = 1.0
-    cum[:, W - 1] = 1.0 + 1e-15   # guard against u == 1 - eps rounding
+    cum[np.arange(W) >= counts[:, None]] = 1.0
+    thresholds = np.repeat(cum[:, :W - 1].T, 3, axis=1)
     # padding slots repeat the row's last target
     last = P.indices[P.indptr[1:] - 1].astype(np.int64)
     tgt = np.repeat(last[:, None], W, axis=1)
     tgt[row, pos] = P.indices
-    return cum, tgt
+    tside = side.astype(np.int64)[tgt][:, None, :]
+    kept = np.arange(3)[None, :, None]
+    targets = 3 * tgt[:, None, :] + np.where(tside != 0, tside, kept)
+    return thresholds, targets.reshape(-1)
 
 
 def _side_array(states) -> np.ndarray:
@@ -144,7 +160,11 @@ def _start_distribution(kernel: StochasticKernel, start):
     if isinstance(start, tuple):
         return kernel.index[start], None
     if start == "apex":
-        return kernel.index[(0, 0)] if (0, 0) in kernel.index else 0, None
+        # planar chains label the apex (0, 0), radial chains 0
+        for apex in ((0, 0), 0):
+            if apex in kernel.index:
+                return kernel.index[apex], None
+        raise ParameterError("start 'apex': the kernel has no state (0, 0) or 0")
     return int(start), None
 
 
@@ -159,11 +179,13 @@ def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
 
 
 def _run_block(args):
-    (cum, tgt, stopm, side, start_idx, start_cdf, n, seed, block_id,
-     step_cap, track) = args
+    """Walk one block of paths; returns its counts and the number of paths
+    still active after ``step_cap`` steps (0 when all were absorbed)."""
+    (thresholds, targets, stop, side, start_idx, start_cdf, n, seed, block_id,
+     step_cap) = args
     rng = np.random.Generator(
         np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block_id))))
-    S = stopm.size
+    S = side.size
     if start_cdf is not None:
         state = np.searchsorted(start_cdf, rng.random(n), side="right").astype(np.int64)
         state = np.minimum(state, S - 1)
@@ -171,45 +193,34 @@ def _run_block(args):
         state = np.full(n, start_idx, dtype=np.int64)
 
     exit_side = np.zeros((S, 3), dtype=np.int64)
-    initial = np.zeros(S, dtype=np.int64)
-    np.add.at(initial, state, 1)
+    initial = np.bincount(state, minlength=S)
     hist = np.zeros(64, dtype=np.int64)
     ssum = 0
     smax = 0
 
-    last = np.zeros(n, dtype=np.int8)
-    if track:
-        s0 = side[state]
-        np.copyto(last, s0, where=s0 != 0)
-    W = cum.shape[1]
-    tgt_flat = np.ascontiguousarray(tgt).reshape(-1)
+    pair = 3 * state + side[state]
+    W = thresholds.shape[0] + 1
     t = 0
-    while state.size:
-        done = stopm[state]
+    while pair.size:
+        done = stop[pair]
         if done.any():
-            ds, dl = state[done], last[done]
-            np.add.at(exit_side, (ds, dl), 1)
+            np.add.at(exit_side.reshape(-1), pair[done], 1)
             nd = int(done.sum())
             hist[int(t).bit_length()] += nd
             ssum += t * nd
             smax = max(smax, t)
-            keep = ~done
-            state, last = state[keep], last[keep]
-            if not state.size:
+            pair = pair[~done]
+            if not pair.size:
                 break
-        u = rng.random(state.size)
-        j = (u[:, None] >= cum[state]).sum(axis=1)
-        state = tgt_flat[state * W + j]
-        if track:
-            s = side[state]
-            np.copyto(last, s, where=s != 0)
+        if t == step_cap:
+            break
+        u = rng.random(pair.size)
+        idx = pair * W
+        for column in thresholds:
+            idx += u >= column[pair]
+        pair = targets[idx]
         t += 1
-        if t > step_cap:
-            partial = (exit_side, initial, hist, ssum, smax, int(state.size))
-            raise SimulationTimeout(
-                f"{state.size} paths still active after {step_cap} steps",
-                partial=partial)
-    return exit_side, initial, hist, ssum, smax
+    return exit_side, initial, hist, ssum, smax, int(pair.size)
 
 
 def run_paths(kernel: StochasticKernel, start, stop=None,
@@ -223,25 +234,30 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
     ``stop`` is an absorbing layer index, an explicit boolean mask, or None
     for the kernel's absorbing rows.  ``start`` is a site tuple, a state
     index, "apex", ("fiber", k) for a uniform fiber draw, or a distribution
-    over states.
+    over states.  If paths are still active after ``step_cap`` steps, every
+    block is still walked to the cap, then ``SimulationTimeout`` is raised
+    with the absorbed paths' aggregate as ``partial`` and the number of
+    active paths as ``active``.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
-    cum, tgt = padded_kernel(kernel)
     stopm = _resolve_stop(kernel, stop)
     if not stopm.any():
         raise ParameterError("no stop states")
     side = _side_array(kernel.states)
+    if "last_side" not in observers:
+        side[:] = 0
+    thresholds, targets = padded_kernel(kernel, side)
+    stop3 = np.repeat(stopm, 3)
     start_idx, start_cdf = _start_distribution(kernel, start)
-    track = "last_side" in observers
 
     blocks = []
     b = 0
     left = n_paths
     while left > 0:
         take = min(block_size, left)
-        blocks.append((cum, tgt, stopm, side, start_idx, start_cdf, take,
-                       seed, b, step_cap, track))
+        blocks.append((thresholds, targets, stop3, side, start_idx, start_cdf,
+                       take, seed, b, step_cap))
         left -= take
         b += 1
 
@@ -252,17 +268,24 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
         results = [_run_block(a) for a in blocks]
 
     S = kernel.n_states
-    agg = PathAggregate(states=kernel.states, n_paths=n_paths, seed=seed,
+    agg = PathAggregate(states=kernel.states, n_paths=0, seed=seed,
                         exit_side=np.zeros((S, 3), dtype=np.int64),
                         initial=np.zeros(S, dtype=np.int64),
                         steps_hist=np.zeros(64, dtype=np.int64),
                         steps_sum=0, steps_max=0, params=dict(params or {}))
-    for exit_side, initial, hist, ssum, smax in results:
+    active = 0
+    for exit_side, initial, hist, ssum, smax, live in results:
         agg.exit_side += exit_side
         agg.initial += initial
         agg.steps_hist += hist
         agg.steps_sum += ssum
         agg.steps_max = max(agg.steps_max, smax)
+        active += live
+    agg.n_paths = n_paths - active
+    if active:
+        raise SimulationTimeout(
+            f"{active} paths still active after {step_cap} steps",
+            partial=agg, active=active)
     return agg
 
 

@@ -132,7 +132,9 @@ def test_usage_errors():
 def test_domain_error_exit_code(capsys):
     for argv in (["verify-intertwining", "--alpha", "2.0", "--layers", "10"],
                  ["green", "--alpha", "foo"],
-                 ["verify-intertwining", "--shape", "table:/nonexistent.csv"]):
+                 ["verify-intertwining", "--shape", "table:/nonexistent.csv"],
+                 ["verify-intertwining", "--shape", "power:foo"],
+                 ["simulate-vase", "--shape", "linear:foo"]):
         code = run_cli(argv)
         assert code == 2, argv
         assert "error:" in capsys.readouterr().err, argv

@@ -6,8 +6,10 @@ import pytest
 
 from wedgewalk import (
     ParameterError,
+    PathAggregate,
     Side,
     SimulationTimeout,
+    StochasticKernel,
     WedgeSpec,
     bessel3_hit,
     build_vase_grid,
@@ -28,6 +30,7 @@ from wedgewalk import (
     vase_rate_matrix,
     wedge_kernel,
 )
+from wedgewalk import simulation
 
 
 def wedge(alpha, m, mode="float"):
@@ -185,8 +188,32 @@ def test_reversed_path_length_law_matches_forward():
 
 def test_step_cap_timeout():
     lat, P = wedge(math.pi / 6, 10)
-    with pytest.raises(SimulationTimeout):
+    with pytest.raises(SimulationTimeout) as info:
         run_paths(P, "apex", stop=10, n_paths=100, seed=1, step_cap=5)
+    err = info.value
+    assert isinstance(err.partial, PathAggregate)
+    assert err.partial.n_paths + err.active == 100
+    assert err.active == 100          # layer 10 is out of reach in 5 steps
+
+
+def test_step_cap_partial_counts_the_absorbed_paths():
+    lat, P = wedge(math.pi / 6, 3)
+    partials = []
+    for workers in (1, 2):
+        with pytest.raises(SimulationTimeout) as info:
+            run_paths(P, "apex", stop=3, n_paths=3000, seed=4, workers=workers,
+                      block_size=1024, step_cap=6)
+        err = info.value
+        agg = err.partial
+        assert 0 < agg.n_paths < 3000 and err.active > 0
+        assert agg.n_paths + err.active == 3000
+        assert int(agg.exit_side.sum()) == agg.n_paths
+        assert int(agg.steps_hist.sum()) == agg.n_paths
+        assert agg.steps_max <= 6
+        assert int(agg.initial.sum()) == 3000
+        partials.append((agg, err.active))
+    (a1, n1), (a2, n2) = partials
+    assert n1 == n2 and np.array_equal(a1.exit_side, a2.exit_side)
 
 
 def test_discrete_hit_prob_formula():
@@ -239,3 +266,156 @@ def test_empirical_distribution_validation():
 
     with pytest.raises(ParameterError):
         EmpiricalDistribution(labels=[1, 2], counts=np.array([3, 4]), total=8, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the sampler step against the padded compare-and-sum
+# ---------------------------------------------------------------------------
+
+def _padded_tables(kernel):
+    """Cumulative rows padded to the widest row with 1.0, last column set to
+    the 1 + 1e-15 guard, and the matching targets (padding repeats the
+    row's last target)."""
+    P = kernel.to_csr()
+    counts = np.diff(P.indptr)
+    W = int(counts.max())
+    cum = np.ones((kernel.n_states, W))
+    tgt = np.zeros((kernel.n_states, W), dtype=np.int64)
+    for i in range(kernel.n_states):
+        lo, hi = P.indptr[i], P.indptr[i + 1]
+        cum[i, : hi - lo] = np.cumsum(P.data[lo:hi])
+        tgt[i, : hi - lo] = P.indices[lo:hi]
+        tgt[i, hi - lo:] = P.indices[hi - 1]
+    cum[:, W - 1] = 1.0 + 1e-15
+    return cum, tgt
+
+
+def _reference_run_block(cum, tgt, stopm, side, start_idx, start_cdf, n, seed,
+                         block_id, track):
+    """One block of the sampler with the (paths, W) compare-and-sum row
+    selection: the same Philox stream and draws per step as ``run_paths``."""
+    rng = np.random.Generator(
+        np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block_id))))
+    S = stopm.size
+    if start_cdf is not None:
+        state = np.searchsorted(start_cdf, rng.random(n), side="right").astype(np.int64)
+        state = np.minimum(state, S - 1)
+    else:
+        state = np.full(n, start_idx, dtype=np.int64)
+    exit_side = np.zeros((S, 3), dtype=np.int64)
+    initial = np.zeros(S, dtype=np.int64)
+    np.add.at(initial, state, 1)
+    hist = np.zeros(64, dtype=np.int64)
+    ssum = smax = 0
+    last = np.zeros(n, dtype=np.int8)
+    if track:
+        s0 = side[state]
+        np.copyto(last, s0, where=s0 != 0)
+    W = cum.shape[1]
+    tgt_flat = tgt.reshape(-1)
+    t = 0
+    while state.size:
+        done = stopm[state]
+        if done.any():
+            np.add.at(exit_side, (state[done], last[done]), 1)
+            nd = int(done.sum())
+            hist[int(t).bit_length()] += nd
+            ssum += t * nd
+            smax = max(smax, t)
+            state, last = state[~done], last[~done]
+            if not state.size:
+                break
+        u = rng.random(state.size)
+        j = (u[:, None] >= cum[state]).sum(axis=1)
+        state = tgt_flat[state * W + j]
+        if track:
+            s = side[state]
+            np.copyto(last, s, where=s != 0)
+        t += 1
+    return exit_side, initial, hist, ssum, smax
+
+
+def _assert_same_as_reference(kernel, start, stop, n_paths, seed, block_size,
+                              track=True):
+    observers = ("exit", "last_side", "steps") if track else ("exit", "steps")
+    agg = run_paths(kernel, start, stop=stop, observers=observers,
+                    n_paths=n_paths, seed=seed, block_size=block_size)
+    cum, tgt = _padded_tables(kernel)
+    stopm = simulation._resolve_stop(kernel, stop)
+    side = simulation._side_array(kernel.states)
+    start_idx, start_cdf = simulation._start_distribution(kernel, start)
+    blocks = [_reference_run_block(cum, tgt, stopm, side, start_idx, start_cdf,
+                                   min(block_size, n_paths - lo), seed, b, track)
+              for b, lo in enumerate(range(0, n_paths, block_size))]
+    exit_side, initial, hist, ssum, smax = zip(*blocks)
+    assert np.array_equal(agg.exit_side, sum(exit_side))
+    assert np.array_equal(agg.initial, sum(initial))
+    assert np.array_equal(agg.steps_hist, sum(hist))
+    assert (agg.steps_sum, agg.steps_max) == (sum(ssum), max(smax))
+    if track:
+        assert agg.exit_side[:, Side.UPPER:].sum() > 0
+
+
+def test_sampler_matches_compare_and_sum_on_the_wedge():
+    lat, P = wedge(math.pi / 6, 10)
+    _assert_same_as_reference(P, "apex", 10, 5000, 3, 2048)
+
+
+def test_sampler_matches_compare_and_sum_on_the_vase_jump_chain():
+    grid = build_vase_grid(power_shape(2.0), 10, 10)
+    P = vase_rate_matrix(grid).jump_chain()
+    _assert_same_as_reference(P, "apex", 10, 5000, 5, 2048)
+
+
+def test_sampler_matches_compare_and_sum_on_the_reversed_chain():
+    lat, P = wedge(math.pi / 6, 8)
+    rev = nagasawa_reverse(P, green_vector(P, (0, 0)))
+    _assert_same_as_reference(rev.kernel, rev.initial_law, None, 3000, 7, 1024)
+
+
+def test_sampler_matches_compare_and_sum_from_a_fiber():
+    lat, P = wedge(math.pi / 4, 8)
+    _assert_same_as_reference(P, ("fiber", 3), 8, 3000, 9, 1024)
+
+
+def _ragged_kernel():
+    """Rows of every width 1..7, with absorbing rows every ninth state and
+    site labels (k, y) so that some states lie on a reflecting side."""
+    rng = np.random.default_rng(12)
+    n = 45
+    states = tuple((i // 7 + 1, i % 7 - 3) for i in range(n))
+    absorbing = [i for i in range(n) if i % 9 == 8]
+    rows = []
+    for i in range(n):
+        w = 1 + i % 7
+        if i in absorbing:
+            rows.append({i: 1.0})
+        elif w == 1:
+            rows.append({min(a for a in absorbing if a > i): 1.0})
+        else:
+            cols = set(rng.choice(n, size=w - 1, replace=False).tolist())
+            cols.add(int(rng.choice(absorbing)))
+            while len(cols) < w:
+                cols.add(int(rng.integers(n)))
+            p = rng.random(len(cols)) + 0.05
+            p /= p.sum()
+            rows.append(dict(zip(sorted(cols), p.tolist())))
+    return StochasticKernel(states=states, rows=rows, mode="float")
+
+
+def test_sampler_matches_compare_and_sum_on_ragged_rows():
+    K = _ragged_kernel()
+    widths = {len(r) for r in K.rows}
+    assert widths == set(range(1, 8))
+    start = np.full(K.n_states, 1.0 / K.n_states)
+    for track in (True, False):
+        _assert_same_as_reference(K, start, None, 4000, 11, 1500, track=track)
+    _assert_same_as_reference(K, K.states[2], None, 4000, 13, 1500)
+
+
+def test_apex_start_needs_an_apex_label():
+    Q = projected_wedge_chain(6, math.pi / 6, mode="float")
+    agg = run_paths(Q, "apex", stop=np.arange(Q.n_states) >= 6, n_paths=50)
+    assert agg.initial[Q.index[0]] == 50
+    with pytest.raises(ParameterError):
+        run_paths(_ragged_kernel(), "apex", n_paths=10)
