@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, analytics, geometry, green_reversal, intertwining
 from . import kernels, simulation
-from .errors import WedgewalkError
+from .errors import ParameterError, WedgewalkError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -74,8 +74,8 @@ def cmd_verify_intertwining(args) -> int:
     config = RunConfig("verify-intertwining", params, args.output)
     tol = args.tolerance
     if args.shape:
-        grid = geometry.build_vase_grid(args.shape, args.resolution or args.layers,
-                                        args.layers)
+        resolution = args.layers if args.resolution is None else args.resolution
+        grid = geometry.build_vase_grid(args.shape, resolution, args.layers)
         Q2 = kernels.vase_rate_matrix(grid)
         Q1 = kernels.projected_vase_rates(grid)
         link = intertwining.build_link(grid)
@@ -197,6 +197,8 @@ def cmd_reverse(args) -> int:
 def cmd_watts(args) -> int:
     params = {"grid": args.grid}
     config = RunConfig("watts", params, args.output)
+    if args.grid < 1:
+        raise ParameterError("--grid must be at least 1")
     worst = 0.0
     rows = []
     for i in range(1, args.grid + 1):
@@ -250,6 +252,9 @@ def cmd_strip_check(args) -> int:
 def cmd_vase_generator(args) -> int:
     params = {"shape": args.shape, "x": args.x, "resolutions": args.resolutions}
     config = RunConfig("vase-generator", params, args.output)
+    if len(args.resolutions) < 2:
+        raise ParameterError("--resolutions needs at least two values to "
+                             "form a convergence ratio")
     shape = geometry.shape_from_spec(args.shape)
     f = lambda x: math.exp(-x)
     fp = lambda x: -math.exp(-x)

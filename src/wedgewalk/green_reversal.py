@@ -10,6 +10,7 @@ the absorption layer back to the source and is killed there.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SolverError, UnreachableStateError
-from .kernels import FLOAT, RATIONAL, StochasticKernel
+from .kernels import FLOAT, RATIONAL, StochasticKernel, _row_arrays
 
 KILLED = "KILLED"
 
@@ -47,43 +48,59 @@ class GreenVector:
 
 
 def _rational_green(rows, transient, source_pos):
-    """Exact Gaussian elimination on (I - T)^T g = e_src, natural order.
+    """Exact solve of (I - T)^T g = e_src by fraction-free elimination in
+    natural order, inside the band.
 
-    The system matrix is a diagonally dominant M-matrix, so no pivoting is
-    needed; for the banded chains this stays effectively linear.
+    Each equation is scaled to integers.  Clearing column c from row r sets
+    row_r = piv * row_r - f * row_c and divides out the row's gcd; a
+    backward pass clears the upper band the same way, leaving
+    g_i = b_i / a_ii.  The matrix is a diagonally dominant M-matrix, so no
+    pivoting is needed, and fill-in stays inside the band (about 2N+1 wide
+    for the layer-major wedge chains).
     """
     n = len(transient)
     pos = {s: i for i, s in enumerate(transient)}
-    A = [[Fraction(0)] * n for _ in range(n)]
-    for i, s in enumerate(transient):
-        A[i][i] += 1
+    Tt = [{} for _ in range(n)]               # T transposed
+    for c, s in enumerate(transient):
         for j, v in rows[s].items():
             if j in pos:
-                A[pos[j]][i] -= Fraction(v)     # transpose
-    b = [Fraction(0)] * n
-    b[source_pos] = Fraction(1)
+                Tt[pos[j]][c] = v
+    indptr, indices, (nums, dens) = _row_arrays(Tt, exact=True)
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    lo = int(np.max(row_of - indices, initial=0))
+    hi = int(np.max(indices - row_of, initial=0))
+    bounds, cols = indptr.tolist(), indices.tolist()
+    A = []                                    # row i holds columns i-lo .. i+hi
+    for i, d in enumerate(dens):              # equation i of I - T^T, times d
+        A.append([0] * (lo + hi + 1))
+        for e in range(bounds[i], bounds[i + 1]):
+            A[i][cols[e] - i + lo] = -nums[e]
+        A[i][lo] += d
+    b = [d if i == source_pos else 0 for i, d in enumerate(dens)]
+
+    def clear(r, col):
+        at = col - r + lo                     # column col in row r
+        f, piv = A[r][at], A[col][lo]
+        if f:
+            first = min(at, lo)
+            new = [piv * v for v in A[r][first:]]
+            k = at - first
+            new[k:k + hi + 1] = [v - f * p for v, p
+                                 in zip(new[k:k + hi + 1], A[col][lo:])]
+            br = piv * b[r] - f * b[col]
+            g = math.gcd(*new, br) or 1
+            A[r][first:] = [v // g for v in new]
+            b[r] = br // g
+
     for col in range(n):
-        piv = A[col][col]
-        if piv == 0:
+        if A[col][lo] == 0:
             raise SolverError("singular system: absorption unreachable?")
-        for r in range(col + 1, n):
-            f = A[r][col]
-            if f != 0:
-                f = f / piv
-                row_r, row_c = A[r], A[col]
-                for c in range(col, n):
-                    if row_c[c] != 0:
-                        row_r[c] -= f * row_c[c]
-                b[r] -= f * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        row_r = A[r]
-        for c in range(r + 1, n):
-            if row_r[c] != 0:
-                acc -= row_r[c] * x[c]
-        x[r] = acc / A[r][r]
-    return x
+        for r in range(col + 1, min(n, col + lo + 1)):
+            clear(r, col)
+    for col in range(n - 1, 0, -1):
+        for r in range(max(0, col - hi), col):
+            clear(r, col)
+    return [Fraction(b[i], A[i][lo]) for i in range(n)]
 
 
 def green_vector(kernel: StochasticKernel, source,
@@ -91,7 +108,8 @@ def green_vector(kernel: StochasticKernel, source,
     """Expected visits to every state for the chain started at ``source``.
 
     Absorbing states default to the kernel's self-loop rows.  Float kernels
-    go through a sparse LU solve; rational kernels through exact elimination.
+    go through a sparse LU solve; rational kernels through exact fraction-free
+    elimination in the band.
     """
     if isinstance(source, tuple):
         source = kernel.index[source]
@@ -103,31 +121,27 @@ def green_vector(kernel: StochasticKernel, source,
 
     if kernel.mode == RATIONAL:
         g_tr = _rational_green(kernel.rows, transient, src_pos)
-        visits = [Fraction(0)] * kernel.n_states
-        for s, v in zip(transient, g_tr):
-            visits[s] = v
-        return GreenVector(source=source, absorbing=mask, visits=visits,
-                           mode=RATIONAL, states=kernel.states)
+    else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as splinalg
 
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as splinalg
-
-    P = kernel.to_csr()
-    T = P[transient][:, transient]
-    A = (sp.identity(len(transient), format="csc") - T).T.tocsc()
-    e = np.zeros(len(transient))
-    e[src_pos] = 1.0
-    try:
-        g_tr = splinalg.spsolve(A, e)
-    except Exception as exc:  # pragma: no cover - scipy raises various types
-        raise SolverError(f"green solve failed: {exc}") from exc
-    if not np.all(np.isfinite(g_tr)):
-        raise SolverError("green solve returned non-finite visit counts")
-    visits = [0.0] * kernel.n_states
+        P = kernel.to_csr()
+        T = P[transient][:, transient]
+        A = (sp.identity(len(transient), format="csc") - T).T.tocsc()
+        e = np.zeros(len(transient))
+        e[src_pos] = 1.0
+        try:
+            g_tr = splinalg.spsolve(A, e)
+        except Exception as exc:  # pragma: no cover - scipy raises various types
+            raise SolverError(f"green solve failed: {exc}") from exc
+        if not np.all(np.isfinite(g_tr)):
+            raise SolverError("green solve returned non-finite visit counts")
+        g_tr = g_tr.tolist()
+    visits = [Fraction(0) if kernel.mode == RATIONAL else 0.0] * kernel.n_states
     for s, v in zip(transient, g_tr):
-        visits[s] = float(v)
+        visits[s] = v
     return GreenVector(source=source, absorbing=mask, visits=visits,
-                       mode=FLOAT, states=kernel.states)
+                       mode=kernel.mode, states=kernel.states)
 
 
 def green_closed_form_1d(layers: int, y: int):

@@ -21,7 +21,10 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice, site_index
-from .kernels import FLOAT, RATIONAL, RateMatrix, StochasticKernel, _csr_from_rows
+from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel,
+                      _check_stochastic, _csr_from_rows, _row_arrays)
+
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass
@@ -34,11 +37,7 @@ class MarkovLink:
     mode: str = RATIONAL
 
     def __post_init__(self):
-        one = Fraction(1) if self.mode == RATIONAL else 1.0
-        for k, row in enumerate(self.rows):
-            s = sum(row.values())
-            if (s != one) if self.mode == RATIONAL else abs(s - 1.0) > 1e-12:
-                raise ParameterError(f"link row {k} sums to {s}")
+        _check_stochastic(self.rows, self.mode, what="link row")
 
     def to_csr(self):
         return _csr_from_rows(self.rows, self.n_target)
@@ -72,29 +71,63 @@ class ResidualReport:
                            "pass": self.passed}, sort_keys=True)
 
 
-def _rational_rows(op):
-    return [{j: Fraction(v) for j, v in row.items()} for row in op.rows]
+def _int64_csr(name, data, indices, indptr, shape):
+    import scipy.sparse as sp
+
+    if max(map(abs, data), default=0) > _INT64_MAX:
+        raise ParameterError(f"{name}: exact numerators exceed the int64 range")
+    return sp.csr_matrix((np.array(data, dtype=np.int64), indices, indptr),
+                         shape=shape)
 
 
-def _dict_matmul(A, B):
-    out = []
-    for arow in A:
-        r = {}
-        for j, a in arow.items():
-            for l, b in B[j].items():
-                r[l] = r.get(l, 0) + a * b
-        out.append(r)
-    return out
+def _row_absmax(M) -> list:
+    return abs(M).max(axis=1).toarray().ravel().tolist()
 
 
-def _dict_maxdiff(A, B):
-    m = 0
-    for ra, rb in zip(A, B):
-        for kk in set(ra) | set(rb):
-            d = abs(ra.get(kk, 0) - rb.get(kk, 0))
-            if d > m:
-                m = d
-    return m
+def _exact(name: str, rows, n_cols: int):
+    """Rational dict rows as an exact matrix ``(name, num, den)``: int64 CSR
+    numerators over one Python-int denominator per row.  ``name`` labels
+    overflow errors."""
+    indptr, indices, (nums, den) = _row_arrays(rows, exact=True)
+    return name, _int64_csr(name, nums, indices, indptr, (len(rows), n_cols)), den
+
+
+def _exact_matmul(A, B):
+    """Exact A @ B as one int64 product.  B's row denominators move into
+    A's rows: row k goes over den_A(k) times the lcm of the den_B(j) it
+    meets.  Each output entry is bounded, in Python ints, by its row's sum
+    of |a| times the largest |b| in the B row that a multiplies."""
+    (a_name, NA, a_den), (b_name, NB, b_den) = A, B
+    name = f"{a_name}.{b_name}"
+    bounds, cols, vals = NA.indptr.tolist(), NA.indices.tolist(), NA.data.tolist()
+    bmax = _row_absmax(NB)
+    nums, den = [], []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        m = math.lcm(*[b_den[j] for j in cols[lo:hi]])
+        row = [a * (m // b_den[j]) for a, j in zip(vals[lo:hi], cols[lo:hi])]
+        if sum(abs(a) * bmax[j] for a, j in zip(row, cols[lo:hi])) > _INT64_MAX:
+            raise ParameterError(f"{name}: exact product exceeds the int64 range")
+        nums += row
+        den.append(a_den[k] * m)
+    return name, _int64_csr(name, nums, NA.indices, NA.indptr, NA.shape) @ NB, den
+
+
+def _exact_maxdiff(A, B) -> Fraction:
+    """Exact max-abs entry of A - B: each pair of rows is cross-multiplied
+    to the lcm of their denominators and subtracted in int64."""
+    import scipy.sparse as sp
+
+    (a_name, NA, a_den), (b_name, NB, b_den) = A, B
+    D = [math.lcm(a, b) for a, b in zip(a_den, b_den)]
+    sa = [d // a for d, a in zip(D, a_den)]
+    sb = [d // b for d, b in zip(D, b_den)]
+    if any(max(x * s + y * t, s, t) > _INT64_MAX for x, s, y, t
+           in zip(_row_absmax(NA), sa, _row_absmax(NB), sb)):
+        raise ParameterError(
+            f"{a_name} - {b_name}: exact difference exceeds the int64 range")
+    R = sp.diags(sa, dtype=np.int64) @ NA - sp.diags(sb, dtype=np.int64) @ NB
+    return max((Fraction(r, d) for r, d in zip(_row_absmax(R), D) if r),
+               default=Fraction(0))
 
 
 def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
@@ -102,7 +135,10 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
     """Max-abs entry of (link o two_dim_op) - (one_dim_op o link).
 
     ``mode`` is "stochastic" for one-step kernels or "rates" for rate
-    matrices.  With rational operators the verdict is exact.
+    matrices.  With a rational link and rational kernels the verdict is
+    exact: both products and their difference run on int64 numerators over
+    per-row denominators, and ``ParameterError`` names the operator whose
+    numbers would leave the int64 range.
     """
     if mode == "stochastic":
         if not isinstance(two_dim_op, StochasticKernel) or \
@@ -112,10 +148,11 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
             raise ShapeError(
                 f"link {link.n_source}x{link.n_target} does not match operators "
                 f"{one_dim_op.n_states} / {two_dim_op.n_states}")
-        if two_dim_op.mode == RATIONAL and one_dim_op.mode == RATIONAL:
-            LP = _dict_matmul(link.rows, _rational_rows(two_dim_op))
-            QL = _dict_matmul(_rational_rows(one_dim_op), link.rows)
-            d = _dict_maxdiff(LP, QL)
+        if link.mode == two_dim_op.mode == one_dim_op.mode == RATIONAL:
+            L = _exact("link", link.rows, link.n_target)
+            P = _exact("P", two_dim_op.rows, two_dim_op.n_states)
+            Q = _exact("Q", one_dim_op.rows, one_dim_op.n_states)
+            d = _exact_maxdiff(_exact_matmul(L, P), _exact_matmul(Q, L))
             return ResidualReport(identity="link.P = Q.link", mode=RATIONAL,
                                   size=two_dim_op.n_states, residual=float(d),
                                   passed=(d == 0), exact_zero=(d == 0))
@@ -189,17 +226,12 @@ def filter_sample(link: MarkovLink, state: int, rng: np.random.Generator):
 def harmonic_residual(one_dim_chain: StochasticKernel) -> float:
     """Residual of i -> 1/(2i+1) under the radial chain, over non-apex
     non-absorbing states.  Exact zero in rational mode."""
-    resid = Fraction(0) if one_dim_chain.mode == RATIONAL else 0.0
-    for i in range(1, one_dim_chain.n_states):
-        if one_dim_chain.is_absorbing(i):
-            continue
-        row = one_dim_chain.rows[i]
-        if one_dim_chain.mode == RATIONAL:
-            tot = sum(v * Fraction(1, 2 * j + 1) for j, v in row.items())
-            d = abs(tot - Fraction(1, 2 * i + 1))
-        else:
-            tot = sum(v / (2 * j + 1) for j, v in row.items())
-            d = abs(tot - 1.0 / (2 * i + 1))
-        if d > resid:
-            resid = d
-    return float(resid)
+    Q = one_dim_chain
+    keep = [i for i in range(1, Q.n_states) if not Q.is_absorbing(i)]
+    if Q.mode == RATIONAL:
+        h = [{0: Fraction(1, 2 * j + 1)} for j in range(Q.n_states)]
+        Qh = _exact_matmul(_exact("Q", [Q.rows[i] for i in keep], Q.n_states),
+                           _exact("h", h, 1))
+        return float(_exact_maxdiff(Qh, _exact("h", [h[i] for i in keep], 1)))
+    return max((abs(sum(v / (2 * j + 1) for j, v in Q.rows[i].items())
+                    - 1.0 / (2 * i + 1)) for i in keep), default=0.0)

@@ -39,21 +39,65 @@ def _resolve_mode(mode: str, s2_exact) -> str:
     return mode
 
 
+def _row_arrays(rows, exact: bool = False):
+    """CSR arrays ``(indptr, indices, values)`` of dict rows ``{column:
+    value}``, columns sorted within each row.  ``values`` is a float array,
+    or with ``exact`` a pair of Python-int lists ``(numerators, dens)``: row
+    i's numerators over ``dens[i]``, the lcm of its denominators."""
+    n = len(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter((j for r in rows for j in r), dtype=np.int64, count=nnz)
+    order = np.lexsort((indices, np.repeat(np.arange(n), np.diff(indptr))))
+    if not exact:
+        data = np.fromiter((float(v) for r in rows for v in r.values()),
+                           dtype=float, count=nnz)
+        return indptr, indices[order], data[order]
+    dens = [math.lcm(*[v.denominator for v in r.values()]) for r in rows]
+    nums = [v.numerator * (d // v.denominator)
+            for r, d in zip(rows, dens) for v in r.values()]
+    return indptr, indices[order], ([nums[e] for e in order.tolist()], dens)
+
+
+def _check_stochastic(rows, mode: str, what: str = "row") -> None:
+    """Raise ``ParameterError`` unless every row is a probability vector:
+    exactly (integer numerators summing to the row denominator) in rational
+    mode, to 1e-12 in float mode."""
+    exact = mode == RATIONAL
+    indptr, _, values = _row_arrays(rows, exact=exact)
+    if exact:
+        nums, dens = values
+        bounds = indptr.tolist()
+        for i, d in enumerate(dens):
+            row = nums[bounds[i]:bounds[i + 1]]
+            if any(v < 0 for v in row):
+                raise ParameterError(f"negative probability in {what} {i}")
+            if sum(row) != d:
+                raise ParameterError(
+                    f"{what} {i} sums to {Fraction(sum(row), d)}, not 1")
+        return
+    row_of = np.repeat(np.arange(len(rows)), np.diff(indptr))
+    negative = np.bincount(row_of[values < 0], minlength=len(rows)) > 0
+    sums = np.bincount(row_of, weights=values, minlength=len(rows))
+    bad = negative | ~(np.abs(sums - 1.0) <= 1e-12)      # NaN sums fail too
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise ParameterError(f"negative probability in {what} {i}")
+        raise ParameterError(f"{what} {i} sums to {float(sums[i])!r}")
+
+
 def _csr_from_rows(rows, n_cols: int, diagonal=None):
     """Float CSR matrix of dict rows ``{column: value}``, with sorted column
     indices; ``diagonal`` (one value per row) is added on the diagonal."""
     import scipy.sparse as sp
 
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter((j for r in rows for j in r), dtype=np.int64, count=nnz)
-    data = np.fromiter((float(v) for r in rows for v in r.values()),
-                       dtype=float, count=nnz)
+    indptr, indices, data = _row_arrays(rows)
     A = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
     if diagonal is not None:
         A = A + sp.diags(np.asarray(diagonal, dtype=float), format="csr")
-    A.sort_indices()
+        A.sort_indices()
     return A
 
 
@@ -75,16 +119,7 @@ class StochasticKernel:
         return len(self.states)
 
     def validate(self):
-        one = Fraction(1) if self.mode == RATIONAL else 1.0
-        for i, row in enumerate(self.rows):
-            if any(v < 0 for v in row.values()):
-                raise ParameterError(f"negative probability in row {i}")
-            s = sum(row.values())
-            if self.mode == RATIONAL:
-                if s != one:
-                    raise ParameterError(f"row {i} sums to {s}, not 1")
-            elif abs(s - 1.0) > 1e-12:
-                raise ParameterError(f"row {i} sums to {s!r}")
+        _check_stochastic(self.rows, self.mode)
 
     def is_absorbing(self, i: int) -> bool:
         row = self.rows[i]

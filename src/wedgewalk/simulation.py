@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, SimulationTimeout
 from . import green_reversal as _green
-from .kernels import StochasticKernel
+from .kernels import StochasticKernel, _row_arrays
 
 
 class Side(enum.IntEnum):
@@ -111,21 +111,21 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
     cumulative value is never compared, so j stays below W even when
     rounding leaves the row sum under a uniform.
     """
-    P = kernel.to_csr()
+    indptr, indices, data = _row_arrays(kernel.rows)
     n = kernel.n_states
-    counts = np.diff(P.indptr)
+    counts = np.diff(indptr)
     W = int(counts.max())
     row = np.repeat(np.arange(n), counts)
-    pos = np.arange(P.nnz) - P.indptr[row]
+    pos = np.arange(len(data)) - indptr[row]
     cum = np.zeros((n, W))
-    cum[row, pos] = P.data
+    cum[row, pos] = data
     cum = np.cumsum(cum, axis=1)
     cum[np.arange(W) >= counts[:, None]] = 1.0
     thresholds = np.repeat(cum[:, :W - 1].T, 3, axis=1)
     # padding slots repeat the row's last target
-    last = P.indices[P.indptr[1:] - 1].astype(np.int64)
+    last = indices[indptr[1:] - 1]
     tgt = np.repeat(last[:, None], W, axis=1)
-    tgt[row, pos] = P.indices
+    tgt[row, pos] = indices
     tside = side.astype(np.int64)[tgt][:, None, :]
     kept = np.arange(3)[None, :, None]
     targets = 3 * tgt[:, None, :] + np.where(tside != 0, tside, kept)
@@ -431,6 +431,8 @@ def strip_seesaw_samples(t: float, n: int, seed: int = 0) -> np.ndarray:
     of variance t; distributed uniformly on [0,1] for every t."""
     if t <= 0:
         raise ParameterError("t must be positive")
+    if n < 1:
+        raise ParameterError("need at least one sample")
     rng = np.random.Generator(
         np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, 0x5EE5A))))
     u = rng.random(n)

@@ -134,7 +134,11 @@ def test_domain_error_exit_code(capsys):
                  ["green", "--alpha", "foo"],
                  ["verify-intertwining", "--shape", "table:/nonexistent.csv"],
                  ["verify-intertwining", "--shape", "power:foo"],
-                 ["simulate-vase", "--shape", "linear:foo"]):
+                 ["simulate-vase", "--shape", "linear:foo"],
+                 ["strip-check", "--samples", "0"],
+                 ["watts", "--grid", "0"],
+                 ["vase-generator", "--resolutions", "64"],
+                 ["verify-intertwining", "--shape", "power:2", "--resolution", "0"]):
         code = run_cli(argv)
         assert code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
@@ -180,3 +184,16 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_simulate_wedge_loads_no_scipy_sparse(tmp_path):
+    # the sampler builds its tables with numpy alone
+    record = str(tmp_path / "record.json")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from wedgewalk.cli import main; "
+         f"rc = main(['simulate-wedge', '--paths', '2000', '--output', {record!r}]); "
+         "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from wedgewalk import (
     ParameterError,
+    SolverError,
+    StochasticKernel,
     WedgeSpec,
     build_wedge_lattice,
     fit_green_constant,
@@ -16,7 +19,57 @@ from wedgewalk import (
     projected_wedge_chain,
     wedge_kernel,
 )
+from wedgewalk.green_reversal import _rational_green
 from wedgewalk.kernels import row_displacement
+
+
+def _reference_rational_green(rows, transient, source_pos):
+    """Dense Fraction Gaussian elimination on (I - T)^T g = e_src, natural
+    order: the independent side of the exact-solver cross-check."""
+    n = len(transient)
+    pos = {s: i for i, s in enumerate(transient)}
+    A = [[F(0)] * n for _ in range(n)]
+    for i, s in enumerate(transient):
+        A[i][i] += 1
+        for j, v in rows[s].items():
+            if j in pos:
+                A[pos[j]][i] -= F(v)     # transpose
+    b = [F(0)] * n
+    b[source_pos] = F(1)
+    for col in range(n):
+        piv = A[col][col]
+        for r in range(col + 1, n):
+            f = A[r][col]
+            if f != 0:
+                f = f / piv
+                for c in range(col, n):
+                    A[r][c] -= f * A[col][c]
+                b[r] -= f * b[col]
+    x = [F(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))
+        x[r] = acc / A[r][r]
+    return x
+
+
+def _green_system(kernel, source):
+    mask = kernel.absorbing_mask()
+    transient = [i for i in range(kernel.n_states) if not mask[i]]
+    return kernel.rows, transient, transient.index(source)
+
+
+def _scrambled_kernel(n=14, seed=7):
+    """Rational kernel whose rows reach all over the state space (no band);
+    the last two states absorb, and every other row feeds one of them."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n - 2):
+        targets = set(rng.sample(range(n), 4)) | {rng.choice([n - 2, n - 1])}
+        weights = {j: rng.randint(1, 9) for j in targets}
+        total = sum(weights.values())
+        rows.append({j: F(w, total) for j, w in weights.items()})
+    rows += [{n - 2: F(1)}, {n - 1: F(1)}]
+    return StochasticKernel(states=tuple(range(n)), rows=rows, mode="rational")
 
 
 def path_sum_green(kernel, source, n_states, tail=1e-12):
@@ -67,17 +120,52 @@ def test_green_ratio_constant_and_prefactor():
 
 def test_green_factorization_rational():
     # planar visits are constant across each fiber and equal the radial
-    # visits split uniformly
-    N = 5
-    spec = WedgeSpec(alpha=math.pi / 6, layers=N)
-    lat = build_wedge_lattice(spec)
-    P = wedge_kernel(lat, spec)
-    Q = projected_wedge_chain(N, math.pi / 6)
-    g2 = green_vector(P, (0, 0))
-    g1 = green_vector(Q, 0)
-    for k in range(N):
-        for y in range(-k, k + 1):
-            assert g2.visits[lat.index(k, y)] == g1.visits[k] / (2 * k + 1)
+    # visits split uniformly: g2(k, y) (2k+1) = g1(k), exactly
+    for alpha in (math.pi / 6, math.pi / 4, math.pi / 3):
+        for N in (5, 14):
+            spec = WedgeSpec(alpha=alpha, layers=N)
+            lat = build_wedge_lattice(spec)
+            P = wedge_kernel(lat, spec)
+            Q = projected_wedge_chain(N, alpha)
+            g2 = green_vector(P, (0, 0))
+            g1 = green_vector(Q, 0)
+            for k in range(N):
+                for y in range(-k, k + 1):
+                    assert g2.visits[lat.index(k, y)] * (2 * k + 1) == g1.visits[k]
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
+def test_banded_exact_green_matches_dense_elimination(alpha):
+    for N in (2, 5, 8):
+        spec = WedgeSpec(alpha=alpha, layers=N)
+        lat = build_wedge_lattice(spec)
+        P = wedge_kernel(lat, spec)
+        for source in (lat.index(0, 0), lat.index(1, 1)):
+            system = _green_system(P, source)
+            assert _rational_green(*system) == _reference_rational_green(*system)
+        Q = projected_wedge_chain(N, alpha)
+        system = _green_system(Q, 0)
+        assert _rational_green(*system) == _reference_rational_green(*system)
+
+
+def test_exact_green_matches_dense_elimination_without_a_band():
+    P = _scrambled_kernel()
+    for source in (0, 5, 11):
+        system = _green_system(P, source)
+        assert _rational_green(*system) == _reference_rational_green(*system)
+    g = green_vector(P, 5)
+    want = green_vector(StochasticKernel(states=P.states, mode="float",
+                                         rows=[{j: float(v) for j, v in r.items()}
+                                               for r in P.rows]), 5)
+    assert np.allclose(g.as_floats(), want.as_floats(), rtol=1e-12, atol=0)
+
+
+def test_exact_green_zero_pivot_is_a_solver_error():
+    # states 0 and 1 swap forever and never reach the absorbing state 2
+    P = StochasticKernel(states=(0, 1, 2), mode="rational",
+                         rows=[{1: F(1)}, {0: F(1)}, {2: F(1)}])
+    with pytest.raises(SolverError):
+        green_vector(P, 0)
 
 
 def test_green_factorization_float():

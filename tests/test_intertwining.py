@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedgewalk import (
+    MarkovLink,
     ParameterError,
     ShapeError,
+    StochasticKernel,
     WedgeSpec,
     build_link,
     build_vase_grid,
@@ -52,17 +54,65 @@ def test_wedge_identity_exact(alpha):
 
 def test_wedge_identity_powers():
     # one-step exactness propagates; assert n = 2 and 3 directly
-    from wedgewalk.intertwining import _dict_matmul, _dict_maxdiff, _rational_rows
+    from wedgewalk.intertwining import _exact, _exact_matmul, _exact_maxdiff
 
     lat, P, Q, link = wedge_ops(math.pi / 4, 8)
-    Pr, Qr = _rational_rows(P), _rational_rows(Q)
-    LP = link.rows
-    QL = link.rows
+    Pr, Qr = _exact("P", P.rows, P.n_states), _exact("Q", Q.rows, Q.n_states)
+    LP = QL = _exact("link", link.rows, link.n_target)
     for n in range(1, 4):
-        LP = _dict_matmul(LP, Pr)
-        QL = _dict_matmul(Qr, QL)
+        LP = _exact_matmul(LP, Pr)
+        QL = _exact_matmul(Qr, QL)
         if n >= 2:
-            assert _dict_maxdiff(LP, QL) == 0
+            assert _exact_maxdiff(LP, QL) == 0
+
+
+def test_perturbed_kernel_residual_is_the_exact_fraction():
+    # moving eps of mass between two targets of one row at layer 2 shifts
+    # link.P by eps/5 in that fiber's row and leaves Q.link alone
+    from wedgewalk.intertwining import _exact, _exact_matmul, _exact_maxdiff
+
+    N, eps = 100, F(1, 10 ** 6)
+    lat, P, Q, link = wedge_ops(math.pi / 6, N)
+    rows = [dict(r) for r in P.rows]
+    row = rows[lat.index(2, 0)]
+    row[lat.index(2, 1)] -= eps
+    row[lat.index(2, -1)] += eps
+    Pe = StochasticKernel(states=P.states, rows=rows, mode=P.mode)
+    L = _exact("link", link.rows, link.n_target)
+    d = _exact_maxdiff(_exact_matmul(L, _exact("P", Pe.rows, Pe.n_states)),
+                       _exact_matmul(_exact("Q", Q.rows, Q.n_states), L))
+    assert d == F(1, 5000000)
+    rep = intertwining_residual(link, Pe, Q, mode="stochastic")
+    assert rep.residual == float(F(1, 5000000))
+    assert rep.exact_zero is False and rep.passed is False
+
+
+def test_exact_check_refuses_numbers_beyond_int64():
+    # one fiber of two sites; the planar kernel's first row has a
+    # denominator above 2^63, so its numerator 2^63 leaves the int64 range
+    big = 2 ** 63 + 1
+    link = MarkovLink(n_source=1, n_target=2, rows=[{0: F(1, 2), 1: F(1, 2)}])
+    Q = StochasticKernel(states=(0,), rows=[{0: F(1)}], mode="rational")
+    P = StochasticKernel(states=(0, 1), mode="rational",
+                         rows=[{0: F(1, big), 1: F(big - 1, big)}, {1: F(1)}])
+    with pytest.raises(ParameterError, match=r"^P: exact numerators"):
+        intertwining_residual(link, P, Q, mode="stochastic")
+    # every numerator fits, but the lcm of two coprime 40-bit denominators
+    # that one link row meets makes the product overflow
+    d1, d2 = 2 ** 40 + 1, 2 ** 40 - 1
+    P = StochasticKernel(states=(0, 1), mode="rational",
+                         rows=[{0: F(1, d1), 1: F(d1 - 1, d1)},
+                               {0: F(1, d2), 1: F(d2 - 1, d2)}])
+    with pytest.raises(ParameterError, match=r"^link\.P: exact product"):
+        intertwining_residual(link, P, Q, mode="stochastic")
+    # both products fit, but bringing Q.link's denominator 2 up to
+    # link.P's 2 (2^62 - 1) scales its row by 2^62 - 1 and the difference
+    # would overflow
+    d = 2 ** 62 - 1
+    P = StochasticKernel(states=(0, 1), mode="rational",
+                         rows=[{0: F(1, d), 1: F(d - 1, d)}] * 2)
+    with pytest.raises(ParameterError, match=r"^link\.P - Q\.link: exact difference"):
+        intertwining_residual(link, P, Q, mode="stochastic")
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.7853981, 1.3])

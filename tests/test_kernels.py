@@ -5,6 +5,7 @@ import pytest
 
 from wedgewalk import (
     ParameterError,
+    StochasticKernel,
     WedgeSpec,
     build_vase_grid,
     build_wedge_lattice,
@@ -209,3 +210,32 @@ def test_triplet_roundtrip(tmp_path):
     kind, _, rows = read_triplets(path)
     assert kind == "rate-matrix"
     assert rows[grid.index(1, 0)] == Q.off_rows[grid.index(1, 0)]
+
+
+def test_rational_validation_is_exact():
+    # 1 - 10^-30 is 1.0 as a float; the integer row check still sees it
+    short = F(1, 2) - F(1, 10 ** 30)
+    with pytest.raises(ParameterError, match="not 1"):
+        StochasticKernel(states=(0, 1), mode="rational",
+                         rows=[{0: F(1, 2), 1: short}, {1: F(1)}])
+    with pytest.raises(ParameterError, match="negative"):
+        StochasticKernel(states=(0, 1), mode="rational",
+                         rows=[{0: F(3, 2), 1: F(-1, 2)}, {1: F(1)}])
+    with pytest.raises(ParameterError, match="row 1"):
+        StochasticKernel(states=(0, 1), mode="rational", rows=[{0: F(1)}, {}])
+    StochasticKernel(states=(0, 1), mode="rational",
+                     rows=[{0: F(1, 3), 1: F(2, 3)}, {1: 1}])
+
+
+def test_float_validation_keeps_its_tolerance():
+    StochasticKernel(states=(0, 1), mode="float",
+                     rows=[{0: 0.5, 1: 0.5 + 5e-13}, {1: 1.0}])
+    with pytest.raises(ParameterError, match="row 0"):
+        StochasticKernel(states=(0, 1), mode="float",
+                         rows=[{0: 0.5, 1: 0.5 + 5e-12}, {1: 1.0}])
+    with pytest.raises(ParameterError, match="negative probability in row 1"):
+        StochasticKernel(states=(0, 1), mode="float",
+                         rows=[{0: 1.0}, {0: 1.5, 1: -0.5}])
+    with pytest.raises(ParameterError, match="row 0 sums to nan"):
+        StochasticKernel(states=(0, 1), mode="float",
+                         rows=[{0: math.nan, 1: 0.5}, {1: 1.0}])
