@@ -195,6 +195,10 @@ def generator_residual(shape, f, f_prime, f_second, x: float, resolution: int) -
     """
     shape = shape_from_spec(shape)
     N = int(resolution)
+    if N < 1:
+        raise ParameterError(f"resolution must be at least 1, got {resolution}")
+    if not 0 < x < math.inf:
+        raise ParameterError("x must be positive and finite")
     k = round(N * shape(x))
     if k < 2:
         raise ParameterError("x too close to the apex for this resolution")

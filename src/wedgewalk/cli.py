@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every run writes a self-describing JSON record (resolved config, seed,
-toolkit version, results) and exits 0 only if all enabled checks pass their
+Every run writes a self-describing JSON record (params, toolkit version,
+pass, results) and exits 0 only if all enabled checks pass their
 tolerances; check failures exit 1 with the failure embedded in the record,
-usage errors exit 2.  Re-running a record's config reproduces its outputs
-bit-exactly.
+usage and domain errors exit 2.  The record's params are every parsed
+option except the output paths ``--output`` and ``--csv``, so re-running
+them reproduces the results bit-exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,31 +24,24 @@ from .errors import ParameterError, WedgewalkError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# Parsed names that are not run parameters: the dispatch and the output paths.
+_NOT_PARAMS = {"command", "fn", "output", "csv"}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    output: Optional[str] = None
-    fmt: str = "json"
-
-    def record(self, results: dict, passed: bool) -> dict:
-        return {"command": self.command, "params": self.params,
-                "version": __version__, "pass": passed, "results": results}
+def _params(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
 
 
-def _emit(config: RunConfig, results: dict, passed: bool) -> int:
-    record = config.record(results, passed)
+def _emit(args, results: dict, passed: bool) -> int:
+    record = {"command": args.command, "params": _params(args),
+              "version": __version__, "pass": passed, "results": results}
     text = json.dumps(record, sort_keys=True, indent=2, default=float)
-    out = config.output or os.environ.get("WEDGEWALK_OUTDIR")
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {config.output}")
-    elif out:
-        path = os.path.join(out, f"{config.command}.json")
-        os.makedirs(out, exist_ok=True)
+    path = args.output
+    outdir = os.environ.get("WEDGEWALK_OUTDIR")
+    if not path and outdir:
+        os.makedirs(outdir, exist_ok=True)
+        path = os.path.join(outdir, f"{args.command}.json")
+    if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {path}")
@@ -68,10 +60,6 @@ def _wedge_operators(alpha: float, layers: int, mode: str):
 
 
 def cmd_verify_intertwining(args) -> int:
-    params = {"alpha": args.alpha, "layers": args.layers, "mode": args.mode,
-              "shape": args.shape, "resolution": args.resolution,
-              "tolerance": args.tolerance}
-    config = RunConfig("verify-intertwining", params, args.output)
     tol = args.tolerance
     if args.shape:
         resolution = args.layers if args.resolution is None else args.resolution
@@ -83,29 +71,28 @@ def cmd_verify_intertwining(args) -> int:
                                                  tolerance=tol)
         semis = intertwining.semigroup_residual(link, Q2, Q1, times=[0.1, 1.0])
         ok = rep.passed and all(v <= 100 * tol for v in semis.values())
-        return _emit(config, {"residual": rep.residual,
-                              "semigroup": {str(t): v for t, v in semis.items()},
-                              "report": json.loads(rep.to_json())}, ok)
+        return _emit(args, {"residual": rep.residual,
+                            "semigroup": {str(t): v for t, v in semis.items()},
+                            "report": json.loads(rep.to_json())}, ok)
     alpha = geometry.parse_angle(args.alpha)
     spec, lat, P, Q, link = _wedge_operators(alpha, args.layers, args.mode)
     rep = intertwining.intertwining_residual(link, P, Q, mode="stochastic",
                                              tolerance=tol)
     harm = intertwining.harmonic_residual(Q)
     ok = rep.passed and harm <= 1e-14
-    return _emit(config, {"residual": rep.residual, "harmonic_residual": harm,
-                          "report": json.loads(rep.to_json())}, ok)
+    return _emit(args, {"residual": rep.residual, "harmonic_residual": harm,
+                        "report": json.loads(rep.to_json())}, ok)
 
 
-def _simulate(kernel, start, stop, args, params, config_name, layers_arr):
-    config = RunConfig(config_name, params, args.output)
-    agg = simulation.run_paths(kernel, start, stop=stop, n_paths=args.paths,
-                               seed=args.seed, workers=args.workers,
-                               params=params)
-    dist = agg.exit_distribution(stop, layers_arr)
+def _simulate(kernel, args) -> int:
+    agg = simulation.run_paths(kernel, "apex", stop=args.stop_layer,
+                               n_paths=args.paths, seed=args.seed,
+                               workers=args.workers)
+    dist = agg.exit_distribution(args.stop_layer, kernel.layers)
     chi = analytics.chi_square(dist.counts)
     results = {"exit_chi_square": chi, "n_paths": args.paths, "seed": args.seed,
                "steps_mean": agg.steps_sum / agg.n_paths, "steps_max": agg.steps_max}
-    curve = simulation.last_side_curve(agg, stop, bins=args.bins)
+    curve = simulation.last_side_curve(agg, args.stop_layer, bins=args.bins)
     scored = []
     for b in curve.bins:
         if b.p_hat is None:
@@ -115,40 +102,27 @@ def _simulate(kernel, start, stop, args, params, config_name, layers_arr):
         scored.append({"s": s, "p_hat": b.p_hat, "stderr": b.stderr, "n": b.n,
                        "watts_closed": analytics.watts_closed(s),
                        "watts_composed": analytics.watts_composed(s)})
-    results["curve"] = curve.to_json_dict(params=params, seed=args.seed,
+    results["curve"] = curve.to_json_dict(params=_params(args), seed=args.seed,
                                           n_paths=args.paths)
     results["curve_scored"] = scored
     ok = chi["p_value"] > 0.001
-    return _emit(config, results, ok)
+    return _emit(args, results, ok)
 
 
 def cmd_simulate_wedge(args) -> int:
     alpha = geometry.parse_angle(args.alpha)
-    params = {"alpha": args.alpha, "stop_layer": args.stop_layer,
-              "paths": args.paths, "seed": args.seed, "bins": args.bins,
-              "workers": args.workers}
     spec = geometry.WedgeSpec(alpha=alpha, layers=args.stop_layer)
     lat = geometry.build_wedge_lattice(spec)
-    P = kernels.wedge_kernel(lat, spec, mode="float")
-    return _simulate(P, "apex", args.stop_layer, args, params,
-                     "simulate-wedge", P.layers)
+    return _simulate(kernels.wedge_kernel(lat, spec, mode="float"), args)
 
 
 def cmd_simulate_vase(args) -> int:
-    params = {"shape": args.shape, "resolution": args.resolution,
-              "stop_layer": args.stop_layer, "paths": args.paths,
-              "seed": args.seed, "bins": args.bins, "workers": args.workers}
     grid = geometry.build_vase_grid(args.shape, args.resolution, args.stop_layer)
-    Q = kernels.vase_rate_matrix(grid)
-    P = Q.jump_chain()
-    return _simulate(P, "apex", args.stop_layer, args, params,
-                     "simulate-vase", P.layers)
+    return _simulate(kernels.vase_rate_matrix(grid).jump_chain(), args)
 
 
 def cmd_green(args) -> int:
     alpha = geometry.parse_angle(args.alpha)
-    params = {"alpha": args.alpha, "layers": args.layers}
-    config = RunConfig("green", params, args.output)
     Q = kernels.projected_wedge_chain(args.layers, alpha, mode="float")
     g = green_reversal.green_vector(Q, 0)
     fit = green_reversal.fit_green_constant(g, args.layers)
@@ -165,13 +139,11 @@ def cmd_green(args) -> int:
         g.to_csv(args.csv)
         results["csv"] = args.csv
     ok = fit["relative_spread"] <= 1e-10
-    return _emit(config, results, ok)
+    return _emit(args, results, ok)
 
 
 def cmd_reverse(args) -> int:
     alpha = geometry.parse_angle(args.alpha)
-    params = {"alpha": args.alpha, "layers": args.layers, "mode": args.mode}
-    config = RunConfig("reverse", params, args.output)
     spec, lat, P, Q, link = _wedge_operators(alpha, args.layers, args.mode)
     g = green_reversal.green_vector(P, (0, 0))
     rev = green_reversal.nagasawa_reverse(P, g)
@@ -191,12 +163,10 @@ def cmd_reverse(args) -> int:
                "initial_law_uniform": bool(np.allclose(
                    rev.initial_law[rev.initial_law > 0], 1.0 / (2 * N + 1)))}
     ok = worst <= 1e-12 and results["initial_law_uniform"]
-    return _emit(config, results, ok)
+    return _emit(args, results, ok)
 
 
 def cmd_watts(args) -> int:
-    params = {"grid": args.grid}
-    config = RunConfig("watts", params, args.output)
     if args.grid < 1:
         raise ParameterError("--grid must be at least 1")
     worst = 0.0
@@ -212,12 +182,10 @@ def cmd_watts(args) -> int:
     if args.csv:
         analytics.export_watts_curves(args.csv, n_grid=args.grid)
         results["csv"] = args.csv
-    return _emit(config, results, worst <= 1e-8)
+    return _emit(args, results, worst <= 1e-8)
 
 
 def cmd_bessel_check(args) -> int:
-    params = {"i": args.i, "a": args.a, "b": args.b, "beta": args.beta}
-    config = RunConfig("bessel-check", params, args.output)
     if abs(args.beta - 1.0) < 1e-12:
         Q = kernels.projected_wedge_chain(args.b + 50, math.pi / 4, mode="float")
         discrete = simulation.discrete_hit_prob(Q, args.i, args.a, args.b)
@@ -231,12 +199,10 @@ def cmd_bessel_check(args) -> int:
         continuum = (phi(args.i) - phi(args.b)) / (phi(args.a) - phi(args.b))
     diff = abs(discrete - continuum)
     results = {"discrete": discrete, "continuum": continuum, "difference": diff}
-    return _emit(config, results, diff <= 0.02)
+    return _emit(args, results, diff <= 0.02)
 
 
 def cmd_strip_check(args) -> int:
-    params = {"t": args.t, "samples": args.samples, "seed": args.seed}
-    config = RunConfig("strip-check", params, args.output)
     out = {}
     ok = True
     for t in args.t:
@@ -246,12 +212,10 @@ def cmd_strip_check(args) -> int:
         out[str(t)] = {"distance": kt["distance"], "p_value": kt["p_value"],
                        "critical_0.001": crit}
         ok = ok and kt["distance"] < crit
-    return _emit(config, {"ks": out}, ok)
+    return _emit(args, {"ks": out}, ok)
 
 
 def cmd_vase_generator(args) -> int:
-    params = {"shape": args.shape, "x": args.x, "resolutions": args.resolutions}
-    config = RunConfig("vase-generator", params, args.output)
     if len(args.resolutions) < 2:
         raise ParameterError("--resolutions needs at least two values to "
                              "form a convergence ratio")
@@ -265,7 +229,7 @@ def cmd_vase_generator(args) -> int:
     vals = [table[str(n)] for n in args.resolutions]
     ratios = [vals[i + 1] / vals[i] for i in range(len(vals) - 1)]
     ok = all(0.3 <= r <= 0.7 for r in ratios)
-    return _emit(config, {"residuals": table, "ratios": ratios}, ok)
+    return _emit(args, {"residuals": table, "ratios": ratios}, ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, fn):
         sp.add_argument("--output", help="write the JSON record here")
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("verify-intertwining", help="projection identity residuals")
     sp.add_argument("--alpha", default="pi/4")
@@ -286,49 +251,41 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shape", help="vase shape spec (switches to the rate check)")
     sp.add_argument("--resolution", type=int)
     sp.add_argument("--tolerance", type=float, default=1e-12)
-    common(sp)
-    sp.set_defaults(fn=cmd_verify_intertwining)
+    common(sp, cmd_verify_intertwining)
+
+    def sampling(sp, stop_layer, fn):
+        sp.add_argument("--stop-layer", type=int, default=stop_layer)
+        sp.add_argument("--paths", type=int, default=100000)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--bins", type=int, default=20)
+        sp.add_argument("--workers", type=int, default=1)
+        common(sp, fn)
 
     sp = sub.add_parser("simulate-wedge", help="hitting law and last-side curve")
     sp.add_argument("--alpha", default="pi/6")
-    sp.add_argument("--stop-layer", type=int, default=30)
-    sp.add_argument("--paths", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bins", type=int, default=20)
-    sp.add_argument("--workers", type=int, default=1)
-    common(sp)
-    sp.set_defaults(fn=cmd_simulate_wedge)
+    sampling(sp, 30, cmd_simulate_wedge)
 
     sp = sub.add_parser("simulate-vase", help="vase hitting law")
     sp.add_argument("--shape", default="power:2")
     sp.add_argument("--resolution", type=int, default=20)
-    sp.add_argument("--stop-layer", type=int, default=20)
-    sp.add_argument("--paths", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bins", type=int, default=20)
-    sp.add_argument("--workers", type=int, default=1)
-    common(sp)
-    sp.set_defaults(fn=cmd_simulate_vase)
+    sampling(sp, 20, cmd_simulate_vase)
 
     sp = sub.add_parser("green", help="solved Green vector vs closed form")
     sp.add_argument("--alpha", default="pi/6")
     sp.add_argument("--layers", type=int, default=50)
     sp.add_argument("--csv", help="also dump the vector as CSV")
-    common(sp)
-    sp.set_defaults(fn=cmd_green)
+    common(sp, cmd_green)
 
     sp = sub.add_parser("reverse", help="time-reversed kernel consistency")
     sp.add_argument("--alpha", default="pi/6")
     sp.add_argument("--layers", type=int, default=30)
     sp.add_argument("--mode", default="float", choices=["auto", "rational", "float"])
-    common(sp)
-    sp.set_defaults(fn=cmd_reverse)
+    common(sp, cmd_reverse)
 
     sp = sub.add_parser("watts", help="three-way curve identity + CSV export")
     sp.add_argument("--grid", type=int, default=9)
     sp.add_argument("--csv")
-    common(sp)
-    sp.set_defaults(fn=cmd_watts)
+    common(sp, cmd_watts)
 
     sp = sub.add_parser("bessel-check", help="discrete vs continuum hitting")
     sp.add_argument("--i", type=int, default=50)
@@ -336,22 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, default=200)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--resolution", type=int, default=50)
-    common(sp)
-    sp.set_defaults(fn=cmd_bessel_check)
+    common(sp, cmd_bessel_check)
 
     sp = sub.add_parser("strip-check", help="seesaw fold uniformity")
     sp.add_argument("--t", type=float, nargs="+", default=[0.25, 1.0, 4.0])
     sp.add_argument("--samples", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=cmd_strip_check)
+    common(sp, cmd_strip_check)
 
     sp = sub.add_parser("vase-generator", help="projected-generator residual table")
     sp.add_argument("--shape", default="power:2")
     sp.add_argument("--x", type=float, default=1.0)
     sp.add_argument("--resolutions", type=int, nargs="+", default=[64, 128, 256])
-    common(sp)
-    sp.set_defaults(fn=cmd_vase_generator)
+    common(sp, cmd_vase_generator)
 
     return p
 

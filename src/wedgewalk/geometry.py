@@ -196,8 +196,8 @@ def linear_shape(slope: float) -> ShapeFunction:
 
 
 def power_shape(beta: float) -> ShapeFunction:
-    if beta <= 0:
-        raise ParameterError("power shape needs a positive exponent")
+    if not 0 < beta < math.inf:
+        raise ParameterError("power shape needs a positive finite exponent")
     return ShapeFunction(h=lambda x: x ** beta,
                          h_prime=lambda x: beta * x ** (beta - 1.0),
                          label=f"power:{beta}")

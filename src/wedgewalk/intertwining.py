@@ -140,6 +140,8 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
     per-row denominators, and ``ParameterError`` names the operator whose
     numbers would leave the int64 range.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ParameterError("tolerance must be non-negative and finite")
     if mode == "stochastic":
         if not isinstance(two_dim_op, StochasticKernel) or \
            not isinstance(one_dim_op, StochasticKernel):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,7 +72,6 @@ class PathAggregate:
     steps_hist: np.ndarray       # (64,) counts by bit-length of the step count
     steps_sum: int
     steps_max: int
-    params: dict = field(default_factory=dict)
 
     def exit_counts(self) -> np.ndarray:
         return self.exit_side.sum(axis=1)
@@ -94,8 +93,7 @@ class PathAggregate:
                              initial=self.initial + other.initial,
                              steps_hist=self.steps_hist + other.steps_hist,
                              steps_sum=self.steps_sum + other.steps_sum,
-                             steps_max=max(self.steps_max, other.steps_max),
-                             params=self.params)
+                             steps_max=max(self.steps_max, other.steps_max))
 
 
 def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
@@ -226,8 +224,7 @@ def _run_block(args):
 def run_paths(kernel: StochasticKernel, start, stop=None,
               observers: Sequence[str] = ("exit", "last_side", "steps"),
               n_paths: int = 1, seed: int = 0, workers: int = 1,
-              block_size: int = 65536, step_cap: int = 10 ** 8,
-              params: Optional[dict] = None) -> PathAggregate:
+              block_size: int = 65536, step_cap: int = 10 ** 8) -> PathAggregate:
     """Simulate independent trajectories and aggregate exit site, last
     reflecting side and step counts.
 
@@ -241,6 +238,10 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
+    if workers < 1:
+        raise ParameterError("workers must be >= 1")
     stopm = _resolve_stop(kernel, stop)
     if not stopm.any():
         raise ParameterError("no stop states")
@@ -262,7 +263,7 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
         b += 1
 
     if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as ex:
             results = list(ex.map(_run_block, blocks))
     else:
         results = [_run_block(a) for a in blocks]
@@ -272,7 +273,7 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
                         exit_side=np.zeros((S, 3), dtype=np.int64),
                         initial=np.zeros(S, dtype=np.int64),
                         steps_hist=np.zeros(64, dtype=np.int64),
-                        steps_sum=0, steps_max=0, params=dict(params or {}))
+                        steps_sum=0, steps_max=0)
     active = 0
     for exit_side, initial, hist, ssum, smax, live in results:
         agg.exit_side += exit_side
@@ -408,8 +409,8 @@ def last_side_curve(aggregate: PathAggregate, stop_layer: int,
 def discrete_hit_prob(one_dim_chain: StochasticKernel, start: int,
                       lower: int, upper: int) -> float:
     """P(reach ``lower`` before ``upper``) for a radial chain, by linear solve."""
-    if not lower < start < upper:
-        raise ParameterError("need lower < start < upper")
+    if not 0 <= lower < start < upper:
+        raise ParameterError("need 0 <= lower < start < upper")
     if upper >= one_dim_chain.n_states:
         raise ParameterError("upper endpoint outside the chain")
     return _green.hit_probability(one_dim_chain, start, targets=[lower],
@@ -429,10 +430,12 @@ def seesaw(x):
 def strip_seesaw_samples(t: float, n: int, seed: int = 0) -> np.ndarray:
     """Samples of seesaw(U + Y_t), U uniform on [0,1], Y_t centred Gaussian
     of variance t; distributed uniformly on [0,1] for every t."""
-    if t <= 0:
-        raise ParameterError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ParameterError("t must be positive and finite")
     if n < 1:
         raise ParameterError("need at least one sample")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     rng = np.random.Generator(
         np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, 0x5EE5A))))
     u = rng.random(n)

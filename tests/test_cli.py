@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wedgewalk.cli import main
 
@@ -130,6 +134,9 @@ def test_usage_errors():
 
 
 def test_domain_error_exit_code(capsys):
+    sim_wedge = ["simulate-wedge", "--stop-layer", "4", "--paths", "100"]
+    sim_vase = ["simulate-vase", "--resolution", "4", "--stop-layer", "4",
+                "--paths", "100"]
     for argv in (["verify-intertwining", "--alpha", "2.0", "--layers", "10"],
                  ["green", "--alpha", "foo"],
                  ["verify-intertwining", "--shape", "table:/nonexistent.csv"],
@@ -138,10 +145,111 @@ def test_domain_error_exit_code(capsys):
                  ["strip-check", "--samples", "0"],
                  ["watts", "--grid", "0"],
                  ["vase-generator", "--resolutions", "64"],
-                 ["verify-intertwining", "--shape", "power:2", "--resolution", "0"]):
+                 ["verify-intertwining", "--shape", "power:2", "--resolution", "0"],
+                 sim_wedge + ["--seed", "-1"],
+                 sim_vase + ["--seed", "-5"],
+                 ["strip-check", "--samples", "100", "--seed", "-1"],
+                 sim_wedge + ["--workers", "0"],
+                 sim_wedge + ["--workers", "-2"],
+                 ["strip-check", "--samples", "100", "--t", "nan"],
+                 ["strip-check", "--samples", "100", "--t", "inf"],
+                 ["verify-intertwining", "--alpha", "0.9", "--layers", "6",
+                  "--mode", "float", "--tolerance", "nan"],
+                 ["vase-generator", "--resolutions", "0", "64"],
+                 ["vase-generator", "--resolutions", "16", "32", "--x", "nan"],
+                 ["bessel-check", "--beta", "1.5", "--i", "5", "--a", "-1",
+                  "--b", "10", "--resolution", "10"]):
         code = run_cli(argv)
+        err = capsys.readouterr().err
         assert code == 2, argv
-        assert "error:" in capsys.readouterr().err, argv
+        assert "error:" in err, argv
+        if argv[1:] == ["--resolutions", "0", "64"]:
+            assert "resolution must be at least 1" in err
+
+
+def _argv_from_params(command, params):
+    argv = [command]
+    for key, value in params.items():
+        if value is None:
+            continue
+        values = value if isinstance(value, list) else [value]
+        argv += ["--" + key.replace("_", "-"), *map(str, values)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-intertwining", "--alpha", "pi/4", "--layers", "8", "--mode", "rational"],
+    ["verify-intertwining", "--shape", "power:2", "--resolution", "6", "--layers", "6"],
+    ["simulate-wedge", "--stop-layer", "5", "--paths", "500", "--seed", "3", "--bins", "3"],
+    ["simulate-vase", "--resolution", "5", "--stop-layer", "5", "--paths", "500",
+     "--seed", "4", "--bins", "3"],
+    ["green", "--alpha", "pi/3", "--layers", "10"],
+    ["reverse", "--layers", "8", "--mode", "rational"],
+    ["watts", "--grid", "3"],
+    ["bessel-check", "--beta", "1.5", "--resolution", "40"],
+    ["strip-check", "--t", "0.5", "2", "--samples", "500", "--seed", "2"],
+    ["vase-generator", "--x", "1.5", "--resolutions", "16", "32"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_record_reproduces_from_its_params(argv, tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    run_cli(argv + ["--output", str(first)])
+    record = json.loads(first.read_text())
+    run_cli(_argv_from_params(argv[0], record["params"]) + ["--output", str(second)])
+    capsys.readouterr()
+    assert second.read_bytes() == first.read_bytes()
+
+
+# Small runs of every subcommand, each with the numeric options the fuzz may
+# overwrite.  Sizes stay small so that no drawn token makes a long run.
+FUZZ_BASES = [
+    (["verify-intertwining", "--layers", "6"], ["alpha", "layers", "tolerance"]),
+    (["verify-intertwining", "--alpha", "0.9", "--mode", "float", "--layers", "6"],
+     ["layers", "tolerance"]),
+    (["verify-intertwining", "--shape", "power:2", "--layers", "6",
+      "--resolution", "6"], ["layers", "resolution", "tolerance"]),
+    (["simulate-wedge", "--stop-layer", "4", "--paths", "200", "--bins", "2"],
+     ["alpha", "stop-layer", "paths", "seed", "bins", "workers"]),
+    (["simulate-vase", "--resolution", "4", "--stop-layer", "4", "--paths", "200",
+      "--bins", "2"], ["resolution", "stop-layer", "paths", "seed", "bins", "workers"]),
+    (["green", "--layers", "6"], ["alpha", "layers"]),
+    (["reverse", "--layers", "6"], ["alpha", "layers"]),
+    (["watts", "--grid", "3"], ["grid"]),
+    (["bessel-check", "--i", "5", "--a", "2", "--b", "10"], ["i", "a", "b", "beta"]),
+    (["bessel-check", "--beta", "1.5", "--i", "5", "--a", "2", "--b", "10",
+      "--resolution", "10"], ["i", "a", "b", "beta", "resolution"]),
+    (["strip-check", "--t", "1", "--samples", "200"], ["t", "samples", "seed"]),
+    (["vase-generator", "--resolutions", "16", "32"], ["x", "resolutions"]),
+]
+FUZZ_CASES = [(base, opt) for base, opts in FUZZ_BASES for opt in opts]
+FUZZ_TOKENS = ["-1", "0", "nan", "inf", "-inf", "1e400", "foo", "2.5", ""]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(FUZZ_CASES), token=st.sampled_from(FUZZ_TOKENS))
+def test_cli_contract_under_malformed_numbers(case, token, monkeypatch):
+    monkeypatch.delenv("WEDGEWALK_OUTDIR", raising=False)
+    base, option = case
+    argv = base + [f"--{option}={token}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse rejects the token
+            assert exc.code == 2, argv
+            return
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert "error:" in err.getvalue(), argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_outdir_env(tmp_path, monkeypatch, capsys):

@@ -50,6 +50,32 @@ def test_worker_layout_invariance():
     assert a1.steps_sum == a2.steps_sum
 
 
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
+    # a fork pool starts all of its workers at once, so the size is capped
+    # by the number of blocks; the stand-in pool runs the blocks in-process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    lat, P = wedge(math.pi / 6, 4)
+    agg = run_paths(P, "apex", stop=4, n_paths=300, seed=2, workers=5000,
+                    block_size=200)
+    assert sizes == [2]
+    assert agg.n_paths == 300
+
+
 def test_block_size_changes_stream_but_not_contract():
     lat, P = wedge(math.pi / 6, 8)
     a = run_paths(P, "apex", stop=8, n_paths=5000, seed=1, block_size=1024)
