@@ -36,18 +36,28 @@ def _emit(args, results: dict, passed: bool) -> int:
     record = {"command": args.command, "params": _params(args),
               "version": __version__, "pass": passed, "results": results}
     text = json.dumps(record, sort_keys=True, indent=2, default=float)
-    path = args.output
-    outdir = os.environ.get("WEDGEWALK_OUTDIR")
-    if not path and outdir:
-        os.makedirs(outdir, exist_ok=True)
-        path = os.path.join(outdir, f"{args.command}.json")
-    if path:
-        with open(path, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {path}")
+        print(f"wrote {args.output}")
     else:
         print(text)
     return 0 if passed else CHECK_FAILED
+
+
+def _output_path(args):
+    """The record's path (None for stdout), checked with ``--csv`` first."""
+    path, outdir = args.output, os.environ.get("WEDGEWALK_OUTDIR")
+    if not path and outdir:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"WEDGEWALK_OUTDIR {outdir!r}: {exc.strerror}")
+        path = os.path.join(outdir, f"{args.command}.json")
+    for target in filter(None, (path, getattr(args, "csv", None))):
+        if os.path.isdir(target) or not os.access(os.path.dirname(target) or ".", os.W_OK):
+            raise ParameterError(f"cannot write {target!r}")
+    return path
 
 
 def _wedge_operators(alpha: float, layers: int, mode: str):
@@ -314,6 +324,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.output = _output_path(args)
         return args.fn(args)
     except WedgewalkError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,11 @@ and order-independent.
 All chains are stepped through one vectorized kernel representation.  A
 path's state is the pair (site, last reflecting side), so the target table
 carries the side and tracking it costs nothing per step.  Each step draws
-one uniform per live path and picks the target column j by counting the
-row's cumulative thresholds at or below it, one contiguous threshold column
-at a time.  Vase chains enter through their embedded jump chain, whose
-hitting statistics coincide with the continuous-time chain's.
+one raw Philox word per live path and reads the move from a guide table
+(Chen & Asau 1974) by the pair and the word's top bits; where a threshold
+splits that bucket it counts the row's thresholds at or below the word's
+uniform, in exact integers.  Vase chains enter through their embedded jump
+chain, whose hitting statistics coincide with the continuous-time chain's.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 from .errors import ParameterError, SimulationTimeout
 from . import green_reversal as _green
 from .kernels import StochasticKernel, _row_arrays
+
+BUCKET_BITS = 4     # a step's guide bucket is the top bits of its raw word
 
 
 class Side(enum.IntEnum):
@@ -99,15 +102,19 @@ class PathAggregate:
 def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
     """Step tables of the walk on pairs ``a = 3 * state + last side``.
 
-    ``side`` gives each state's reflecting side (0 for none).  With W the
-    widest row, returns ``(thresholds, targets)``: row c of the (W-1, 3n)
-    array ``thresholds`` holds every pair's cumulative transition probability
-    through its c-th target (1.0 past the end of a short row, which no
-    uniform reaches); a pair whose uniform reaches j of its thresholds moves
-    to ``targets[a * W + j]``, the target state paired with its own side, or
+    ``side`` gives each state's reflecting side (0 for none).  A step reads
+    ``m = raw >> 11`` of its raw Philox word; the uniform ``m * 2**-53`` is
+    ``>= c`` exactly when ``m >= ceil(c * 2**53)``.  With W the widest row,
+    returns ``(thresholds, targets, guide)``: row c of the (W-1, 3n) int64
+    ``thresholds`` holds every pair's cumulative probability through its
+    c-th target in those units (2**53 past the end of a short row, which no
+    draw reaches); a pair whose m reaches j of its thresholds moves to
+    ``targets[a * W + j]``, the target state paired with its own side, or
     with the pair's side if the target lies on none.  The row's last
     cumulative value is never compared, so j stays below W even when
-    rounding leaves the row sum under a uniform.
+    rounding leaves the row sum under a uniform.  ``guide[a << BUCKET_BITS
+    | (raw >> 64 - BUCKET_BITS)]`` is that target pair shifted left by
+    BUCKET_BITS, or -1 where a threshold splits the word's bucket.
     """
     indptr, indices, data = _row_arrays(kernel.rows)
     n = kernel.n_states
@@ -119,7 +126,8 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
     cum[row, pos] = data
     cum = np.cumsum(cum, axis=1)
     cum[np.arange(W) >= counts[:, None]] = 1.0
-    thresholds = np.repeat(cum[:, :W - 1].T, 3, axis=1)
+    T = np.ceil(cum[:, :W - 1] * 2.0 ** 53).astype(np.int64)
+    thresholds = np.repeat(T.T, 3, axis=1)
     # padding slots repeat the row's last target
     last = indices[indptr[1:] - 1]
     tgt = np.repeat(last[:, None], W, axis=1)
@@ -127,7 +135,13 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
     tside = side.astype(np.int64)[tgt][:, None, :]
     kept = np.arange(3)[None, :, None]
     targets = 3 * tgt[:, None, :] + np.where(tside != 0, tside, kept)
-    return thresholds, targets.reshape(-1)
+    # j counts the thresholds at or below a bucket's first draw; the bucket
+    # is split where the count at its last draw differs
+    first = np.arange(1 << BUCKET_BITS, dtype=np.int64) << (53 - BUCKET_BITS)
+    j, j_end = ((T[:, None, :, None] <= m).sum(axis=2)
+                for m in (first, first + (first[1] - 1)))
+    guide = np.where(j != j_end, -1, np.take_along_axis(targets, j, axis=2) << BUCKET_BITS)
+    return thresholds, targets.reshape(-1), guide.reshape(-1)
 
 
 def _side_array(states) -> np.ndarray:
@@ -179,8 +193,8 @@ def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
 def _run_block(args):
     """Walk one block of paths; returns its counts and the number of paths
     still active after ``step_cap`` steps (0 when all were absorbed)."""
-    (thresholds, targets, stop, side, start_idx, start_cdf, n, seed, block_id,
-     step_cap) = args
+    (thresholds, targets, guide, stop, side, start_idx, start_cdf, n, seed,
+     block_id, step_cap) = args
     rng = np.random.Generator(
         np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block_id))))
     S = side.size
@@ -193,32 +207,42 @@ def _run_block(args):
     exit_side = np.zeros((S, 3), dtype=np.int64)
     initial = np.bincount(state, minlength=S)
     hist = np.zeros(64, dtype=np.int64)
-    ssum = 0
-    smax = 0
+    ssum = smax = 0
 
+    # a path is its guide row ``pair << BUCKET_BITS``, plus 1 on a stop state
     pair = 3 * state + side[state]
+    nxt = (pair << BUCKET_BITS) | stop[pair]
     W = thresholds.shape[0] + 1
     t = 0
-    while pair.size:
-        done = stop[pair]
-        if done.any():
-            np.add.at(exit_side.reshape(-1), pair[done], 1)
-            nd = int(done.sum())
-            hist[int(t).bit_length()] += nd
-            ssum += t * nd
-            smax = max(smax, t)
-            pair = pair[~done]
-            if not pair.size:
-                break
-        if t == step_cap:
+    while True:
+        if (nxt & 1).any():
+            split = nxt == -1
+            if split.any():
+                split = np.flatnonzero(split)
+                a = pb[split] >> BUCKET_BITS
+                m = (raw[split] >> 11).view(np.int64)
+                idx = a * W
+                for column in thresholds:
+                    idx += m >= column[a]
+                a = targets[idx]
+                nxt[split] = (a << BUCKET_BITS) | stop[a]
+            done = (nxt & 1).astype(bool)
+            if done.any():
+                np.add.at(exit_side.reshape(-1), nxt[done] >> BUCKET_BITS, 1)
+                nd = int(done.sum())
+                hist[int(t).bit_length()] += nd
+                ssum += t * nd
+                smax = max(smax, t)
+                nxt = nxt[~done]
+        pb = nxt
+        if not pb.size or t == step_cap:
             break
-        u = rng.random(pair.size)
-        idx = pair * W
-        for column in thresholds:
-            idx += u >= column[pair]
-        pair = targets[idx]
+        raw = rng.bit_generator.random_raw(pb.size)
+        idx = (raw >> (64 - BUCKET_BITS)).view(np.int64)
+        idx += pb
+        nxt = guide[idx]
         t += 1
-    return exit_side, initial, hist, ssum, smax, int(pair.size)
+    return exit_side, initial, hist, ssum, smax, int(pb.size)
 
 
 def run_paths(kernel: StochasticKernel, start, stop=None,
@@ -248,19 +272,14 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
     side = _side_array(kernel.states)
     if "last_side" not in observers:
         side[:] = 0
-    thresholds, targets = padded_kernel(kernel, side)
+    thresholds, targets, guide = padded_kernel(kernel, side)
     stop3 = np.repeat(stopm, 3)
+    guide |= stop3[guide >> BUCKET_BITS]
     start_idx, start_cdf = _start_distribution(kernel, start)
 
-    blocks = []
-    b = 0
-    left = n_paths
-    while left > 0:
-        take = min(block_size, left)
-        blocks.append((thresholds, targets, stop3, side, start_idx, start_cdf,
-                       take, seed, b, step_cap))
-        left -= take
-        b += 1
+    blocks = [(thresholds, targets, guide, stop3, side, start_idx, start_cdf,
+               min(block_size, n_paths - lo), seed, b, step_cap)
+              for b, lo in enumerate(range(0, n_paths, block_size))]
 
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as ex:

@@ -133,7 +133,7 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
-def test_domain_error_exit_code(capsys):
+def test_domain_error_exit_code(capsys, tmp_path, monkeypatch):
     sim_wedge = ["simulate-wedge", "--stop-layer", "4", "--paths", "100"]
     sim_vase = ["simulate-vase", "--resolution", "4", "--stop-layer", "4",
                 "--paths", "100"]
@@ -158,13 +158,63 @@ def test_domain_error_exit_code(capsys):
                  ["vase-generator", "--resolutions", "0", "64"],
                  ["vase-generator", "--resolutions", "16", "32", "--x", "nan"],
                  ["bessel-check", "--beta", "1.5", "--i", "5", "--a", "-1",
-                  "--b", "10", "--resolution", "10"]):
+                  "--b", "10", "--resolution", "10"],
+                 ["watts", "--grid", "3", "--output", "/no/such/dir/x.json"],
+                 ["green", "--layers", "5", "--csv", "/no/such/dir/g.csv"],
+                 "WEDGEWALK_OUTDIR names a file"):
+        if isinstance(argv, str):
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("WEDGEWALK_OUTDIR", str(tmp_path / "file"))
+            argv = ["watts", "--grid", "3"]
         code = run_cli(argv)
         err = capsys.readouterr().err
         assert code == 2, argv
         assert "error:" in err, argv
         if argv[1:] == ["--resolutions", "0", "64"]:
             assert "resolution must be at least 1" in err
+
+
+def test_unwritable_output_is_refused_before_the_work(tmp_path, monkeypatch,
+                                                      capsys):
+    from wedgewalk import cli
+
+    def work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_watts", work)
+    assert run_cli(["watts", "--output", str(tmp_path / "no" / "x.json")]) == 2
+    assert run_cli(["watts", "--output", str(tmp_path)]) == 2
+    monkeypatch.setenv("WEDGEWALK_OUTDIR", str(tmp_path / "made" / "here"))
+    with pytest.raises(AssertionError):
+        run_cli(["watts"])
+    assert (tmp_path / "made" / "here").is_dir()
+    capsys.readouterr()
+
+
+# sha256 of two small sampler records: a change to the random stream or to
+# any step decision moves them
+PINNED_RECORDS = [
+    (["simulate-wedge", "--stop-layer", "6", "--paths", "3000", "--seed", "11",
+      "--bins", "4"],
+     "c35fc0c3529c54bb7cf510dcd96fccbcfcefb6dbef2b649fcfc24eda7cbff4f5"),
+    (["simulate-vase", "--resolution", "6", "--stop-layer", "6", "--paths",
+      "3000", "--seed", "12", "--bins", "4"],
+     "cad8e1a146053b9cd2dca357670172d38eb6ff13b8954f712c729a771b3cf5ed"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_RECORDS,
+                         ids=[argv[0] for argv, _ in PINNED_RECORDS])
+def test_sampler_stream_is_pinned(argv, digest, tmp_path, capsys):
+    import hashlib
+
+    path = tmp_path / "record.json"
+    assert run_cli(argv + ["--output", str(path)]) == 0
+    capsys.readouterr()
+    record = json.loads(path.read_text())
+    record.pop("version")          # a release bump is not a change of draws
+    text = json.dumps(record, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _argv_from_params(command, params):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wedgewalk import (
     ParameterError,
@@ -445,3 +446,94 @@ def test_apex_start_needs_an_apex_label():
     assert agg.initial[Q.index[0]] == 50
     with pytest.raises(ParameterError):
         run_paths(_ragged_kernel(), "apex", n_paths=10)
+
+
+def test_sampler_matches_compare_and_sum_through_split_buckets():
+    # at alpha = 0.9 the thresholds are no multiples of 1/16, so many guide
+    # buckets are split and the steps through them take the column compare
+    lat, P = wedge(0.9, 8)
+    guide = simulation.padded_kernel(P, simulation._side_array(P.states))[2]
+    live = ~np.repeat(P.layers >= 8, 3)
+    assert (guide.reshape(len(live), -1)[live] == -1).mean() > 0.05
+    _assert_same_as_reference(P, "apex", 8, 5000, 19, 2048)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.3, 1.5), hold=st.floats(0.02, 1 / 3),
+       M=st.integers(2, 6), n_paths=st.integers(1, 500),
+       block_size=st.integers(50, 500), seed=st.integers(0, 2 ** 32),
+       track=st.booleans())
+def test_sampler_matches_compare_and_sum_on_random_wedges(alpha, hold, M, n_paths,
+                                                          block_size, seed, track):
+    spec = WedgeSpec(alpha=alpha, layers=M, apex_hold=hold)
+    P = wedge_kernel(build_wedge_lattice(spec), spec, mode="float")
+    # a tracked run also asserts that some path met a side, which a handful
+    # of paths need not do
+    _assert_same_as_reference(P, "apex", M, n_paths, seed, block_size,
+                              track=track and n_paths >= 100)
+
+
+# ---------------------------------------------------------------------------
+# the exact integer step tables
+# ---------------------------------------------------------------------------
+
+def _step_tables(kernel):
+    thresholds, targets, guide = simulation.padded_kernel(
+        kernel, simulation._side_array(kernel.states))
+    return thresholds, targets, guide.reshape(thresholds.shape[1], -1)
+
+
+@pytest.mark.parametrize("name", ["pi/6", "pi/4", "0.9", "vase", "ragged"])
+def test_guide_table_is_the_column_compare(name):
+    if name == "vase":
+        K = vase_rate_matrix(build_vase_grid(power_shape(2.0), 8, 8)).jump_chain()
+    elif name == "ragged":
+        K = _ragged_kernel()
+    else:
+        K = wedge({"pi/6": math.pi / 6, "pi/4": math.pi / 4}.get(name, 0.9), 8)[1]
+    thresholds, targets, guide = _step_tables(K)
+    W = thresholds.shape[0] + 1
+    pairs = np.arange(thresholds.shape[1])
+    bits = simulation.BUCKET_BITS
+    edge = np.arange(2 ** bits + 1, dtype=np.int64) << (53 - bits)
+
+    def compare(m):
+        # the fallback's count of thresholds at or below the 53-bit draw m
+        return targets[pairs * W + (m >= thresholds).sum(axis=0)] << bits
+
+    for b in range(2 ** bits):
+        whole = guide[:, b] != -1
+        for m in (edge[b], edge[b + 1] - 1):
+            assert np.array_equal(guide[whole, b], compare(m)[whole])
+        inside = ((thresholds > edge[b]) & (thresholds < edge[b + 1])).any(axis=0)
+        assert np.array_equal(~whole, inside)
+
+
+def test_integer_threshold_is_the_float_compare():
+    ks = (1, 3, 2 ** 49, 2 ** 50 + 1, 2 ** 52 + 3, 2 ** 53 - 1)
+    cs = [k * 2.0 ** -53 for k in ks]
+    cs += [np.nextafter(c, 2.0) for c in cs] + [np.nextafter(c, 0.0) for c in cs]
+    cs += [0.12499999999999997, 0.125, 1 / 3]
+    # states 0 and 1 absorb, so their rows are padded to the width 2 with 1.0
+    rows = [{0: 1.0}, {1: 1.0}] + [{0: c, 1: 1.0 - c} for c in cs]
+    K = StochasticKernel(states=tuple(range(len(rows))), rows=rows, mode="float")
+    thresholds = _step_tables(K)[0]
+    assert thresholds.shape == (1, 3 * len(rows))
+    top = 2 ** 53 - 1                      # the largest draw m
+    assert thresholds[0, 0] == thresholds[0, 3] == 2 ** 53 > top
+    for c, T in zip(cs, thresholds[0, 6::3]):
+        base = int(c * 2.0 ** 53)
+        for m in range(max(base - 2, 0), min(base + 3, top + 1)):
+            assert (m >= T) == (m * 2.0 ** -53 >= c), (c, m)
+
+
+def test_raw_philox_word_is_the_uniform():
+    def gen():
+        return np.random.Generator(np.random.Philox(
+            seed=np.random.SeedSequence(entropy=(4, 2))))
+
+    a, b = gen(), gen()
+    u = np.concatenate([a.random(5), a.random(1000)])
+    raw = np.concatenate([b.bit_generator.random_raw(5),
+                          b.bit_generator.random_raw(1000)])
+    assert np.array_equal(u, (raw >> 11) * 2.0 ** -53)
