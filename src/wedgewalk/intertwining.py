@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice, site_index
 from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel,
-                      _check_stochastic, _csr_from_rows, _row_arrays)
+                      _check_stochastic, _csr, _float_arrays, _row_arrays)
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -37,10 +37,10 @@ class MarkovLink:
     mode: str = RATIONAL
 
     def __post_init__(self):
-        _check_stochastic(self.rows, self.mode, what="link row")
+        self.arrays = _check_stochastic(self.rows, self.mode, what="link row")
 
     def to_csr(self):
-        return _csr_from_rows(self.rows, self.n_target)
+        return _csr(_float_arrays(self), self.n_target)
 
 
 def build_link(space) -> MarkovLink:
@@ -84,12 +84,12 @@ def _row_absmax(M) -> list:
     return abs(M).max(axis=1).toarray().ravel().tolist()
 
 
-def _exact(name: str, rows, n_cols: int):
-    """Rational dict rows as an exact matrix ``(name, num, den)``: int64 CSR
-    numerators over one Python-int denominator per row.  ``name`` labels
+def _exact(name: str, arrays, n_cols: int):
+    """Exact ``_row_arrays`` as an exact matrix ``(name, num, den)``: int64
+    CSR numerators over one Python-int denominator per row.  ``name`` labels
     overflow errors."""
-    indptr, indices, (nums, den) = _row_arrays(rows, exact=True)
-    return name, _int64_csr(name, nums, indices, indptr, (len(rows), n_cols)), den
+    indptr, indices, (nums, den) = arrays
+    return name, _int64_csr(name, nums, indices, indptr, (len(den), n_cols)), den
 
 
 def _exact_matmul(A, B):
@@ -151,9 +151,9 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
                 f"link {link.n_source}x{link.n_target} does not match operators "
                 f"{one_dim_op.n_states} / {two_dim_op.n_states}")
         if link.mode == two_dim_op.mode == one_dim_op.mode == RATIONAL:
-            L = _exact("link", link.rows, link.n_target)
-            P = _exact("P", two_dim_op.rows, two_dim_op.n_states)
-            Q = _exact("Q", one_dim_op.rows, one_dim_op.n_states)
+            L = _exact("link", link.arrays, link.n_target)
+            P = _exact("P", two_dim_op.arrays, two_dim_op.n_states)
+            Q = _exact("Q", one_dim_op.arrays, one_dim_op.n_states)
             d = _exact_maxdiff(_exact_matmul(L, P), _exact_matmul(Q, L))
             return ResidualReport(identity="link.P = Q.link", mode=RATIONAL,
                                   size=two_dim_op.n_states, residual=float(d),
@@ -231,9 +231,10 @@ def harmonic_residual(one_dim_chain: StochasticKernel) -> float:
     Q = one_dim_chain
     keep = [i for i in range(1, Q.n_states) if not Q.is_absorbing(i)]
     if Q.mode == RATIONAL:
-        h = [{0: Fraction(1, 2 * j + 1)} for j in range(Q.n_states)]
-        Qh = _exact_matmul(_exact("Q", [Q.rows[i] for i in keep], Q.n_states),
-                           _exact("h", h, 1))
-        return float(_exact_maxdiff(Qh, _exact("h", [h[i] for i in keep], 1)))
+        h = _exact("h", _row_arrays([{0: Fraction(1, 2 * j + 1)}
+                                     for j in range(Q.n_states)], exact=True), 1)
+        Qh = _exact_matmul(_exact("Q", Q.arrays, Q.n_states), h)
+        pick = lambda E: (E[0], E[1][keep], [E[2][i] for i in keep])
+        return float(_exact_maxdiff(pick(Qh), pick(h)))
     return max((abs(sum(v / (2 * j + 1) for j, v in Q.rows[i].items())
                     - 1.0 / (2 * i + 1)) for i in keep), default=0.0)

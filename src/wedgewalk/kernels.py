@@ -60,12 +60,12 @@ def _row_arrays(rows, exact: bool = False):
     return indptr, indices[order], ([nums[e] for e in order.tolist()], dens)
 
 
-def _check_stochastic(rows, mode: str, what: str = "row") -> None:
-    """Raise ``ParameterError`` unless every row is a probability vector:
-    exactly (integer numerators summing to the row denominator) in rational
-    mode, to 1e-12 in float mode."""
+def _check_stochastic(rows, mode: str, what: str = "row"):
+    """The rows' ``_row_arrays`` in ``mode``.  Raises ``ParameterError`` unless
+    every row is a probability vector: exactly (integer numerators summing to
+    the row denominator) in rational mode, to 1e-12 in float mode."""
     exact = mode == RATIONAL
-    indptr, _, values = _row_arrays(rows, exact=exact)
+    arrays = indptr, _, values = _row_arrays(rows, exact=exact)
     if exact:
         nums, dens = values
         bounds = indptr.tolist()
@@ -76,7 +76,7 @@ def _check_stochastic(rows, mode: str, what: str = "row") -> None:
             if sum(row) != d:
                 raise ParameterError(
                     f"{what} {i} sums to {Fraction(sum(row), d)}, not 1")
-        return
+        return arrays
     row_of = np.repeat(np.arange(len(rows)), np.diff(indptr))
     negative = np.bincount(row_of[values < 0], minlength=len(rows)) > 0
     sums = np.bincount(row_of, weights=values, minlength=len(rows))
@@ -86,15 +86,21 @@ def _check_stochastic(rows, mode: str, what: str = "row") -> None:
         if negative[i]:
             raise ParameterError(f"negative probability in {what} {i}")
         raise ParameterError(f"{what} {i} sums to {float(sums[i])!r}")
+    return arrays
 
 
-def _csr_from_rows(rows, n_cols: int, diagonal=None):
-    """Float CSR matrix of dict rows ``{column: value}``, with sorted column
-    indices; ``diagonal`` (one value per row) is added on the diagonal."""
+def _float_arrays(op):
+    """Float ``_row_arrays`` of an operator: its kept ones in float mode."""
+    return op.arrays if op.mode == FLOAT else _row_arrays(op.rows)
+
+
+def _csr(arrays, n_cols: int, diagonal=None):
+    """Float CSR matrix of float ``_row_arrays``; ``diagonal`` (one value per
+    row) is added on the diagonal."""
     import scipy.sparse as sp
 
-    indptr, indices, data = _row_arrays(rows)
-    A = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
+    indptr, indices, data = arrays
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols))
     if diagonal is not None:
         A = A + sp.diags(np.asarray(diagonal, dtype=float), format="csr")
         A.sort_indices()
@@ -103,7 +109,8 @@ def _csr_from_rows(rows, n_cols: int, diagonal=None):
 
 @dataclass
 class StochasticKernel:
-    """Sparse row-stochastic operator over an enumerated state space."""
+    """Sparse row-stochastic operator over an enumerated state space.  The
+    rows are checked and kept as CSR ``arrays`` once, at construction."""
 
     states: tuple
     rows: list            # list of {state_index: probability}
@@ -112,14 +119,11 @@ class StochasticKernel:
 
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.validate()
+        self.arrays = _check_stochastic(self.rows, self.mode)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def validate(self):
-        _check_stochastic(self.rows, self.mode)
 
     def is_absorbing(self, i: int) -> bool:
         row = self.rows[i]
@@ -129,7 +133,7 @@ class StochasticKernel:
         return np.array([self.is_absorbing(i) for i in range(self.n_states)])
 
     def to_csr(self):
-        return _csr_from_rows(self.rows, self.n_states)
+        return _csr(_float_arrays(self), self.n_states)
 
 
 @dataclass
@@ -155,8 +159,8 @@ class RateMatrix:
 
     def to_csr(self):
         """The full generator, diagonal included."""
-        return _csr_from_rows(self.off_rows, self.n_states,
-                             diagonal=[-sum(r.values()) for r in self.off_rows])
+        return _csr(_row_arrays(self.off_rows), self.n_states,
+                    diagonal=[-sum(r.values()) for r in self.off_rows])
 
     def is_absorbing(self, i: int) -> bool:
         return not self.off_rows[i]
@@ -198,7 +202,7 @@ def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,
         s2 = s2x
         r = Fraction(spec.apex_hold)
     else:
-        s2 = math.sin(spec.alpha) ** 2
+        s2 = math.sin(spec.alpha) ** 2 if s2x is None else float(s2x)
         r = float(spec.apex_hold)
     c2 = 1 - s2
     p, q = s2 / 2, c2 / 2
@@ -240,7 +244,7 @@ def projected_wedge_chain(layers: int, alpha: float,
         s2, r = s2x, Fraction(spec.apex_hold)
         frac = lambda a, b: Fraction(a, b)
     else:
-        s2, r = math.sin(alpha) ** 2, float(spec.apex_hold)
+        s2, r = math.sin(alpha) ** 2 if s2x is None else float(s2x), float(spec.apex_hold)
         frac = lambda a, b: a / b
     c2 = 1 - s2
     one = Fraction(1) if mode == RATIONAL else 1.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, SimulationTimeout
 from . import green_reversal as _green
-from .kernels import StochasticKernel, _row_arrays
+from .kernels import StochasticKernel, _float_arrays
 
 BUCKET_BITS = 4     # a step's guide bucket is the top bits of its raw word
 
@@ -116,7 +116,7 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
     | (raw >> 64 - BUCKET_BITS)]`` is that target pair shifted left by
     BUCKET_BITS, or -1 where a threshold splits the word's bucket.
     """
-    indptr, indices, data = _row_arrays(kernel.rows)
+    indptr, indices, data = _float_arrays(kernel)
     n = kernel.n_states
     counts = np.diff(indptr)
     W = int(counts.max())

@@ -265,3 +265,53 @@ def test_quadrature_tolerance_enforced():
         with pytest.raises(QuadratureError):
             # highly oscillatory integrand cannot meet the budget
             q.integrate(lambda x: math.sin(1000 * x * x), 0.0, 30.0)
+
+
+def test_sc_map_is_incomplete_beta_third_on_a_grid():
+    from scipy.special import betainc
+
+    for a in np.linspace(0.01, 0.99, 50):
+        assert sc_map(a) == pytest.approx(betainc(1 / 3, 1 / 3, a), abs=1e-14)
+
+
+def test_scale_function_closed_forms_to_rounding():
+    # the integral runs from 1 down to x when x < 1
+    cot2 = 1.0 / math.tan(0.61) ** 2
+    for x in (0.3, 0.5, 0.9, 1.7, 4.0, 30.0):
+        assert scale_function(power_shape(1.5), x) == pytest.approx(
+            (1 - x ** -2) / 2, abs=1e-13)
+        assert scale_function(linear_shape(math.tan(0.61)), x) == pytest.approx(
+            cot2 * (1 - 1 / x), abs=1e-13)
+
+
+def test_three_way_identity_on_the_cli_grid():
+    # the grid of `wedgewalk watts --grid 99`
+    worst = 0.0
+    for i in range(1, 100):
+        a = i / 100
+        c, h, v = watts_closed(a), watts_via_hypergeometric(a), watts_via_integral(a)
+        worst = max(worst, abs(c - h), abs(c - v), abs(h - v))
+    assert worst <= 1e-13
+
+
+def test_quadrature_never_evaluates_an_endpoint():
+    # log and 1/sqrt raise at 0 and at 1; 1/sqrt is also unbounded at 0
+    q = Quadrature()
+    assert q.integrate(lambda x: math.log(x * (1.0 - x)), 0.0, 1.0) == \
+        pytest.approx(-2.0, abs=1e-13)
+    assert q.integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0) == \
+        pytest.approx(2.0, abs=1e-13)
+    assert q.integrate(lambda x: math.log(1.0 - x), 1.0, 0.0) == \
+        pytest.approx(1.0, abs=1e-13)
+    # one panel per interval: the kink of |x| at 0 becomes an endpoint
+    assert q.integrate(abs, -1.0, 2.0, points=[0.0]) == pytest.approx(2.5, abs=1e-15)
+
+
+def test_quadrature_refuses_a_non_finite_or_unresolved_sum():
+    with pytest.raises(QuadratureError, match="non-finite"):
+        Quadrature().integrate(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        Quadrature().integrate(lambda x: 1e308 / x, 0.0, 1.0)
+    # nodes stop an ulp short of 1, where the mass of 1/sqrt(1-x) is 1e-8
+    with pytest.raises(QuadratureError, match="error estimate"):
+        Quadrature().integrate(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0)

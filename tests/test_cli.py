@@ -227,7 +227,8 @@ def _argv_from_params(command, params):
     return argv
 
 
-@pytest.mark.parametrize("argv", [
+# One small run of every subcommand, on every code path of the CLI.
+SMALL_RUNS = [
     ["verify-intertwining", "--alpha", "pi/4", "--layers", "8", "--mode", "rational"],
     ["verify-intertwining", "--shape", "power:2", "--resolution", "6", "--layers", "6"],
     ["simulate-wedge", "--stop-layer", "5", "--paths", "500", "--seed", "3", "--bins", "3"],
@@ -239,7 +240,10 @@ def _argv_from_params(command, params):
     ["bessel-check", "--beta", "1.5", "--resolution", "40"],
     ["strip-check", "--t", "0.5", "2", "--samples", "500", "--seed", "2"],
     ["vase-generator", "--x", "1.5", "--resolutions", "16", "32"],
-], ids=lambda argv: " ".join(argv[:3]))
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: " ".join(argv[:3]))
 def test_record_reproduces_from_its_params(argv, tmp_path, capsys):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     run_cli(argv + ["--output", str(first)])
@@ -355,3 +359,21 @@ def test_simulate_wedge_loads_no_scipy_sparse(tmp_path):
         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_no_subcommand_loads_scipy_integrate_or_optimize(tmp_path):
+    # quadrature is numpy tanh-sinh; scipy.integrate would also pull in
+    # scipy.optimize, scipy.spatial and more
+    record = str(tmp_path / "record.json")
+    argvs = SMALL_RUNS + [["bessel-check"]]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from wedgewalk.cli import main\n"
+         f"print([main(argv + ['--output', {record!r}]) for argv in {argvs!r}])\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))"],
+        capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    codes, loaded = out.stdout.strip().splitlines()[-2:]
+    assert codes == str([0] * len(argvs))
+    assert loaded == "[]"

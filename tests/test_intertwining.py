@@ -57,8 +57,8 @@ def test_wedge_identity_powers():
     from wedgewalk.intertwining import _exact, _exact_matmul, _exact_maxdiff
 
     lat, P, Q, link = wedge_ops(math.pi / 4, 8)
-    Pr, Qr = _exact("P", P.rows, P.n_states), _exact("Q", Q.rows, Q.n_states)
-    LP = QL = _exact("link", link.rows, link.n_target)
+    Pr, Qr = _exact("P", P.arrays, P.n_states), _exact("Q", Q.arrays, Q.n_states)
+    LP = QL = _exact("link", link.arrays, link.n_target)
     for n in range(1, 4):
         LP = _exact_matmul(LP, Pr)
         QL = _exact_matmul(Qr, QL)
@@ -78,13 +78,31 @@ def test_perturbed_kernel_residual_is_the_exact_fraction():
     row[lat.index(2, 1)] -= eps
     row[lat.index(2, -1)] += eps
     Pe = StochasticKernel(states=P.states, rows=rows, mode=P.mode)
-    L = _exact("link", link.rows, link.n_target)
-    d = _exact_maxdiff(_exact_matmul(L, _exact("P", Pe.rows, Pe.n_states)),
-                       _exact_matmul(_exact("Q", Q.rows, Q.n_states), L))
+    L = _exact("link", link.arrays, link.n_target)
+    d = _exact_maxdiff(_exact_matmul(L, _exact("P", Pe.arrays, Pe.n_states)),
+                       _exact_matmul(_exact("Q", Q.arrays, Q.n_states), L))
     assert d == F(1, 5000000)
     rep = intertwining_residual(link, Pe, Q, mode="stochastic")
     assert rep.residual == float(F(1, 5000000))
     assert rep.exact_zero is False and rep.passed is False
+
+
+def test_rational_verify_converts_each_operator_once(monkeypatch, tmp_path, capsys):
+    from wedgewalk import cli, intertwining, kernels
+
+    real, seen = kernels._row_arrays, []
+
+    def counting(rows, exact=False):
+        seen.append(len(rows))
+        return real(rows, exact)
+
+    monkeypatch.setattr(kernels, "_row_arrays", counting)
+    monkeypatch.setattr(intertwining, "_row_arrays", counting)
+    assert cli.main(["verify-intertwining", "--alpha", "pi/6", "--mode", "rational",
+                     "--layers", "20", "--output", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    # P (441 rows); Q, the link and the harmonic vector 1/(2i+1) (21 rows each)
+    assert sorted(seen) == [21, 21, 21, 441]
 
 
 def test_exact_check_refuses_numbers_beyond_int64():
@@ -167,8 +185,10 @@ def test_corrupted_row_detected():
     lat, P, Q, link = wedge_ops(math.pi / 4, 6, mode="float")
     eps = 1e-6
     i = lat.index(2, 0)
-    P.rows[i][lat.index(3, 0)] += eps
-    P.rows[i][lat.index(1, 0)] -= eps
+    rows = [dict(r) for r in P.rows]       # a kernel converts its rows once
+    rows[i][lat.index(3, 0)] += eps
+    rows[i][lat.index(1, 0)] -= eps
+    P = StochasticKernel(states=P.states, rows=rows, mode=P.mode)
     rep = intertwining_residual(link, P, Q, mode="stochastic")
     assert rep.residual >= eps / (2 * 2 + 1) * 0.99
 

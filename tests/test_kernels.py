@@ -71,6 +71,20 @@ def test_float_rows_stochastic(alpha):
     projected_wedge_chain(6, alpha, mode="float")
 
 
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
+def test_float_special_angle_rows_round_the_exact_rows(alpha):
+    # sin^2 is taken exactly, not as math.sin(alpha) ** 2 (1 ulp low)
+    P = make_wedge(alpha, 8, mode="float")[2]
+    Pr = make_wedge(alpha, 8, mode="rational")[2]
+    assert P.rows == [{j: float(v) for j, v in r.items()} for r in Pr.rows]
+    # the radial rows divide by 2i+1 after taking sin^2/2: within an ulp
+    Q = projected_wedge_chain(8, alpha, mode="float")
+    for row, exact in zip(Q.rows, projected_wedge_chain(8, alpha).rows):
+        assert row.keys() == exact.keys()
+        for j, v in exact.items():
+            assert abs(row[j] - float(v)) <= math.ulp(float(v))
+
+
 def test_rational_mode_requires_special_angle():
     spec = WedgeSpec(alpha=0.5, layers=4)
     lat = build_wedge_lattice(spec)

@@ -509,6 +509,14 @@ def test_guide_table_is_the_column_compare(name):
         assert np.array_equal(~whole, inside)
 
 
+@pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 3])
+def test_special_angle_guide_has_no_split_bucket(alpha):
+    # every cumulative probability is a multiple of 1/8, so each threshold
+    # falls on a bucket edge and no step needs the fallback compare
+    guide = _step_tables(wedge(alpha, 30)[1])[2]
+    assert not (guide == -1).any()
+
+
 def test_integer_threshold_is_the_float_compare():
     ks = (1, 3, 2 ** 49, 2 ** 50 + 1, 2 ** 52 + 3, 2 ** 53 - 1)
     cs = [k * 2.0 ** -53 for k in ks]
