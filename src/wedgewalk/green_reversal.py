@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,8 +48,9 @@ class GreenVector:
                     w.writerow([s, "", float(v)])
 
 
-def _rational_green(rows, transient, source_pos):
-    """Exact solve of (I - T)^T g = e_src by fraction-free elimination in
+def _rational_green(arrays, transient, source_pos):
+    """Exact solve of (I - T)^T g = e_src, T the exact ``_row_arrays`` of a
+    kernel restricted to ``transient``, by fraction-free elimination in
     natural order, inside the band.
 
     Each equation is scaled to integers.  Clearing column c from row r sets
@@ -58,25 +60,26 @@ def _rational_green(rows, transient, source_pos):
     pivoting is needed, and fill-in stays inside the band (about 2N+1 wide
     for the layer-major wedge chains).
     """
+    indptr, indices, (nums, dens) = arrays
     n = len(transient)
     pos = {s: i for i, s in enumerate(transient)}
-    Tt = [{} for _ in range(n)]               # T transposed
-    for c, s in enumerate(transient):
-        for j, v in rows[s].items():
-            if j in pos:
-                Tt[pos[j]][c] = v
-    indptr, indices, (nums, dens) = _row_arrays(Tt, exact=True)
-    row_of = np.repeat(np.arange(n), np.diff(indptr))
-    lo = int(np.max(row_of - indices, initial=0))
-    hi = int(np.max(indices - row_of, initial=0))
     bounds, cols = indptr.tolist(), indices.tolist()
-    A = []                                    # row i holds columns i-lo .. i+hi
-    for i, d in enumerate(dens):              # equation i of I - T^T, times d
+    eqs = [[] for _ in range(n)]              # equation i: column i of T
+    for c, s in enumerate(transient):
+        for e in range(bounds[s], bounds[s + 1]):
+            i = pos.get(cols[e])
+            if i is not None:
+                eqs[i].append((c, nums[e], dens[s]))
+    offsets = [c - i for i, eq in enumerate(eqs) for c, _, _ in eq]
+    lo, hi = max(0, -min(offsets, default=0)), max(0, max(offsets, default=0))
+    A, b = [], []                             # row i holds columns i-lo .. i+hi
+    for i, eq in enumerate(eqs):              # equation i of I - T^T, times d
+        d = math.lcm(*[den for _, _, den in eq])
         A.append([0] * (lo + hi + 1))
-        for e in range(bounds[i], bounds[i + 1]):
-            A[i][cols[e] - i + lo] = -nums[e]
+        for c, num, den in eq:
+            A[i][c - i + lo] -= num * (d // den)
         A[i][lo] += d
-    b = [d if i == source_pos else 0 for i, d in enumerate(dens)]
+        b.append(d if i == source_pos else 0)
 
     def clear(r, col):
         at = col - r + lo                     # column col in row r
@@ -103,24 +106,85 @@ def _rational_green(rows, transient, source_pos):
     return [Fraction(b[i], A[i][lo]) for i in range(n)]
 
 
+def _reaches_absorption(kernel: StochasticKernel, mask) -> bool:
+    """Whether every state has a path into ``mask``, which makes I - T
+    invertible: g (I - T) = e_src then has one solution."""
+    import scipy.sparse as sp
+
+    indptr, indices, _ = kernel.arrays
+    A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(mask),) * 2)
+    reach, grown = None, mask
+    while not np.array_equal(reach, grown):
+        reach, grown = grown, grown | (A @ grown > 0)
+    return bool(reach.all())
+
+
+def _lifted_green(kernel: StochasticKernel, mask, transient, source):
+    """The Green vector from the apex (0, 0) of a layered rational kernel
+    whose transient states are whole layers, or None.  It is lifted from the
+    radial chain Q(k, k') = |F_k|^-1 sum over F_k x F_k' of P as g(k, y) =
+    g1(k) / |F_k|, which holds when the uniform fiber link intertwines P
+    with Q, and kept only if it solves g (I - T) = e_src exactly."""
+    if kernel.layers is None or kernel.states[source] != (0, 0):
+        return None
+    layers = np.asarray(kernel.layers)
+    if set(layers[mask].tolist()) & set(layers[~mask].tolist()):
+        return None                           # a layer is split
+    layer, (indptr, indices, (nums, dens)) = layers.tolist(), kernel.arrays
+    bounds, cols = indptr.tolist(), indices.tolist()
+    flows = defaultdict(int)                  # (k, k', row den): numerator sum
+    for s in transient:
+        for e in range(bounds[s], bounds[s + 1]):
+            flows[layer[s], layer[cols[e]], dens[s]] += nums[e]
+    size = Counter(layer)
+    at = {k: r for r, k in enumerate(sorted(size))}
+    radial = [defaultdict(Fraction) for _ in at]
+    for (k, k2, d), v in flows.items():
+        radial[at[k]][at[k2]] += Fraction(v, d * size[k])
+    ks = sorted({layer[s] for s in transient})
+    try:
+        g1 = _rational_green(_row_arrays(radial, exact=True), [at[k] for k in ks],
+                             ks.index(layer[source]))
+    except SolverError:
+        return None
+    lifted = {k: g / size[k] for k, g in zip(ks, g1)}
+    D = math.lcm(*[g.denominator for g in lifted.values()]) * math.lcm(*set(dens))
+    w = [0] * kernel.n_states                 # D g(s) / den(s), in ints
+    flow = [0] * kernel.n_states              # D (g T)(j)
+    for s in transient:
+        g = lifted[layer[s]]
+        w[s] = g.numerator * (D // (g.denominator * dens[s]))
+        for e in range(bounds[s], bounds[s + 1]):
+            flow[cols[e]] += w[s] * nums[e]
+    if any(w[j] * dens[j] - flow[j] != D * (j == source) for j in transient) \
+            or not _reaches_absorption(kernel, mask):
+        return None
+    return [lifted[layer[s]] for s in transient]
+
+
 def green_vector(kernel: StochasticKernel, source,
                  absorbing: Optional[np.ndarray] = None) -> GreenVector:
     """Expected visits to every state for the chain started at ``source``.
 
     Absorbing states default to the kernel's self-loop rows.  Float kernels
-    go through a sparse LU solve; rational kernels through exact fraction-free
-    elimination in the band.
+    go through a sparse LU solve.  A rational kernel started at its apex
+    (0, 0), with whole layers transient, takes the vector lifted from its
+    radial chain when that is certified exact; other rational solves are
+    exact fraction-free elimination in the band.
     """
     if isinstance(source, tuple):
         source = kernel.index[source]
-    mask = kernel.absorbing_mask() if absorbing is None else np.asarray(absorbing)
+    mask = (kernel.absorbing_mask() if absorbing is None
+            else np.asarray(absorbing, dtype=bool))
     if mask[source]:
         raise ParameterError("source must be transient")
     transient = [i for i in range(kernel.n_states) if not mask[i]]
     src_pos = transient.index(source)
 
     if kernel.mode == RATIONAL:
-        g_tr = _rational_green(kernel.rows, transient, src_pos)
+        g_tr = _lifted_green(kernel, mask, transient, source)
+        if g_tr is None:
+            g_tr = _rational_green(kernel.arrays, transient, src_pos)
     else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as splinalg
@@ -259,9 +323,7 @@ def hit_probability(kernel: StochasticKernel, start, targets: Sequence,
     tset = {kernel.index[t] if isinstance(t, tuple) else int(t) for t in targets}
     bset = {kernel.index[b] if isinstance(b, tuple) else int(b) for b in blockers}
     # absorbing states that are not targets can never lead to one
-    for i in range(kernel.n_states):
-        if kernel.is_absorbing(i) and i not in tset:
-            bset.add(i)
+    bset.update(set(np.flatnonzero(kernel.absorbing_mask()).tolist()) - tset)
     if start in tset:
         return 1.0
     if start in bset:
@@ -271,12 +333,9 @@ def hit_probability(kernel: StochasticKernel, start, targets: Sequence,
     pos = {s: i for i, s in enumerate(transient)}
     if start not in pos:
         raise ParameterError("start state is neither transient nor frozen")
-    P = kernel.to_csr()
-    T = P[transient][:, transient]
-    rhs = np.zeros(len(transient))
-    for i, s in enumerate(transient):
-        row = kernel.rows[s]
-        rhs[i] = sum(float(v) for j, v in row.items() if j in tset)
+    P = kernel.to_csr()[transient]
+    T = P[:, transient]
+    rhs = np.asarray(P[:, sorted(tset)].sum(axis=1)).ravel()
     A = (sp.identity(len(transient), format="csc") - T).tocsc()
     try:
         u = splinalg.spsolve(A, rhs)

@@ -20,24 +20,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .geometry import VaseGrid, WedgeLattice, site_index
+from .geometry import VaseGrid, WedgeLattice
 from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel,
-                      _check_stochastic, _csr, _float_arrays, _row_arrays)
+                      _CSROperator, _csr, _float_arrays, _row_arrays)
 
 _INT64_MAX = 2 ** 63 - 1
 
 
-@dataclass
-class MarkovLink:
+class MarkovLink(_CSROperator):
     """Rows: for each radial state k, the uniform law on its fiber."""
 
-    n_source: int
-    n_target: int
-    rows: list          # list of {target_index: weight}
-    mode: str = RATIONAL
+    what = "link row"
 
-    def __post_init__(self):
-        self.arrays = _check_stochastic(self.rows, self.mode, what="link row")
+    def __init__(self, n_source, n_target, rows=None, mode=RATIONAL, arrays=None):
+        self.n_source, self.n_target, self.mode = n_source, n_target, mode
+        self._keep(rows, arrays)
 
     def to_csr(self):
         return _csr(_float_arrays(self), self.n_target)
@@ -49,11 +46,12 @@ def build_link(space) -> MarkovLink:
         K = space.spec.layers if isinstance(space, WedgeLattice) else space.layers
     else:
         K = int(space)
-    rows = []
-    for k in range(K + 1):
-        w = Fraction(1, 2 * k + 1)
-        rows.append({site_index(k, y): w for y in range(-k, k + 1)})
-    return MarkovLink(n_source=K + 1, n_target=(K + 1) ** 2, rows=rows)
+    # layer k's fiber is the sites k^2 .. k^2 + 2k in layer-major order
+    indptr = np.arange(K + 2, dtype=np.int64) ** 2
+    nums = [1] * (K + 1) ** 2
+    dens = list(range(1, 2 * K + 2, 2))
+    return MarkovLink(n_source=K + 1, n_target=(K + 1) ** 2,
+                      arrays=(indptr, np.arange((K + 1) ** 2), (nums, dens)))
 
 
 @dataclass
@@ -229,12 +227,13 @@ def harmonic_residual(one_dim_chain: StochasticKernel) -> float:
     """Residual of i -> 1/(2i+1) under the radial chain, over non-apex
     non-absorbing states.  Exact zero in rational mode."""
     Q = one_dim_chain
-    keep = [i for i in range(1, Q.n_states) if not Q.is_absorbing(i)]
+    keep = [i for i in np.flatnonzero(~Q.absorbing_mask()).tolist() if i > 0]
     if Q.mode == RATIONAL:
         h = _exact("h", _row_arrays([{0: Fraction(1, 2 * j + 1)}
                                      for j in range(Q.n_states)], exact=True), 1)
         Qh = _exact_matmul(_exact("Q", Q.arrays, Q.n_states), h)
         pick = lambda E: (E[0], E[1][keep], [E[2][i] for i in keep])
         return float(_exact_maxdiff(pick(Qh), pick(h)))
-    return max((abs(sum(v / (2 * j + 1) for j, v in Q.rows[i].items())
-                    - 1.0 / (2 * i + 1)) for i in keep), default=0.0)
+    bounds, cols, vals = (a.tolist() for a in Q.arrays)
+    Qh = lambda i: sum(vals[e] / (2 * cols[e] + 1) for e in range(bounds[i], bounds[i + 1]))
+    return max((abs(Qh(i) - 1.0 / (2 * i + 1)) for i in keep), default=0.0)

@@ -14,7 +14,9 @@ lattice; a triangular mesh would play the same role at pi/6.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -60,13 +62,14 @@ def _row_arrays(rows, exact: bool = False):
     return indptr, indices[order], ([nums[e] for e in order.tolist()], dens)
 
 
-def _check_stochastic(rows, mode: str, what: str = "row"):
-    """The rows' ``_row_arrays`` in ``mode``.  Raises ``ParameterError`` unless
-    every row is a probability vector: exactly (integer numerators summing to
-    the row denominator) in rational mode, to 1e-12 in float mode."""
-    exact = mode == RATIONAL
-    arrays = indptr, _, values = _row_arrays(rows, exact=exact)
-    if exact:
+def _check_stochastic(arrays, mode: str, what: str = "row"):
+    """``arrays``, CSR arrays in the ``_row_arrays`` form of ``mode``.
+    Raises ``ParameterError`` unless every row is a probability vector:
+    exactly (integer numerators summing to the row denominator) in rational
+    mode, to 1e-12 in float mode."""
+    indptr, _, values = arrays
+    n = len(indptr) - 1
+    if mode == RATIONAL:
         nums, dens = values
         bounds = indptr.tolist()
         for i, d in enumerate(dens):
@@ -77,9 +80,9 @@ def _check_stochastic(rows, mode: str, what: str = "row"):
                 raise ParameterError(
                     f"{what} {i} sums to {Fraction(sum(row), d)}, not 1")
         return arrays
-    row_of = np.repeat(np.arange(len(rows)), np.diff(indptr))
-    negative = np.bincount(row_of[values < 0], minlength=len(rows)) > 0
-    sums = np.bincount(row_of, weights=values, minlength=len(rows))
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    negative = np.bincount(row_of[values < 0], minlength=n) > 0
+    sums = np.bincount(row_of, weights=values, minlength=n)
     bad = negative | ~(np.abs(sums - 1.0) <= 1e-12)      # NaN sums fail too
     if bad.any():
         i = int(np.argmax(bad))
@@ -89,9 +92,45 @@ def _check_stochastic(rows, mode: str, what: str = "row"):
     return arrays
 
 
+def _pattern_arrays(patterns, kind, layer, mode: str):
+    """CSR arrays, in the ``_row_arrays`` form of ``mode``, of rows that each
+    follow one of the ``patterns``.  ``patterns[c]`` lists pattern c's entries
+    in column order as ``(a, b, value)``; row s of ``kind[s] == c`` holds
+    ``value`` at column ``s + a + b * layer[s]``.  Exact values go over the
+    lcm of their pattern's denominators."""
+    lengths = np.array([len(p) for p in patterns])
+    counts = lengths[kind]
+    indptr = np.zeros(len(kind) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    row = np.repeat(np.arange(len(kind)), counts)
+    code = (np.cumsum(lengths) - lengths)[kind][row] + np.arange(indptr[-1]) - indptr[row]
+    entries = [entry for p in patterns for entry in p]
+    a, b = (np.array([e[i] for e in entries], dtype=np.int64) for i in (0, 1))
+    values = [e[2] for e in entries]
+    indices = row + a[code] + b[code] * layer[row]
+    if mode == FLOAT:
+        return indptr, indices, np.array(values, dtype=float)[code]
+    dens = [math.lcm(*[v.denominator for _, _, v in p]) for p in patterns]
+    nums = [v.numerator * (d // v.denominator)
+            for p, d in zip(patterns, dens) for _, _, v in p]
+    return indptr, indices, (np.array(nums, dtype=object)[code].tolist(),
+                             np.array(dens, dtype=object)[kind].tolist())
+
+
 def _float_arrays(op):
-    """Float ``_row_arrays`` of an operator: its kept ones in float mode."""
-    return op.arrays if op.mode == FLOAT else _row_arrays(op.rows)
+    """Float ``_row_arrays`` of an operator: its kept ones in float mode, its
+    exact numerators divided by their row denominators in rational mode
+    (correctly rounded, as ``float(Fraction)``)."""
+    if op.mode == FLOAT:
+        return op.arrays
+    indptr, indices, (nums, dens) = op.arrays
+    return indptr, indices, np.array(list(map(operator.truediv, nums,
+                                              _entry_dens(indptr, dens))))
+
+
+def _entry_dens(indptr, dens) -> np.ndarray:
+    """The row denominators of exact arrays, repeated for each entry."""
+    return np.repeat(np.array(dens, dtype=object), np.diff(indptr))
 
 
 def _csr(arrays, n_cols: int, diagonal=None):
@@ -107,30 +146,52 @@ def _csr(arrays, n_cols: int, diagonal=None):
     return A
 
 
-@dataclass
-class StochasticKernel:
-    """Sparse row-stochastic operator over an enumerated state space.  The
-    rows are checked and kept as CSR ``arrays`` once, at construction."""
+class _CSROperator:
+    """An operator kept as checked CSR ``arrays`` in the ``_row_arrays``
+    form of its ``mode``.  Dict ``rows`` given to the constructor are
+    converted once; otherwise ``rows``, a list of ``{column: value}``, is
+    built from the arrays on first access."""
 
-    states: tuple
-    rows: list            # list of {state_index: probability}
-    mode: str
-    layers: Optional[np.ndarray] = field(default=None, repr=False)
+    what = "row"
 
-    def __post_init__(self):
+    def _keep(self, rows, arrays):
+        if arrays is None:
+            arrays = _row_arrays(rows, exact=self.mode == RATIONAL)
+            self.rows = rows
+        self.arrays = _check_stochastic(arrays, self.mode, self.what)
+
+    @functools.cached_property
+    def rows(self) -> list:
+        indptr, indices, values = self.arrays
+        bounds, cols = indptr.tolist(), indices.tolist()
+        if self.mode == RATIONAL:
+            values = list(map(Fraction, values[0], _entry_dens(indptr, values[1])))
+        else:
+            values = values.tolist()
+        return [dict(zip(cols[lo:hi], values[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])]
+
+
+class StochasticKernel(_CSROperator):
+    """Sparse row-stochastic operator over an enumerated state space, given
+    by dict ``rows`` ``{state_index: probability}`` or by CSR ``arrays``."""
+
+    def __init__(self, states, rows=None, mode=None, layers=None, arrays=None):
+        self.states, self.mode, self.layers = tuple(states), mode, layers
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.arrays = _check_stochastic(self.rows, self.mode)
+        self._keep(rows, arrays)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
     def is_absorbing(self, i: int) -> bool:
-        row = self.rows[i]
-        return len(row) == 1 and i in row
+        return bool(self.absorbing_mask()[i])
 
     def absorbing_mask(self) -> np.ndarray:
-        return np.array([self.is_absorbing(i) for i in range(self.n_states)])
+        """Rows holding only their own state (no row is empty)."""
+        indptr, indices, _ = self.arrays
+        return (np.diff(indptr) == 1) & (indices[indptr[:-1]] == np.arange(self.n_states))
 
     def to_csr(self):
         return _csr(_float_arrays(self), self.n_states)
@@ -182,6 +243,17 @@ class RateMatrix:
 # wedge operators
 # ---------------------------------------------------------------------------
 
+def _wedge_values(spec: WedgeSpec, mode: str):
+    """``mode`` resolved, with sin^2(alpha), the apex move r and 1: Fractions
+    in rational mode, floats otherwise (sin^2 rounded from its exact value
+    at the special angles)."""
+    mode = _resolve_mode(mode, spec.sin_sq)
+    if mode == RATIONAL:
+        return mode, spec.sin_sq, Fraction(spec.apex_hold), Fraction(1)
+    s2 = math.sin(spec.alpha) ** 2 if spec.sin_sq is None else float(spec.sin_sq)
+    return mode, s2, float(spec.apex_hold), 1.0
+
+
 def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,
                  absorb_at: Optional[int] = None, mode: str = "auto") -> StochasticKernel:
     """One-step kernel of the reflected wedge walk, absorbed at layer M.
@@ -196,40 +268,24 @@ def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,
     M = N if absorb_at is None else int(absorb_at)
     if not 2 <= M <= N:
         raise ParameterError(f"absorb_at must lie in [2, {N}], got {M}")
-    s2x = spec.sin_sq
-    mode = _resolve_mode(mode, s2x)
-    if mode == RATIONAL:
-        s2 = s2x
-        r = Fraction(spec.apex_hold)
-    else:
-        s2 = math.sin(spec.alpha) ** 2 if s2x is None else float(s2x)
-        r = float(spec.apex_hold)
-    c2 = 1 - s2
-    p, q = s2 / 2, c2 / 2
-    one = Fraction(1) if mode == RATIONAL else 1.0
-
-    idx = lattice.index
-    rows = []
-    for (k, y) in lattice.sites:
-        if k >= M:
-            rows.append({idx(k, y): one})
-        elif k == 0:
-            row = {idx(1, -1): r, idx(1, 0): r, idx(1, 1): r}
-            hold = 1 - 3 * r
-            if hold != 0:
-                row[idx(0, 0)] = hold
-            rows.append(row)
-        elif y == k:
-            rows.append({idx(k + 1, k): p, idx(k + 1, k + 1): p,
-                         idx(k, k - 1): q, idx(k, k): q})
-        elif y == -k:
-            rows.append({idx(k + 1, -k): p, idx(k + 1, -k - 1): p,
-                         idx(k, -k + 1): q, idx(k, -k): q})
-        else:
-            rows.append({idx(k + 1, y): p, idx(k - 1, y): p,
-                         idx(k, y + 1): q, idx(k, y - 1): q})
-    return StochasticKernel(states=lattice.sites, rows=rows, mode=mode,
-                            layers=lattice.layers_of())
+    mode, s2, r, one = _wedge_values(spec, mode)
+    p, q = s2 / 2, (1 - s2) / 2
+    if lattice.n_sites != (N + 1) ** 2:
+        raise ParameterError(f"the lattice does not have {N} layers")
+    # patterns by row kind, entries (a, b, value) at column s + a + b k, in
+    # column order (site_index puts (k, y) at k^2 + y + k)
+    hold = 1 - 3 * r
+    apex = ([(0, 0, hold)] if hold != 0 else []) + [(c, 0, r) for c in (1, 2, 3)]
+    patterns = [[(0, 0, one)],                                    # absorbed
+                apex,
+                [(-1, 0, q), (0, 0, q), (2, 2, p), (3, 2, p)],   # y = k
+                [(0, 0, q), (1, 0, q), (1, 2, p), (2, 2, p)],    # y = -k
+                [(0, -2, p), (-1, 0, q), (1, 0, q), (2, 2, p)]]  # inner
+    layer = lattice.layers_of()
+    y = np.arange(lattice.n_sites) - layer * (layer + 1)
+    kind = np.select([layer >= M, layer == 0, y == layer, y == -layer], [0, 1, 2, 3], 4)
+    return StochasticKernel(states=lattice.sites, mode=mode, layers=layer,
+                            arrays=_pattern_arrays(patterns, kind, layer, mode))
 
 
 def projected_wedge_chain(layers: int, alpha: float,
@@ -238,33 +294,17 @@ def projected_wedge_chain(layers: int, alpha: float,
     hold cos^2(a), up sin^2(a)/2 (2i+3)/(2i+1); state N absorbing."""
     spec = WedgeSpec(alpha=alpha, layers=layers, apex_hold=apex_hold)
     N = layers
-    s2x = spec.sin_sq
-    mode = _resolve_mode(mode, s2x)
-    if mode == RATIONAL:
-        s2, r = s2x, Fraction(spec.apex_hold)
-        frac = lambda a, b: Fraction(a, b)
-    else:
-        s2, r = math.sin(alpha) ** 2 if s2x is None else float(s2x), float(spec.apex_hold)
-        frac = lambda a, b: a / b
-    c2 = 1 - s2
-    one = Fraction(1) if mode == RATIONAL else 1.0
-
-    rows = []
-    for i in range(N + 1):
-        if i == N:
-            rows.append({N: one})
-        elif i == 0:
-            row = {1: 3 * r}
-            hold = 1 - 3 * r
-            if hold != 0:
-                row[0] = hold
-            rows.append(row)
-        else:
-            rows.append({i - 1: s2 / 2 * frac(2 * i - 1, 2 * i + 1),
-                         i: c2,
-                         i + 1: s2 / 2 * frac(2 * i + 3, 2 * i + 1)})
-    return StochasticKernel(states=tuple(range(N + 1)), rows=rows, mode=mode,
-                            layers=np.arange(N + 1, dtype=np.int32))
+    mode, s2, r, one = _wedge_values(spec, mode)
+    frac = Fraction if mode == RATIONAL else (lambda a, b: a / b)
+    hold = 1 - 3 * r
+    patterns = [([(0, 0, hold)] if hold != 0 else []) + [(1, 0, 3 * r)]]
+    patterns += [[(-1, 0, s2 / 2 * frac(2 * i - 1, 2 * i + 1)), (0, 0, 1 - s2),
+                  (1, 0, s2 / 2 * frac(2 * i + 3, 2 * i + 1))] for i in range(1, N)]
+    patterns.append([(0, 0, one)])
+    return StochasticKernel(states=tuple(range(N + 1)), mode=mode,
+                            layers=np.arange(N + 1, dtype=np.int32),
+                            arrays=_pattern_arrays(patterns, np.arange(N + 1),
+                                                   np.zeros(N + 1, dtype=np.int64), mode))
 
 
 def row_displacement(kernel: StochasticKernel, i: int):

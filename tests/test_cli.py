@@ -101,6 +101,16 @@ def test_reverse_command(capsys):
     assert out["results"]["initial_law_uniform"] is True
 
 
+def test_rational_reverse_at_thirty_layers(capsys):
+    # the exact apex Green vector of the 961-state kernel, lifted from the
+    # radial chain, feeds the exact reversal
+    code = run_cli(["reverse", "--alpha", "pi/6", "--mode", "rational",
+                    "--layers", "30"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["pass"] is True
+    assert out["results"]["initial_law_uniform"] is True
+
+
 def test_bessel_check_command(capsys):
     code = run_cli(["bessel-check", "--i", "50", "--a", "25", "--b", "200"])
     out = json.loads(capsys.readouterr().out)

@@ -19,7 +19,8 @@ from wedgewalk import (
     projected_wedge_chain,
     wedge_kernel,
 )
-from wedgewalk.green_reversal import _rational_green
+from wedgewalk import green_reversal
+from wedgewalk.green_reversal import _lifted_green, _rational_green
 from wedgewalk.kernels import row_displacement
 
 
@@ -52,10 +53,14 @@ def _reference_rational_green(rows, transient, source_pos):
     return x
 
 
-def _green_system(kernel, source):
+def _green_solves(kernel, source):
+    """The banded solver on the kernel's exact arrays and the dense
+    reference on its dict rows, for one transient system."""
     mask = kernel.absorbing_mask()
     transient = [i for i in range(kernel.n_states) if not mask[i]]
-    return kernel.rows, transient, transient.index(source)
+    system = transient, transient.index(source)
+    return (_rational_green(kernel.arrays, *system),
+            _reference_rational_green(kernel.rows, *system))
 
 
 def _scrambled_kernel(n=14, seed=7):
@@ -141,18 +146,18 @@ def test_banded_exact_green_matches_dense_elimination(alpha):
         lat = build_wedge_lattice(spec)
         P = wedge_kernel(lat, spec)
         for source in (lat.index(0, 0), lat.index(1, 1)):
-            system = _green_system(P, source)
-            assert _rational_green(*system) == _reference_rational_green(*system)
+            banded, dense = _green_solves(P, source)
+            assert banded == dense
         Q = projected_wedge_chain(N, alpha)
-        system = _green_system(Q, 0)
-        assert _rational_green(*system) == _reference_rational_green(*system)
+        banded, dense = _green_solves(Q, 0)
+        assert banded == dense
 
 
 def test_exact_green_matches_dense_elimination_without_a_band():
     P = _scrambled_kernel()
     for source in (0, 5, 11):
-        system = _green_system(P, source)
-        assert _rational_green(*system) == _reference_rational_green(*system)
+        banded, dense = _green_solves(P, source)
+        assert banded == dense
     g = green_vector(P, 5)
     want = green_vector(StochasticKernel(states=P.states, mode="float",
                                          rows=[{j: float(v) for j, v in r.items()}
@@ -325,6 +330,7 @@ def test_hit_probability_edges():
     p = hit_probability(Q, 5, targets=[2], blockers=[30])
     h = lambda i: 1 / (2 * i + 1)
     assert p == pytest.approx((h(5) - h(30)) / (h(2) - h(30)), abs=1e-12)
+    assert "rows" not in vars(Q)        # the solve reads the CSR arrays
 
 
 def test_green_csv_export(tmp_path):
@@ -338,3 +344,83 @@ def test_green_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "layer,transverse,visits"
     assert len(lines) == 1 + lat.n_sites
+
+
+def _wedge_system(alpha, N):
+    spec = WedgeSpec(alpha=alpha, layers=N)
+    lat = build_wedge_lattice(spec)
+    P = wedge_kernel(lat, spec)
+    mask = P.absorbing_mask()
+    return lat, P, mask, [i for i in range(P.n_states) if not mask[i]]
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
+def test_apex_green_is_lifted_from_the_radial_chain(alpha):
+    for N in (2, 5, 8, 14):
+        lat, P, mask, transient = _wedge_system(alpha, N)
+        lifted = _lifted_green(P, mask, transient, lat.index(0, 0))
+        assert lifted is not None
+        assert lifted == _rational_green(P.arrays, transient, 0)
+        g = green_vector(P, (0, 0))
+        assert [g.visits[s] for s in transient] == lifted
+        assert "rows" not in vars(P)        # the lift reads the CSR arrays
+        assert lifted == _reference_rational_green(P.rows, transient, 0)
+
+
+def _spy_on_elimination(monkeypatch):
+    sizes = []
+    real = green_reversal._rational_green
+
+    def spy(arrays, transient, source_pos):
+        sizes.append(len(transient))
+        return real(arrays, transient, source_pos)
+
+    monkeypatch.setattr(green_reversal, "_rational_green", spy)
+    return sizes
+
+
+def test_green_of_a_layered_kernel_that_is_not_intertwined(monkeypatch):
+    # eps of mass moved between two targets of one row leaves the radial
+    # chain as it was, but the planar visits are no longer uniform on the
+    # fibers: the certificate refuses the lift and the elimination solves
+    lat, P, mask, transient = _wedge_system(math.pi / 6, 8)
+    eps = F(1, 10 ** 6)
+    rows = [dict(r) for r in P.rows]
+    rows[lat.index(2, 0)][lat.index(2, 1)] -= eps
+    rows[lat.index(2, 0)][lat.index(2, -1)] += eps
+    Pe = StochasticKernel(states=P.states, rows=rows, mode=P.mode, layers=P.layers)
+    assert _lifted_green(Pe, mask, transient, 0) is None
+    sizes = _spy_on_elimination(monkeypatch)
+    g = green_vector(Pe, (0, 0))
+    assert sizes == [8, len(transient)]     # the radial chain, then the plane
+    want = _reference_rational_green(rows, transient, 0)
+    assert [g.visits[s] for s in transient] == want
+    assert want[lat.index(2, 1)] != want[lat.index(2, -1)]
+
+
+def test_green_from_a_non_apex_source_takes_the_elimination(monkeypatch):
+    lat, P, mask, transient = _wedge_system(math.pi / 4, 6)
+    source = lat.index(1, 1)
+    assert _lifted_green(P, mask, transient, source) is None
+    sizes = _spy_on_elimination(monkeypatch)
+    g = green_vector(P, source)
+    assert sizes == [len(transient)]
+    want = _reference_rational_green(P.rows, transient, transient.index(source))
+    assert [g.visits[s] for s in transient] == want
+
+
+def test_lift_is_refused_when_absorption_is_unreachable(monkeypatch):
+    # layer 1 holds a (which feeds the apex and layer 2) and the pair b <-> c,
+    # a closed class that never absorbs.  The fiber-uniform lift g = (3, 2,
+    # 2, 2) solves g (I - T) = e_src, but so does g + t (0, 0, 1, 1): the
+    # system is singular and stays a SolverError
+    states = ((0, 0), (1, -1), (1, 0), (1, 1)) + tuple((2, y) for y in range(-2, 3))
+    rows = [{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 4), 1: F(1, 4), 4: F(1, 2)},
+            {3: F(1)}, {2: F(1)}] + [{j: F(1)} for j in range(4, 9)]
+    P = StochasticKernel(states=states, rows=rows, mode="rational",
+                         layers=np.array([0, 1, 1, 1, 2, 2, 2, 2, 2]))
+    with pytest.raises(SolverError):
+        green_vector(P, (0, 0))
+    monkeypatch.setattr(green_reversal, "_reaches_absorption", lambda *a: True)
+    mask = P.absorbing_mask()
+    assert _lifted_green(P, mask, [0, 1, 2, 3], 0) == [3, 2, 2, 2]

@@ -26,7 +26,7 @@ from wedgewalk import (
     wedge_kernel,
 )
 from wedgewalk.geometry import site_index
-from wedgewalk.kernels import _layer_rates
+from wedgewalk.kernels import _layer_rates, _row_arrays
 
 
 def wedge_ops(alpha, n, mode="auto"):
@@ -43,6 +43,18 @@ def test_link_rows():
     assert link.rows[2] == {site_index(2, y): F(1, 5) for y in range(-2, 3)}
     for row in link.rows:
         assert sum(row.values()) == 1
+
+
+def test_link_arrays_match_the_dict_row_reference():
+    for K in (2, 5, 30):
+        link = build_link(K)
+        want = [{site_index(k, y): F(1, 2 * k + 1) for y in range(-k, k + 1)}
+                for k in range(K + 1)]
+        (ip, ix, exact), (wip, wix, wexact) = link.arrays, _row_arrays(want, exact=True)
+        assert np.array_equal(ip, wip) and np.array_equal(ix, wix) and exact == wexact
+        # the float form divides the exact arrays; the dict view is not built
+        assert np.array_equal(link.to_csr().toarray(), dense_rows(want, link.n_target))
+        assert "rows" not in vars(link)
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
@@ -101,8 +113,9 @@ def test_rational_verify_converts_each_operator_once(monkeypatch, tmp_path, caps
     assert cli.main(["verify-intertwining", "--alpha", "pi/6", "--mode", "rational",
                      "--layers", "20", "--output", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
-    # P (441 rows); Q, the link and the harmonic vector 1/(2i+1) (21 rows each)
-    assert sorted(seen) == [21, 21, 21, 441]
+    # P, Q and the link are built as arrays; only the harmonic vector
+    # 1/(2i+1) (21 rows) is converted from dict rows
+    assert seen == [21]
 
 
 def test_exact_check_refuses_numbers_beyond_int64():

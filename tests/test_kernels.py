@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from wedgewalk import (
@@ -18,7 +19,7 @@ from wedgewalk import (
     wedge_kernel,
     write_triplets,
 )
-from wedgewalk.kernels import row_displacement
+from wedgewalk.kernels import _row_arrays, row_displacement
 
 
 def make_wedge(alpha, layers, mode="auto"):
@@ -253,3 +254,105 @@ def test_float_validation_keeps_its_tolerance():
     with pytest.raises(ParameterError, match="row 0 sums to nan"):
         StochasticKernel(states=(0, 1), mode="float",
                          rows=[{0: math.nan, 1: 0.5}, {1: 1.0}])
+
+
+def _reference_wedge_rows(lattice, spec, M, mode):
+    """The wedge kernel's dict rows, one site at a time: the independent
+    side of the array builder's check."""
+    if mode == "rational":
+        s2, r, one = spec.sin_sq, F(spec.apex_hold), F(1)
+    else:
+        s2 = math.sin(spec.alpha) ** 2 if spec.sin_sq is None else float(spec.sin_sq)
+        r, one = float(spec.apex_hold), 1.0
+    p, q = s2 / 2, (1 - s2) / 2
+    idx = lattice.index
+    rows = []
+    for (k, y) in lattice.sites:
+        if k >= M:
+            rows.append({idx(k, y): one})
+        elif k == 0:
+            row = {idx(1, -1): r, idx(1, 0): r, idx(1, 1): r}
+            if 1 - 3 * r != 0:
+                row[idx(0, 0)] = 1 - 3 * r
+            rows.append(row)
+        elif y == k:
+            rows.append({idx(k + 1, k): p, idx(k + 1, k + 1): p,
+                         idx(k, k - 1): q, idx(k, k): q})
+        elif y == -k:
+            rows.append({idx(k + 1, -k): p, idx(k + 1, -k - 1): p,
+                         idx(k, -k + 1): q, idx(k, -k): q})
+        else:
+            rows.append({idx(k + 1, y): p, idx(k - 1, y): p,
+                         idx(k, y + 1): q, idx(k, y - 1): q})
+    return rows
+
+
+def _reference_radial_rows(spec, mode):
+    N = spec.layers
+    if mode == "rational":
+        s2, r, one = spec.sin_sq, F(spec.apex_hold), F(1)
+        frac = F
+    else:
+        s2 = math.sin(spec.alpha) ** 2 if spec.sin_sq is None else float(spec.sin_sq)
+        r, one = float(spec.apex_hold), 1.0
+        frac = lambda a, b: a / b
+    rows = [{1: 3 * r, **({0: 1 - 3 * r} if 1 - 3 * r != 0 else {})}]
+    for i in range(1, N):
+        rows.append({i - 1: s2 / 2 * frac(2 * i - 1, 2 * i + 1), i: 1 - s2,
+                     i + 1: s2 / 2 * frac(2 * i + 3, 2 * i + 1)})
+    return rows + [{N: one}]
+
+
+def assert_same_arrays(got, want, mode):
+    """Equal CSR arrays: the same index dtypes and entries, the same Python
+    ints in rational mode and the same bits in float mode."""
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    if mode == "rational":
+        assert got[2] == want[2]
+        assert all(type(v) is int for part in got[2] for v in part)
+    else:
+        assert got[2].dtype == want[2].dtype == np.float64
+        assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+
+
+def _check_builders(alpha, N, mode, absorb_at=None, apex_hold=None):
+    spec = WedgeSpec(alpha=alpha, layers=N, apex_hold=apex_hold)
+    lat = build_wedge_lattice(spec)
+    M = N if absorb_at is None else absorb_at
+    P = wedge_kernel(lat, spec, absorb_at=absorb_at, mode=mode)
+    want = _reference_wedge_rows(lat, spec, M, mode)
+    assert_same_arrays(P.arrays, _row_arrays(want, exact=mode == "rational"), mode)
+    assert P.rows == want
+    if absorb_at is None:
+        Q = projected_wedge_chain(N, alpha, apex_hold=apex_hold, mode=mode)
+        want = _reference_radial_rows(spec, mode)
+        assert_same_arrays(Q.arrays, _row_arrays(want, exact=mode == "rational"), mode)
+        assert Q.rows == want
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
+def test_builders_match_the_dict_row_reference(alpha, mode):
+    for N in (2, 5, 8, 20):
+        _check_builders(alpha, N, mode)
+    _check_builders(alpha, 8, mode, absorb_at=5)
+    hold = F(1, 5) if mode == "rational" else 0.2         # apex holds 2/5
+    _check_builders(alpha, 8, mode, apex_hold=hold)
+    _check_builders(alpha, 8, mode, absorb_at=2, apex_hold=hold)
+
+
+def test_builders_match_the_dict_row_reference_off_the_special_angles():
+    for N in (2, 5, 8, 20):
+        _check_builders(0.9, N, "float")
+    _check_builders(0.9, 8, "float", absorb_at=3, apex_hold=0.1)
+
+
+def test_dict_rows_are_built_on_first_access():
+    spec, lat, P = make_wedge(math.pi / 6, 6)
+    assert "rows" not in vars(P)
+    rows = P.rows
+    assert P.rows is rows and rows[lat.index(0, 0)] == {
+        lat.index(1, y): F(1, 3) for y in (-1, 0, 1)}
+    given = [{0: F(1, 2), 1: F(1, 2)}, {1: F(1)}]
+    assert StochasticKernel(states=(0, 1), rows=given, mode="rational").rows is given
