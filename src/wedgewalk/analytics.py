@@ -12,6 +12,7 @@ log-gamma, not typed-in decimals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import exp, lgamma, pi, sqrt
@@ -31,6 +32,18 @@ def log_beta(a: float, b: float) -> float:
 B_THIRD = exp(log_beta(1.0 / 3.0, 1.0 / 3.0))          # B(1/3, 1/3)
 B_TWO_THIRDS = exp(log_beta(2.0 / 3.0, 2.0 / 3.0))     # B(2/3, 2/3)
 GAMMA_TWO_THIRDS = exp(lgamma(2.0 / 3.0))
+
+
+@functools.cache
+def _tanh_sinh_level(h: float):
+    """The parts of the tanh-sinh nodes new at step h that no panel changes:
+    t < 0, e = exp(-pi sinh|t|), 1 + e, cosh t and (1 + e)^2."""
+    t = np.arange(h - 4.0, 4.0, 2 * h)
+    e = np.exp(-pi * np.sinh(abs(t)))
+    parts = (t < 0, e, 1 + e, np.cosh(t), (1 + e) ** 2)
+    for a in parts:
+        a.flags.writeable = False         # shared by every later call
+    return parts
 
 
 @dataclass
@@ -54,15 +67,14 @@ class Quadrature:
         lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
         total, err, used, h = 0.0, math.inf, 0, 4.0
         while err > max(self.tolerance / 10, 1e-12 * abs(total)) or err > self.tolerance:
-            t = np.arange(h - 4.0, 4.0, 2 * h)    # the nodes new at step h
-            e = np.exp(-pi * np.sinh(abs(t)))
-            d = (hi - lo) * e / (1 + e)           # distance to the nearer endpoint
-            x = np.where(t < 0, lo + d, hi - d)
+            left, e, e1, cosh_t, e1_sq = _tanh_sinh_level(h)
+            d = (hi - lo) * e / e1                # distance to the nearer endpoint
+            x = np.where(left, lo + d, hi - d)
             keep = (x != lo) & (x != hi)
             used += np.count_nonzero(keep)
             if used > self.node_budget:
                 break
-            w = pi * (hi - lo) * np.cosh(t) * e / (1 + e) ** 2
+            w = pi * (hi - lo) * cosh_t * e / e1_sq
             new = total / 2 + h * sum(wi * fn(xi) for xi, wi
                                       in zip(x[keep].tolist(), w[keep].tolist()))
             if not math.isfinite(new):

@@ -307,6 +307,19 @@ def test_quadrature_never_evaluates_an_endpoint():
     assert q.integrate(abs, -1.0, 2.0, points=[0.0]) == pytest.approx(2.5, abs=1e-15)
 
 
+def test_quadrature_node_tables_are_built_once_per_level():
+    from wedgewalk.analytics import _tanh_sinh_level
+
+    q = Quadrature()
+    for fn, a, b in ((lambda x: math.log(x * (1.0 - x)), 0.0, 1.0),
+                     (math.exp, -1.0, 2.0)):
+        first = q.integrate(fn, a, b)
+        built = _tanh_sinh_level.cache_info().misses
+        assert [q.integrate(fn, a, b) for _ in range(3)] == [first] * 3
+        assert _tanh_sinh_level.cache_info().misses == built
+    assert not _tanh_sinh_level(1.0)[1].flags.writeable
+
+
 def test_quadrature_refuses_a_non_finite_or_unresolved_sum():
     with pytest.raises(QuadratureError, match="non-finite"):
         Quadrature().integrate(lambda x: math.nan, 0.0, 1.0)
