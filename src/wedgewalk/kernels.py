@@ -295,11 +295,15 @@ def projected_wedge_chain(layers: int, alpha: float,
     spec = WedgeSpec(alpha=alpha, layers=layers, apex_hold=apex_hold)
     N = layers
     mode, s2, r, one = _wedge_values(spec, mode)
-    frac = Fraction if mode == RATIONAL else (lambda a, b: a / b)
+    if spec.sin_sq is None:
+        step = lambda a, b: s2 / 2 * (a / b)
+    else:                           # the exact entry, rounded once in float mode
+        cast = Fraction if mode == RATIONAL else float
+        step = lambda a, b: cast(spec.sin_sq / 2 * Fraction(a, b))
     hold = 1 - 3 * r
     patterns = [([(0, 0, hold)] if hold != 0 else []) + [(1, 0, 3 * r)]]
-    patterns += [[(-1, 0, s2 / 2 * frac(2 * i - 1, 2 * i + 1)), (0, 0, 1 - s2),
-                  (1, 0, s2 / 2 * frac(2 * i + 3, 2 * i + 1))] for i in range(1, N)]
+    patterns += [[(-1, 0, step(2 * i - 1, 2 * i + 1)), (0, 0, 1 - s2),
+                  (1, 0, step(2 * i + 3, 2 * i + 1))] for i in range(1, N)]
     patterns.append([(0, 0, one)])
     return StochasticKernel(states=tuple(range(N + 1)), mode=mode,
                             layers=np.arange(N + 1, dtype=np.int32),
