@@ -136,7 +136,7 @@ def cmd_green(args) -> int:
     Q = kernels.projected_wedge_chain(args.layers, alpha, mode="float")
     g = green_reversal.green_vector(Q, 0)
     fit = green_reversal.fit_green_constant(g, args.layers)
-    s2 = math.sin(alpha) ** 2
+    s2 = geometry.WedgeSpec(alpha=alpha, layers=args.layers).float_sin_sq
     results = {
         "fitted_constant": fit["constant"],
         "relative_spread": fit["relative_spread"],
@@ -157,7 +157,7 @@ def cmd_reverse(args) -> int:
     spec, lat, P, Q, link = _wedge_operators(alpha, args.layers, args.mode)
     g = green_reversal.green_vector(P, (0, 0))
     rev = green_reversal.nagasawa_reverse(P, g)
-    s2 = math.sin(alpha) ** 2
+    s2 = spec.float_sin_sq
     N = args.layers
     worst = 0.0
     for (k, y) in lat.sites:

@@ -90,6 +90,12 @@ class WedgeSpec:
     def sin_sq(self) -> Optional[Fraction]:
         return exact_sin_sq(self.alpha)
 
+    @property
+    def float_sin_sq(self) -> float:
+        """sin^2(alpha), rounded from its exact value at the special angles."""
+        s2 = self.sin_sq
+        return math.sin(self.alpha) ** 2 if s2 is None else float(s2)
+
 
 @dataclass(frozen=True)
 class Site:

@@ -245,13 +245,11 @@ class RateMatrix:
 
 def _wedge_values(spec: WedgeSpec, mode: str):
     """``mode`` resolved, with sin^2(alpha), the apex move r and 1: Fractions
-    in rational mode, floats otherwise (sin^2 rounded from its exact value
-    at the special angles)."""
+    in rational mode, floats otherwise."""
     mode = _resolve_mode(mode, spec.sin_sq)
     if mode == RATIONAL:
         return mode, spec.sin_sq, Fraction(spec.apex_hold), Fraction(1)
-    s2 = math.sin(spec.alpha) ** 2 if spec.sin_sq is None else float(spec.sin_sq)
-    return mode, s2, float(spec.apex_hold), 1.0
+    return mode, spec.float_sin_sq, float(spec.apex_hold), 1.0
 
 
 def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,

@@ -101,6 +101,16 @@ def test_reverse_command(capsys):
     assert out["results"]["initial_law_uniform"] is True
 
 
+def test_reference_constants_are_exact_at_the_special_angles(capsys):
+    # 1/sin^2 and 1/cos^2 come from the exact sin^2 = 1/2, and the exact
+    # reversed kernel meets its exact table to the last bit
+    run_cli(["green", "--alpha", "pi/4", "--layers", "10"])
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["candidate_inv_sin_sq"] == res["candidate_inv_cos_sq"] == 2.0
+    run_cli(["reverse", "--alpha", "pi/4", "--mode", "rational", "--layers", "8"])
+    assert json.loads(capsys.readouterr().out)["results"]["table_residual"] == 0.0
+
+
 def test_rational_reverse_at_thirty_layers(capsys):
     # the exact apex Green vector of the 961-state kernel, lifted from the
     # radial chain, feeds the exact reversal
