@@ -125,41 +125,36 @@ def _lifted_green(kernel: StochasticKernel, mask, transient, source):
     radial chain Q(k, k') = |F_k|^-1 sum over F_k x F_k' of P as g(k, y) =
     g1(k) / |F_k|, which holds when the uniform fiber link intertwines P
     with Q, and kept only if it solves g (I - T) = e_src exactly."""
-    if kernel.layers is None or kernel.states[source] != (0, 0):
+    layers = kernel.layers
+    if layers is None or kernel.states[source] != (0, 0) \
+            or set(layers[mask].tolist()) & set(layers[~mask].tolist()):
         return None
-    layers = np.asarray(kernel.layers)
-    if set(layers[mask].tolist()) & set(layers[~mask].tolist()):
-        return None                           # a layer is split
     layer, (indptr, indices, (nums, dens)) = layers.tolist(), kernel.arrays
     bounds, cols = indptr.tolist(), indices.tolist()
-    flows = defaultdict(int)                  # (k, k', row den): numerator sum
-    for s in transient:
+    size, flows = Counter(layer), defaultdict(int)
+    for s in transient:                       # numerator sums per (k, k', den)
         for e in range(bounds[s], bounds[s + 1]):
             flows[layer[s], layer[cols[e]], dens[s]] += nums[e]
-    size = Counter(layer)
-    at = {k: r for r, k in enumerate(sorted(size))}
-    radial = [defaultdict(Fraction) for _ in at]
+    ks, t_ks = sorted(size), sorted({layer[s] for s in transient})
+    radial = [defaultdict(Fraction) for _ in ks]
     for (k, k2, d), v in flows.items():
-        radial[at[k]][at[k2]] += Fraction(v, d * size[k])
-    ks = sorted({layer[s] for s in transient})
+        radial[ks.index(k)][ks.index(k2)] += Fraction(v, d * size[k])
     try:
-        g1 = _rational_green(_row_arrays(radial, exact=True), [at[k] for k in ks],
-                             ks.index(layer[source]))
+        g1 = _rational_green(_row_arrays(radial, exact=True), [ks.index(k) for k in t_ks],
+                             t_ks.index(layer[source]))
     except SolverError:
         return None
-    lifted = {k: g / size[k] for k, g in zip(ks, g1)}
-    D = math.lcm(*[g.denominator for g in lifted.values()]) * math.lcm(*set(dens))
-    w = [0] * kernel.n_states                 # D g(s) / den(s), in ints
-    flow = [0] * kernel.n_states              # D (g T)(j)
+    g = {k: v / size[k] for k, v in zip(t_ks, g1)}
+    D = math.lcm(*[v.denominator for v in g.values()]) * math.lcm(*set(dens))
+    w, flow = [0] * len(layer), [0] * len(layer)  # D g(s) / den(s), D (g T)(j)
     for s in transient:
-        g = lifted[layer[s]]
-        w[s] = g.numerator * (D // (g.denominator * dens[s]))
+        w[s] = g[layer[s]].numerator * (D // (g[layer[s]].denominator * dens[s]))
         for e in range(bounds[s], bounds[s + 1]):
             flow[cols[e]] += w[s] * nums[e]
     if any(w[j] * dens[j] - flow[j] != D * (j == source) for j in transient) \
             or not _reaches_absorption(kernel, mask):
         return None
-    return [lifted[layer[s]] for s in transient]
+    return [g[layer[s]] for s in transient]
 
 
 def green_vector(kernel: StochasticKernel, source,

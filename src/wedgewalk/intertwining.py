@@ -51,7 +51,7 @@ def build_link(space) -> MarkovLink:
     nums = [1] * (K + 1) ** 2
     dens = list(range(1, 2 * K + 2, 2))
     return MarkovLink(n_source=K + 1, n_target=(K + 1) ** 2,
-                      arrays=(indptr, np.arange((K + 1) ** 2), (nums, dens)))
+                      arrays=(indptr, np.arange(len(nums), dtype=np.int64), (nums, dens)))
 
 
 @dataclass

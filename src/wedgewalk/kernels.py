@@ -74,7 +74,7 @@ def _check_stochastic(arrays, mode: str, what: str = "row"):
         bounds = indptr.tolist()
         for i, d in enumerate(dens):
             row = nums[bounds[i]:bounds[i + 1]]
-            if any(v < 0 for v in row):
+            if min(row, default=0) < 0:
                 raise ParameterError(f"negative probability in {what} {i}")
             if sum(row) != d:
                 raise ParameterError(
@@ -99,15 +99,11 @@ def _pattern_arrays(patterns, kind, layer, mode: str):
     ``value`` at column ``s + a + b * layer[s]``.  Exact values go over the
     lcm of their pattern's denominators."""
     lengths = np.array([len(p) for p in patterns])
-    counts = lengths[kind]
-    indptr = np.zeros(len(kind) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    row = np.repeat(np.arange(len(kind)), counts)
+    indptr = np.concatenate([[0], np.cumsum(lengths[kind])])
+    row = np.repeat(np.arange(len(kind)), lengths[kind])
     code = (np.cumsum(lengths) - lengths)[kind][row] + np.arange(indptr[-1]) - indptr[row]
-    entries = [entry for p in patterns for entry in p]
-    a, b = (np.array([e[i] for e in entries], dtype=np.int64) for i in (0, 1))
-    values = [e[2] for e in entries]
-    indices = row + a[code] + b[code] * layer[row]
+    a, b, values = zip(*(entry for p in patterns for entry in p))
+    indices = row + np.array(a)[code] + np.array(b)[code] * layer[row]
     if mode == FLOAT:
         return indptr, indices, np.array(values, dtype=float)[code]
     dens = [math.lcm(*[v.denominator for _, _, v in p]) for p in patterns]
@@ -124,13 +120,8 @@ def _float_arrays(op):
     if op.mode == FLOAT:
         return op.arrays
     indptr, indices, (nums, dens) = op.arrays
-    return indptr, indices, np.array(list(map(operator.truediv, nums,
-                                              _entry_dens(indptr, dens))))
-
-
-def _entry_dens(indptr, dens) -> np.ndarray:
-    """The row denominators of exact arrays, repeated for each entry."""
-    return np.repeat(np.array(dens, dtype=object), np.diff(indptr))
+    dens = np.repeat(np.array(dens, dtype=object), np.diff(indptr))
+    return indptr, indices, np.array(list(map(operator.truediv, nums, dens)))
 
 
 def _csr(arrays, n_cols: int, diagonal=None):
@@ -165,7 +156,8 @@ class _CSROperator:
         indptr, indices, values = self.arrays
         bounds, cols = indptr.tolist(), indices.tolist()
         if self.mode == RATIONAL:
-            values = list(map(Fraction, values[0], _entry_dens(indptr, values[1])))
+            dens = np.repeat(np.array(values[1], dtype=object), np.diff(indptr))
+            values = list(map(Fraction, values[0], dens))
         else:
             values = values.tolist()
         return [dict(zip(cols[lo:hi], values[lo:hi]))
@@ -176,7 +168,7 @@ class StochasticKernel(_CSROperator):
     """Sparse row-stochastic operator over an enumerated state space, given
     by dict ``rows`` ``{state_index: probability}`` or by CSR ``arrays``."""
 
-    def __init__(self, states, rows=None, mode=None, layers=None, arrays=None):
+    def __init__(self, states, rows=None, *, mode, layers=None, arrays=None):
         self.states, self.mode, self.layers = tuple(states), mode, layers
         self.index = {s: i for i, s in enumerate(self.states)}
         self._keep(rows, arrays)
