@@ -15,6 +15,7 @@ lattice; a triangular mesh would play the same role at pi/6.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -72,13 +73,15 @@ def _check_stochastic(arrays, mode: str, what: str = "row"):
     if mode == RATIONAL:
         nums, dens = values
         bounds = indptr.tolist()
-        for i, d in enumerate(dens):
-            row = nums[bounds[i]:bounds[i + 1]]
-            if min(row, default=0) < 0:
-                raise ParameterError(f"negative probability in {what} {i}")
-            if sum(row) != d:
-                raise ParameterError(
-                    f"{what} {i} sums to {Fraction(sum(row), d)}, not 1")
+        total = list(itertools.accumulate(nums, initial=0))
+        sums = [total[hi] - total[lo] for lo, hi in zip(bounds, bounds[1:])]
+        if sums != dens or min(nums, default=0) < 0:
+            for i, d in enumerate(dens):
+                if min(nums[bounds[i]:bounds[i + 1]], default=0) < 0:
+                    raise ParameterError(f"negative probability in {what} {i}")
+                if sums[i] != d:
+                    raise ParameterError(
+                        f"{what} {i} sums to {Fraction(sums[i], d)}, not 1")
         return arrays
     row_of = np.repeat(np.arange(n), np.diff(indptr))
     negative = np.bincount(row_of[values < 0], minlength=n) > 0
@@ -170,8 +173,11 @@ class StochasticKernel(_CSROperator):
 
     def __init__(self, states, rows=None, *, mode, layers=None, arrays=None):
         self.states, self.mode, self.layers = tuple(states), mode, layers
-        self.index = {s: i for i, s in enumerate(self.states)}
         self._keep(rows, arrays)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {s: i for i, s in enumerate(self.states)}
 
     @property
     def n_states(self) -> int:
