@@ -124,7 +124,8 @@ def _lifted_green(kernel: StochasticKernel, mask, transient, source):
     whose transient states are whole layers, or None.  It is lifted from the
     radial chain Q(k, k') = |F_k|^-1 sum over F_k x F_k' of P as g(k, y) =
     g1(k) / |F_k|, which holds when the uniform fiber link intertwines P
-    with Q, and kept only if it solves g (I - T) = e_src exactly."""
+    with Q, and kept only if it solves g (I - T) = e_src exactly and I - T
+    is invertible."""
     layers = kernel.layers
     if layers is None or kernel.states[source] != (0, 0) \
             or set(layers[mask].tolist()) & set(layers[~mask].tolist()):
