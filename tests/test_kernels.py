@@ -257,7 +257,7 @@ def test_float_validation_keeps_its_tolerance():
 
 def _reference_wedge_rows(lattice, spec, M, mode):
     """The wedge kernel's dict rows, one site at a time: the independent
-    side of the array builder's check."""
+    side of the check on ``wedge_kernel``'s arrays."""
     if mode == "rational":
         s2, r, one = spec.sin_sq, F(spec.apex_hold), F(1)
     else:
