@@ -60,13 +60,10 @@ def _output_path(args):
     return path
 
 
-def _wedge_operators(alpha: float, layers: int, mode: str):
+def _wedge_kernel(alpha: float, layers: int, mode: str):
     spec = geometry.WedgeSpec(alpha=alpha, layers=layers)
     lat = geometry.build_wedge_lattice(spec)
-    P = kernels.wedge_kernel(lat, spec, mode=mode)
-    Q = kernels.projected_wedge_chain(layers, alpha, mode=mode)
-    link = intertwining.build_link(lat)
-    return spec, lat, P, Q, link
+    return spec, lat, kernels.wedge_kernel(lat, spec, mode=mode)
 
 
 def cmd_verify_intertwining(args) -> int:
@@ -85,7 +82,9 @@ def cmd_verify_intertwining(args) -> int:
                             "semigroup": {str(t): v for t, v in semis.items()},
                             "report": json.loads(rep.to_json())}, ok)
     alpha = geometry.parse_angle(args.alpha)
-    spec, lat, P, Q, link = _wedge_operators(alpha, args.layers, args.mode)
+    spec, lat, P = _wedge_kernel(alpha, args.layers, args.mode)
+    Q = kernels.projected_wedge_chain(args.layers, alpha, mode=args.mode)
+    link = intertwining.build_link(lat)
     rep = intertwining.intertwining_residual(link, P, Q, mode="stochastic",
                                              tolerance=tol)
     harm = intertwining.harmonic_residual(Q)
@@ -121,9 +120,7 @@ def _simulate(kernel, args) -> int:
 
 def cmd_simulate_wedge(args) -> int:
     alpha = geometry.parse_angle(args.alpha)
-    spec = geometry.WedgeSpec(alpha=alpha, layers=args.stop_layer)
-    lat = geometry.build_wedge_lattice(spec)
-    return _simulate(kernels.wedge_kernel(lat, spec, mode="float"), args)
+    return _simulate(_wedge_kernel(alpha, args.stop_layer, "float")[2], args)
 
 
 def cmd_simulate_vase(args) -> int:
@@ -154,7 +151,7 @@ def cmd_green(args) -> int:
 
 def cmd_reverse(args) -> int:
     alpha = geometry.parse_angle(args.alpha)
-    spec, lat, P, Q, link = _wedge_operators(alpha, args.layers, args.mode)
+    spec, lat, P = _wedge_kernel(alpha, args.layers, args.mode)
     g = green_reversal.green_vector(P, (0, 0))
     rev = green_reversal.nagasawa_reverse(P, g)
     s2 = spec.float_sin_sq

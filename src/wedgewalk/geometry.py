@@ -117,6 +117,13 @@ def site_index(k: int, y: int) -> int:
     return k * k + (y + k)
 
 
+def _layer_major(layers: int):
+    """Layer and transverse arrays ``(k, y)`` of the sites 0 <= k <= layers,
+    |y| <= k, in ``site_index`` order."""
+    k = np.repeat(np.arange(layers + 1), 2 * np.arange(layers + 1) + 1)
+    return k, np.arange(k.size) - k * (k + 1)
+
+
 @dataclass(frozen=True)
 class WedgeLattice:
     """All sites (k, y), 0 <= k <= layers, |y| <= k, plus the planar embedding."""
@@ -135,18 +142,15 @@ class WedgeLattice:
         return site_index(k, y)
 
     def layers_of(self) -> np.ndarray:
-        return np.array([k for (k, _) in self.sites], dtype=np.int32)
+        return _layer_major(self.spec.layers)[0].astype(np.int32)
 
 
 def build_wedge_lattice(spec: WedgeSpec) -> WedgeLattice:
     """Enumerate the truncated wedge lattice; (N+1)^2 sites, injective embedding."""
-    sites = []
-    for k in range(spec.layers + 1):
-        for y in range(-k, k + 1):
-            sites.append((k, y))
-    ca, sa = math.cos(spec.alpha), math.sin(spec.alpha)
-    positions = np.array([k * ca + 1j * y * sa for (k, y) in sites])
-    return WedgeLattice(spec=spec, sites=tuple(sites), positions=positions)
+    k, y = _layer_major(spec.layers)
+    positions = k * math.cos(spec.alpha) + 1j * (y * math.sin(spec.alpha))
+    return WedgeLattice(spec=spec, sites=tuple(zip(k.tolist(), y.tolist())),
+                        positions=positions)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +313,8 @@ class VaseGrid:
 
     @property
     def sites(self):
-        out = []
-        for k in range(self.layers + 1):
-            for y in range(-k, k + 1):
-                out.append((k, y))
-        return tuple(out)
+        k, y = _layer_major(self.layers)
+        return tuple(zip(k.tolist(), y.tolist()))
 
     def index(self, k: int, y: int) -> int:
         if not (0 <= k <= self.layers and abs(y) <= k):

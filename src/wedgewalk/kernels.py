@@ -18,14 +18,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import VaseGrid, WedgeLattice, WedgeSpec
+from .geometry import VaseGrid, WedgeLattice, WedgeSpec, _layer_major
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -140,19 +139,31 @@ def _csr(arrays, n_cols: int, diagonal=None):
     return A
 
 
+def _check_rates(arrays, mode=FLOAT, what: str = "row"):
+    """Float ``_row_arrays`` of off-diagonal rates.  Raises ``ParameterError``
+    if a row stores a diagonal entry or a negative or non-finite rate."""
+    indptr, indices, data = arrays
+    row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    for bad, kind in ((indices == row, "diagonal entry stored"), (data < 0, "negative rate"),
+                      (~np.isfinite(data), "non-finite rate")):
+        if bad.any():
+            raise ParameterError(f"{kind} in {what} {row[np.argmax(bad)]}")
+    return arrays
+
+
 class _CSROperator:
     """An operator kept as checked CSR ``arrays`` in the ``_row_arrays``
     form of its ``mode``.  Dict ``rows`` given to the constructor are
     converted once; otherwise ``rows``, a list of ``{column: value}``, is
     built from the arrays on first access."""
 
-    what = "row"
+    what, check = "row", staticmethod(_check_stochastic)
 
     def _keep(self, rows, arrays):
         if arrays is None:
             arrays = _row_arrays(rows, exact=self.mode == RATIONAL)
             self.rows = rows
-        self.arrays = _check_stochastic(arrays, self.mode, self.what)
+        self.arrays = self.check(arrays, self.mode, self.what)
 
     @functools.cached_property
     def rows(self) -> list:
@@ -166,6 +177,14 @@ class _CSROperator:
         return [dict(zip(cols[lo:hi], values[lo:hi]))
                 for lo, hi in zip(bounds, bounds[1:])]
 
+    @functools.cached_property
+    def index(self) -> dict:
+        return {s: i for i, s in enumerate(self.states)}
+
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
+
 
 class StochasticKernel(_CSROperator):
     """Sparse row-stochastic operator over an enumerated state space, given
@@ -174,14 +193,6 @@ class StochasticKernel(_CSROperator):
     def __init__(self, states, rows=None, *, mode, layers=None, arrays=None):
         self.states, self.mode, self.layers = tuple(states), mode, layers
         self._keep(rows, arrays)
-
-    @functools.cached_property
-    def index(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
 
     def is_absorbing(self, i: int) -> bool:
         return bool(self.absorbing_mask()[i])
@@ -195,46 +206,42 @@ class StochasticKernel(_CSROperator):
         return _csr(_float_arrays(self), self.n_states)
 
 
-@dataclass
-class RateMatrix:
-    """Sparse conservative rate matrix: stored off-diagonal rates >= 0,
-    diagonal implicitly minus the off-diagonal row sum."""
+class RateMatrix(_CSROperator):
+    """Sparse conservative rate matrix: CSR ``arrays`` of the off-diagonal
+    rates (``rows``, alias ``off_rows``, their dict view) and ``exit_rates``,
+    the negated diagonal, by default each row's rates summed in dict order."""
 
-    states: tuple
-    off_rows: list        # list of {state_index: rate}, no diagonal entries
-    layers: Optional[np.ndarray] = field(default=None, repr=False)
+    mode, check = FLOAT, staticmethod(_check_rates)
 
-    def __post_init__(self):
-        self.index = {s: i for i, s in enumerate(self.states)}
-        for i, row in enumerate(self.off_rows):
-            if i in row:
-                raise ParameterError(f"diagonal entry stored in row {i}")
-            if any(v < 0 for v in row.values()):
-                raise ParameterError(f"negative rate in row {i}")
+    def __init__(self, states, off_rows=None, layers=None, *, arrays=None,
+                 exit_rates=None):
+        self.states, self.layers = tuple(states), layers
+        self._keep(off_rows, arrays)
+        self.exit_rates = np.asarray([sum(r.values()) for r in self.rows]
+                                     if exit_rates is None else exit_rates, dtype=float)
 
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
+    off_rows = property(lambda self: self.rows)
 
     def to_csr(self):
         """The full generator, diagonal included."""
-        return _csr(_row_arrays(self.off_rows), self.n_states,
-                    diagonal=[-sum(r.values()) for r in self.off_rows])
+        return _csr(self.arrays, self.n_states, diagonal=-self.exit_rates)
 
     def is_absorbing(self, i: int) -> bool:
-        return not self.off_rows[i]
+        return bool(self.arrays[0][i] == self.arrays[0][i + 1])
 
     def jump_chain(self) -> StochasticKernel:
-        """Embedded discrete chain; zero-rate rows become absorbing."""
-        rows = []
-        for i, row in enumerate(self.off_rows):
-            tot = sum(row.values())
-            if tot == 0:
-                rows.append({i: 1.0})
-            else:
-                rows.append({j: v / tot for j, v in row.items()})
-        return StochasticKernel(states=self.states, rows=rows, mode=FLOAT,
-                                layers=self.layers)
+        """Embedded discrete chain: each row's rates over its exit rate;
+        zero-rate rows become absorbing."""
+        indptr, indices, data = self.arrays
+        n, rate = self.n_states, np.repeat(self.exit_rates, np.diff(indptr))
+        move, stay = rate != 0, np.flatnonzero(self.exit_rates == 0)
+        row = np.concatenate([np.repeat(np.arange(n), np.diff(indptr))[move], stay])
+        order = np.argsort(row, kind="stable")    # a staying row holds one entry
+        arrays = (np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]),
+                  np.concatenate([indices[move], stay])[order],
+                  np.concatenate([data[move] / rate[move], np.ones(stay.size)])[order])
+        return StochasticKernel(states=self.states, mode=FLOAT, layers=self.layers,
+                                arrays=arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +333,32 @@ def row_displacement(kernel: StochasticKernel, i: int):
 # vase operators
 # ---------------------------------------------------------------------------
 
-def _layer_rates(cot: np.ndarray, k: int):
-    """Forward/backward horizontal rates at layer k from the two adjacent
+def _layer_rates(cot: np.ndarray, k):
+    """Forward/backward horizontal rates at layer(s) k from the two adjacent
     boundary-segment slopes."""
     ck, cm = cot[k], cot[k - 1]
-    if not (np.isfinite(ck) and np.isfinite(cm)) or ck <= 0 or cm <= 0:
-        raise ParameterError(f"degenerate boundary angle near layer {k}")
+    bad = ~(np.isfinite(ck) & np.isfinite(cm) & (ck > 0) & (cm > 0))
+    if bad.any():
+        raise ParameterError("degenerate boundary angle near layer "
+                             f"{np.atleast_1d(k)[np.atleast_1d(bad)][0]}")
     s = ck + cm
     return 1.0 / (ck * s), 1.0 / (cm * s)
+
+
+def _vase_layer_rates(grid: VaseGrid, apex_rate: float):
+    """Per-layer horizontal rates (c_k, d_k), zero at the apex and the top."""
+    if apex_rate <= 0:
+        raise ParameterError("apex_rate must be positive")
+    c, d = np.zeros(grid.layers + 1), np.zeros(grid.layers + 1)
+    c[1:-1], d[1:-1] = _layer_rates(grid.cot_angles(), np.arange(1, grid.layers))
+    return c, d
+
+
+def _slot_arrays(cols, vals):
+    """Float CSR arrays of rows given as slot tables: ascending columns, -1
+    marking an unused slot, and their values."""
+    used = cols >= 0
+    return np.concatenate([[0], np.cumsum(used.sum(axis=1))]), cols[used], vals[used]
 
 
 def vase_rate_matrix(grid: VaseGrid, apex_rate: float = 1.0 / 6.0,
@@ -354,66 +379,44 @@ def vase_rate_matrix(grid: VaseGrid, apex_rate: float = 1.0 / 6.0,
     which leaves an O(1/N) identity defect at the fiber edges and a
     boundary flux bias that does not vanish in the scaling limit.
     """
-    if apex_rate <= 0:
-        raise ParameterError("apex_rate must be positive")
-    K = grid.layers
-    cot = grid.cot_angles()
-    idx = grid.index
-
-    def vertical(k, c, d, y_from, y_to):
-        if not exact_projection:
-            return 0.5
-        ybond = min(y_from, y_to)       # bond (ybond, ybond+1)
-        skew = (c - d) * (2 * ybond + 1) / (2 * (2 * k + 1))
-        rate = 0.5 + skew if y_to > y_from else 0.5 - skew
-        if rate < 0:
-            raise ParameterError(
-                f"vertical rate negative at layer {k}; grid too coarse for "
-                "this shape near the apex")
-        return rate
-
-    rows = []
-    for (k, y) in grid.sites:
-        if k >= K:
-            rows.append({})
-            continue
-        if k == 0:
-            rows.append({idx(1, -1): apex_rate, idx(1, 0): apex_rate,
-                         idx(1, 1): apex_rate})
-            continue
-        c, d = _layer_rates(cot, k)
-        if y == k:
-            rows.append({idx(k, k - 1): vertical(k, c, d, k, k - 1),
-                         idx(k + 1, k): c, idx(k + 1, k + 1): c})
-        elif y == -k:
-            rows.append({idx(k, -k + 1): vertical(k, c, d, -k, -k + 1),
-                         idx(k + 1, -k): c, idx(k + 1, -k - 1): c})
-        else:
-            rows.append({idx(k, y + 1): vertical(k, c, d, y, y + 1),
-                         idx(k, y - 1): vertical(k, c, d, y, y - 1),
-                         idx(k + 1, y): c, idx(k - 1, y): d})
-    layers = np.array([k for (k, _) in grid.sites], dtype=np.int32)
-    return RateMatrix(states=grid.sites, off_rows=rows, layers=layers)
+    c, d = _vase_layer_rates(grid, apex_rate)
+    k, y = _layer_major(grid.layers)
+    s, inside, c, d = np.arange(k.size), (0 < k) & (k < grid.layers), c[k], d[k]
+    up = down = np.full(k.size, 0.5)
+    if exact_projection:            # the skew on the bonds (y, y+1) and (y-1, y)
+        skew = lambda yb: (c - d) * (2 * yb + 1) / (2 * (2 * k + 1))
+        up, down = 0.5 + skew(y), 0.5 - skew(y - 1)
+        low = inside & (((y < k) & (up < 0)) | ((y > -k) & (down < 0)))
+        if low.any():
+            raise ParameterError(f"vertical rate negative at layer {k[low][0]}; grid "
+                                 "too coarse for this shape near the apex")
+    cols, vals = np.full((k.size, 4), -1), np.zeros((k.size, 4))
+    # each row kind's entries in column order (site_index puts (k, y) at k^2 + y + k)
+    inner = inside & (abs(y) < k)
+    for rows, entries in (
+            (k == 0, [(1, apex_rate), (2, apex_rate), (3, apex_rate)]),
+            (inside & (y == k), [(s - 1, down), (s + 2 * k + 2, c), (s + 2 * k + 3, c)]),
+            (inside & (y == -k), [(s + 1, up), (s + 2 * k + 1, c), (s + 2 * k + 2, c)]),
+            (inner, [(s - 2 * k, d), (s - 1, down), (s + 1, up), (s + 2 * k + 2, c)])):
+        for slot, (col, val) in enumerate(entries):
+            cols[rows, slot] = np.broadcast_to(col, k.shape)[rows]
+            vals[rows, slot] = np.broadcast_to(val, k.shape)[rows]
+    # exit rates summed as the rows are listed: up, down, forward, back
+    exit_rates = np.where(inner, ((up + down) + c) + d,
+                          (vals[:, 0] + vals[:, 1]) + vals[:, 2])
+    return RateMatrix(states=grid.sites, layers=k.astype(np.int32),
+                      arrays=_slot_arrays(cols, vals), exit_rates=exit_rates)
 
 
 def projected_vase_rates(grid: VaseGrid, apex_rate: float = 1.0 / 6.0) -> RateMatrix:
     """Projected birth-death rates on the abscissas x_0..x_K, top absorbing."""
-    if apex_rate <= 0:
-        raise ParameterError("apex_rate must be positive")
-    K = grid.layers
-    cot = grid.cot_angles()
-    rows = []
-    for k in range(K + 1):
-        if k >= K:
-            rows.append({})
-        elif k == 0:
-            rows.append({1: 3.0 * apex_rate})
-        else:
-            c, d = _layer_rates(cot, k)
-            rows.append({k + 1: (2 * k + 3) / (2 * k + 1) * c,
-                         k - 1: (2 * k - 1) / (2 * k + 1) * d})
-    return RateMatrix(states=tuple(range(K + 1)), off_rows=rows,
-                      layers=np.arange(K + 1, dtype=np.int32))
+    c, d = _vase_layer_rates(grid, apex_rate)
+    k = np.arange(grid.layers + 1)
+    cols = np.where((0 < k) & (k < grid.layers), [k - 1, k + 1], -1).T
+    vals = np.array([(2 * k - 1) / (2 * k + 1) * d, (2 * k + 3) / (2 * k + 1) * c]).T
+    cols[0], vals[0] = (1, -1), (3.0 * apex_rate, 0.0)
+    return RateMatrix(states=tuple(range(k.size)), layers=k.astype(np.int32),
+                      arrays=_slot_arrays(cols, vals), exit_rates=vals[:, 0] + vals[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +427,12 @@ def write_triplets(op, path) -> None:
     """Dump a kernel or rate matrix as text rows of
     ``from to numerator denominator`` (rational) or ``from to value`` (float)."""
     with open(path, "w") as fh:
-        if isinstance(op, RateMatrix):
-            fh.write("# rate-matrix float\n")
-            for i, row in enumerate(op.off_rows):
-                for j in sorted(row):
-                    fh.write(f"{i} {j} {float(row[j])!r}\n")
-        elif op.mode == RATIONAL:
-            fh.write("# stochastic rational\n")
-            for i, row in enumerate(op.rows):
-                for j in sorted(row):
-                    v = Fraction(row[j])
-                    fh.write(f"{i} {j} {v.numerator} {v.denominator}\n")
-        else:
-            fh.write("# stochastic float\n")
-            for i, row in enumerate(op.rows):
-                for j in sorted(row):
-                    fh.write(f"{i} {j} {float(row[j])!r}\n")
+        kind = "rate-matrix" if isinstance(op, RateMatrix) else "stochastic"
+        fh.write(f"# {kind} {op.mode}\n")
+        for i, row in enumerate(op.rows):
+            for j, v in sorted(row.items()):
+                fh.write(f"{i} {j} {v.numerator} {v.denominator}\n" if op.mode == RATIONAL
+                         else f"{i} {j} {float(v)!r}\n")
 
 
 def read_triplets(path):

@@ -344,18 +344,33 @@ def test_console_entry_point():
         assert cmd in out.stdout
 
 
-def test_vase_rate_check_memory_scales_with_nonzeros(tmp_path):
-    # 16,641 states: dense n x n operators would need more than 2 GB
+def _vase_check_peak_mb(tmp_path, K):
+    """Peak RSS, in MB, of a child process running the vase rate and
+    semigroup checks at resolution = layers = K.  Its address space is capped
+    at 4 GB, so that a regression fails here instead of being OOM-killed."""
+    import resource
+
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
     with open(tmp_path / "stderr.txt", "w") as err:
         child = subprocess.Popen(
             [sys.executable, "-m", "wedgewalk", "verify-intertwining",
-             "--shape", "power:2", "--resolution", "128", "--layers", "128",
+             "--shape", "power:2", "--resolution", str(K), "--layers", str(K),
              "--output", str(tmp_path / "record.json")],
-            stdout=subprocess.DEVNULL, stderr=err, env=child_env())
+            stdout=subprocess.DEVNULL, stderr=err, env=child_env(), preexec_fn=cap)
         _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0, (tmp_path / "stderr.txt").read_text()
-    assert usage.ru_maxrss / 1024 < 600     # ru_maxrss is in KiB on Linux
+    assert os.waitstatus_to_exitcode(status) == 0, (tmp_path / "stderr.txt").read_text()
+    return usage.ru_maxrss / 1024       # ru_maxrss is in KiB on Linux
+
+
+def test_vase_rate_check_memory_scales_with_nonzeros(tmp_path):
+    # 16,641 states: dense n x n operators would need more than 2 GB, and
+    # dense (K+1) x (K+1)^2 semigroup arrays about 180 MB
+    assert _vase_check_peak_mb(tmp_path, 128) < 150
+
+
+def test_vase_rate_check_fits_at_256_layers(tmp_path):
+    # 66,049 states; the dense semigroup arrays alone would take 1 GB
+    assert _vase_check_peak_mb(tmp_path, 256) < 300
 
 
 def test_import_loads_no_scipy():
@@ -368,17 +383,38 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_simulate_wedge_loads_no_scipy_sparse(tmp_path):
-    # the sampler builds its tables with numpy alone
+def _scipy_sparse_loaded_by(tmp_path, command):
     record = str(tmp_path / "record.json")
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys; from wedgewalk.cli import main; "
-         f"rc = main(['simulate-wedge', '--paths', '2000', '--output', {record!r}]); "
+         f"rc = main([{command!r}, '--paths', '2000', '--output', {record!r}]); "
          "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_simulate_wedge_loads_no_scipy_sparse(tmp_path):
+    # the sampler builds its tables with numpy alone
+    assert _scipy_sparse_loaded_by(tmp_path, "simulate-wedge") == "0 []"
+
+
+def test_simulate_vase_loads_no_scipy_sparse(tmp_path):
+    # so do the vase rate matrix and its jump chain
+    assert _scipy_sparse_loaded_by(tmp_path, "simulate-vase") == "0 []"
+
+
+def test_reverse_builds_only_the_planar_kernel(monkeypatch, capsys):
+    from wedgewalk import intertwining, kernels
+
+    def unused(*args, **kwargs):
+        raise AssertionError("reverse built an operator it does not read")
+
+    monkeypatch.setattr(kernels, "projected_wedge_chain", unused)
+    monkeypatch.setattr(intertwining, "build_link", unused)
+    assert run_cli(["reverse", "--layers", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["table_residual"] <= 1e-12
 
 
 def test_no_subcommand_loads_scipy_integrate_or_optimize(tmp_path):

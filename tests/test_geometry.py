@@ -148,3 +148,28 @@ def test_shape_from_spec_table_file(tmp_path):
     path.write_text("\n".join(rows))
     shape = shape_from_spec(f"table:{path}")
     assert shape(1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_sites(N, alpha):
+    """Sites, planar positions and layers, one site at a time."""
+    sites = [(k, y) for k in range(N + 1) for y in range(-k, k + 1)]
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    return (tuple(sites), np.array([k * ca + 1j * y * sa for (k, y) in sites]),
+            np.array([k for (k, _) in sites], dtype=np.int32))
+
+
+@pytest.mark.parametrize("N", [1, 2, 30, 100])
+def test_lattice_arrays_are_the_site_loop(N):
+    sites, _, layers = _reference_sites(N, 0.7)
+    grid_sites = build_vase_grid(power_shape(2.0), N, N).sites
+    assert grid_sites == sites and type(grid_sites[-1][1]) is int
+    if N < 2:
+        return                          # a wedge has at least two layers
+    for alpha in (math.pi / 6, math.pi / 4, 0.7):
+        sites, positions, layers = _reference_sites(N, alpha)
+        lat = build_wedge_lattice(WedgeSpec(alpha=alpha, layers=N))
+        assert lat.sites == sites and type(lat.sites[-1][0]) is int
+        assert lat.positions.dtype == positions.dtype
+        assert np.array_equal(lat.positions.view(np.int64), positions.view(np.int64))
+        got = lat.layers_of()
+        assert got.dtype == np.int32 and np.array_equal(got, layers)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wedgewalk import (
     MarkovLink,
     ParameterError,
+    RateMatrix,
     ShapeError,
     StochasticKernel,
     WedgeSpec,
@@ -307,16 +308,161 @@ def test_wedge_csr_and_residual_random_angle(alpha, n):
     assert rep.residual <= 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the vase builders against their dict-row reference
+# ---------------------------------------------------------------------------
+
+def _reference_layer_rates(cot, k):
+    ck, cm = cot[k], cot[k - 1]
+    if not (np.isfinite(ck) and np.isfinite(cm)) or ck <= 0 or cm <= 0:
+        raise ParameterError(f"degenerate boundary angle near layer {k}")
+    s = ck + cm
+    return 1.0 / (ck * s), 1.0 / (cm * s)
+
+
+def _reference_vase_rows(grid, apex_rate=1.0 / 6.0, exact_projection=True):
+    """The vase chain's dict rows, one site at a time, each listing its
+    rates as up, down, forward, back: the independent side of the checks on
+    ``vase_rate_matrix``, whose exit rates are summed in that order."""
+    K, cot, idx = grid.layers, grid.cot_angles(), grid.index
+
+    def vertical(k, c, d, y_from, y_to):
+        if not exact_projection:
+            return 0.5
+        ybond = min(y_from, y_to)
+        skew = (c - d) * (2 * ybond + 1) / (2 * (2 * k + 1))
+        rate = 0.5 + skew if y_to > y_from else 0.5 - skew
+        if rate < 0:
+            raise ParameterError(
+                f"vertical rate negative at layer {k}; grid too coarse for "
+                "this shape near the apex")
+        return rate
+
+    rows = []
+    for (k, y) in grid.sites:
+        if k >= K:
+            rows.append({})
+        elif k == 0:
+            rows.append({idx(1, -1): apex_rate, idx(1, 0): apex_rate, idx(1, 1): apex_rate})
+        else:
+            c, d = _reference_layer_rates(cot, k)
+            if y == k:
+                rows.append({idx(k, k - 1): vertical(k, c, d, k, k - 1),
+                             idx(k + 1, k): c, idx(k + 1, k + 1): c})
+            elif y == -k:
+                rows.append({idx(k, -k + 1): vertical(k, c, d, -k, -k + 1),
+                             idx(k + 1, -k): c, idx(k + 1, -k - 1): c})
+            else:
+                rows.append({idx(k, y + 1): vertical(k, c, d, y, y + 1),
+                             idx(k, y - 1): vertical(k, c, d, y, y - 1),
+                             idx(k + 1, y): c, idx(k - 1, y): d})
+    return rows
+
+
+def _reference_projected_rows(grid, apex_rate=1.0 / 6.0):
+    K, cot = grid.layers, grid.cot_angles()
+    rows = [{1: 3.0 * apex_rate}]
+    for k in range(1, K):
+        c, d = _reference_layer_rates(cot, k)
+        rows.append({k + 1: (2 * k + 3) / (2 * k + 1) * c,
+                     k - 1: (2 * k - 1) / (2 * k + 1) * d})
+    return rows + [{}]
+
+
+def _reference_jump_rows(rows):
+    return [{j: v / sum(r.values()) for j, v in r.items()} if sum(r.values()) else {i: 1.0}
+            for i, r in enumerate(rows)]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert got[2].dtype == want[2].dtype == np.float64
+    assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+
+
+def _check_vase_builders(grid, **options):
+    """Both builders equal the reference bit for bit, exit rates and jump
+    chain included, or both raise the same ``ParameterError``; returns the
+    operators."""
+    built = []
+    for build, reference, opts in (
+            (vase_rate_matrix, _reference_vase_rows, options),
+            (projected_vase_rates, _reference_projected_rows,
+             {"apex_rate": options.get("apex_rate", 1.0 / 6.0)})):
+        try:
+            want = reference(grid, **opts)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError, match=f"^{exc}$"):
+                build(grid, **opts)
+            return None
+        Q = build(grid, **opts)
+        assert_same_bits(Q.arrays, _row_arrays(want))
+        exits = np.array([sum(r.values()) for r in want], dtype=float)
+        assert np.array_equal(Q.exit_rates.view(np.int64), exits.view(np.int64))
+        assert_same_bits(Q.jump_chain().arrays, _row_arrays(_reference_jump_rows(want)))
+        assert Q.rows == want and "rows" in vars(Q)
+        built.append(Q)
+    return built
+
+
+@pytest.mark.parametrize("shape", ["power:2", "power:1.5", "power:3", "linear:0.8"])
+def test_vase_builders_match_the_dict_row_reference(shape):
+    for K in (1, 2, 20, 64):
+        for exact in (True, False):
+            assert _check_vase_builders(build_vase_grid(shape, K, K), exact_projection=exact)
+    assert _check_vase_builders(build_vase_grid(shape, 12, 8), apex_rate=0.4)
+
+
+def test_vase_builders_refuse_what_the_reference_refuses():
+    # beta = 0.5 skews the first layer's vertical rates below zero at K = 8
+    grid = build_vase_grid(power_shape(0.5), 8, 8)
+
+    def bent(layer):
+        angles = np.array(grid.angles)
+        angles[layer] = -0.3
+        return type(grid)(shape=grid.shape, resolution=8, layers=8,
+                          abscissas=grid.abscissas, angles=angles)
+
+    for g, exact, message in ((grid, True, "vertical rate negative at layer 1"),
+                              (bent(2), False, "degenerate boundary angle near layer 2"),
+                              (bent(0), True, "degenerate boundary angle near layer 1")):
+        with pytest.raises(ParameterError, match=message):
+            _reference_vase_rows(g, exact_projection=exact)
+        assert _check_vase_builders(g, exact_projection=exact) is None
+    # a degenerate angle is refused before any vertical rate is formed
+    for build in (vase_rate_matrix, projected_vase_rates):
+        with pytest.raises(ParameterError, match="degenerate boundary angle near layer 2"):
+            build(bent(2))
+    for apex_rate in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="apex_rate must be positive"):
+            vase_rate_matrix(grid, apex_rate=apex_rate)
+
+
+def test_rate_rows_go_through_one_rate_check():
+    for rows, message in (([{1: 1.0}, {1: 2.0}], "diagonal entry stored in row 1"),
+                          ([{1: 1.0}, {0: -2.0}], "negative rate in row 1"),
+                          ([{1: math.nan}, {}], "non-finite rate in row 0"),
+                          ([{1: 0.5}, {0: math.inf}], "non-finite rate in row 1")):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            RateMatrix(states=(0, 1), off_rows=rows)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            RateMatrix(states=(0, 1), arrays=_row_arrays(rows), exit_rates=[0.0, 0.0])
+    Q = RateMatrix(states=(0, 1), off_rows=[{1: 0.25}, {}])
+    assert Q.exit_rates.tolist() == [0.25, 0.0] and Q.is_absorbing(1)
+    assert Q.jump_chain().rows == [{1: 1.0}, {1: 1.0}]
+
+
 # vase_rate_matrix accepts every power shape with beta in [0.7, 4] at K <= 12
 @settings(max_examples=20, deadline=None)
 @given(beta=st.floats(0.7, 4.0), K=st.integers(2, 12))
 def test_vase_csr_generator_and_residuals_random_power(beta, K):
     grid = build_vase_grid(power_shape(beta), K, K)
     link = build_link(grid)
-    Q2, Q1 = vase_rate_matrix(grid), projected_vase_rates(grid)
-    for Q in (Q2, Q1):
-        expected = dense_rows(Q.off_rows, Q.n_states)
-        np.fill_diagonal(expected, [-sum(r.values()) for r in Q.off_rows])
+    Q2, Q1 = _check_vase_builders(grid)
+    for Q, rows in ((Q2, _reference_vase_rows(grid)), (Q1, _reference_projected_rows(grid))):
+        expected = dense_rows(rows, Q.n_states)
+        np.fill_diagonal(expected, [-sum(r.values()) for r in rows])
         G = Q.to_csr().toarray()
         assert np.array_equal(G, expected)
         assert np.abs(G.sum(axis=1)).max() <= 1e-12
@@ -324,3 +470,72 @@ def test_vase_csr_generator_and_residuals_random_power(beta, K):
     assert rep.residual <= 1e-12
     semis = semigroup_residual(link, Q2, Q1, times=[0.1, 1.0])
     assert max(semis.values()) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+                      min_size=2, max_size=6),
+       K=st.integers(1, 12), resolution=st.integers(1, 12))
+def test_vase_identities_on_random_tables(steps, K, resolution):
+    xs = np.concatenate([[0.0], np.cumsum([dx for dx, _ in steps])])
+    hs = np.concatenate([[0.0], np.cumsum([dh for _, dh in steps])])
+    try:
+        grid = build_vase_grid((xs, hs), resolution, K)
+    except ParameterError:
+        return                          # the table does not reach level K/N
+    ops = _check_vase_builders(grid)
+    if ops is None:
+        return                          # both builders refused the grid
+    Q2, Q1 = ops
+    link = build_link(grid)
+    assert intertwining_residual(link, Q2, Q1, mode="rates").residual <= 1e-12
+    assert max(semigroup_residual(link, Q2, Q1, times=[0.1, 1.0]).values()) <= 1e-10
+
+
+def _reference_semigroup(link, Q2, Q1, times, tail=1e-14):
+    """The four-array uniformization: dense (K+1) x (K+1)^2 accumulators."""
+    import scipy.sparse as sp
+
+    lam = 1.01 * max(Q2.exit_rates.max(), Q1.exit_rates.max(), 1e-12)
+    D2 = sp.identity(Q2.n_states, format="csr") + Q2.to_csr() / lam
+    D1 = sp.identity(Q1.n_states, format="csr") + Q1.to_csr() / lam
+    L = link.to_csr().toarray()
+    out = {}
+    for t in times:
+        w, total, n = math.exp(-lam * t), 0.0, 0
+        acc2, acc1, term2, term1 = np.zeros_like(L), np.zeros_like(L), L.copy(), L.copy()
+        while total < 1.0 - 1e-14 and n < 500000:
+            acc2 += w * term2
+            acc1 += w * term1
+            total += w
+            n += 1
+            w *= lam * t / n
+            term2 = term2 @ D2
+            term1 = D1 @ term1
+        out[t] = float(np.abs(acc2 - acc1).max())
+    return out
+
+
+def test_blocked_semigroup_check_still_sees_the_plain_rates_defect():
+    # plain vertical rates leave an O(1/N) defect, which both forms measure
+    grid = build_vase_grid(power_shape(2.0), 12, 12)
+    link = build_link(grid)
+    Q2, Q1 = vase_rate_matrix(grid, exact_projection=False), projected_vase_rates(grid)
+    times = [0.1, 1.0, 3.0]
+    got = semigroup_residual(link, Q2, Q1, times=times)
+    want = _reference_semigroup(link, Q2, Q1, times)
+    assert list(got) == times and min(want.values()) > 1e-4
+    for t in times:
+        assert got[t] == pytest.approx(want[t], rel=1e-12)
+
+
+def test_vase_verify_converts_no_dict_rows(monkeypatch, tmp_path, capsys):
+    from wedgewalk import cli, intertwining, kernels
+
+    seen = []
+    monkeypatch.setattr(kernels, "_row_arrays", lambda *a: seen.append(a))
+    monkeypatch.setattr(intertwining, "_row_arrays", lambda *a: seen.append(a))
+    assert cli.main(["verify-intertwining", "--shape", "power:2", "--layers", "16",
+                     "--output", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert seen == []
