@@ -504,7 +504,7 @@ def _reference_semigroup(link, Q2, Q1, times, tail=1e-14):
     for t in times:
         w, total, n = math.exp(-lam * t), 0.0, 0
         acc2, acc1, term2, term1 = np.zeros_like(L), np.zeros_like(L), L.copy(), L.copy()
-        while total < 1.0 - 1e-14 and n < 500000:
+        while total < 1.0 - tail and n < 500000:
             acc2 += w * term2
             acc1 += w * term1
             total += w
