@@ -201,24 +201,28 @@ def semigroup_residual(link: MarkovLink, two_dim_rates: RateMatrix,
             total += w
             w *= lam * t / len(weights[t])
 
-    def mix(term, D):               # {t: sum_n w_n(t) D^n term}
+    def mix(term, D):               # {t: sum_n w_n(t) D^n term}, and a spare block
         acc = {t: np.zeros_like(term) for t in weights}
+        spare = np.empty_like(term)
         for n in range(max(map(len, weights.values()), default=0)):
-            term = D @ term if n else term
+            if n:                   # the last power becomes the spare block
+                spare = None
+                term, spare = D @ term, term
             for t, w in weights.items():
                 if n < len(w):
-                    acc[t] += w[n] * term
-        return acc
+                    acc[t] += np.multiply(w[n], term, out=spare)
+        return acc, spare
 
-    S1 = mix(np.identity(n1), D1)
+    S1 = mix(np.identity(n1), D1)[0]
     Lt = link.to_csr().T.tocsr()
     out = dict.fromkeys(weights, 0.0)
     for lo in range(0, n1, _BLOCK):
         # (L e^{tQ2})^T and (e^{tQ1} L)^T on the block's link rows
-        planar = mix(Lt[:, lo:lo + _BLOCK].toarray(), D2t)
+        planar, spare = mix(Lt[:, lo:lo + _BLOCK].toarray(), D2t)
         for t, acc in planar.items():
             acc -= Lt @ S1[t][lo:lo + _BLOCK].T
-            out[t] = float(np.maximum(out[t], np.abs(acc).max()))     # NaN stays
+            out[t] = float(np.maximum(out[t], np.abs(acc, out=spare).max()))  # NaN stays
+        del planar, acc, spare      # before the next block's blocks exist
     return out
 
 

@@ -7,15 +7,14 @@ alone.  Aggregation is a sum of per-block integer counts, hence associative
 and order-independent.
 
 All chains are stepped through one vectorized kernel representation.  A
-path's state is the pair (site, last reflecting side), so the target table
-carries the side and tracking it costs nothing per step.  Each step draws
-one raw Philox word per live path and reads the move from a guide table
-(Chen & Asau 1974) by the pair and the word's top bits; where a threshold
-splits that bucket it counts the row's thresholds at or below the word's
-uniform, in exact integers.  Vase chains enter through their embedded jump
-chain, whose hitting statistics coincide with the continuous-time chain's.
+path's state is the pair (site, last reflecting side), held as a signed
+entry.  Each step draws one raw Philox word per live path and gathers the
+next entry from a guide table (Chen & Asau 1974) by the pair and the word's
+top 4 or 6 bits; one sign test per step finds the paths that stopped or
+whose bucket a threshold splits, and the latter follow exact-integer
+threshold records.  Vase chains enter through their embedded jump chain,
+whose hitting statistics coincide with the continuous-time chain's.
 """
-
 from __future__ import annotations
 
 import enum
@@ -28,9 +27,6 @@ import numpy as np
 from .errors import ParameterError, SimulationTimeout
 from . import green_reversal as _green
 from .kernels import StochasticKernel, _float_arrays
-
-BUCKET_BITS = 4     # a step's guide bucket is the top bits of its raw word
-
 
 class Side(enum.IntEnum):
     UNDEFINED = 0
@@ -99,22 +95,24 @@ class PathAggregate:
                              steps_max=max(self.steps_max, other.steps_max))
 
 
-def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
+def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     """Step tables of the walk on pairs ``a = 3 * state + last side``.
 
-    ``side`` gives each state's reflecting side (0 for none).  A step reads
-    ``m = raw >> 11`` of its raw Philox word; the uniform ``m * 2**-53`` is
-    ``>= c`` exactly when ``m >= ceil(c * 2**53)``.  With W the widest row,
-    returns ``(thresholds, targets, guide)``: row c of the (W-1, 3n) int64
-    ``thresholds`` holds every pair's cumulative probability through its
-    c-th target in those units (2**53 past the end of a short row, which no
-    draw reaches); a pair whose m reaches j of its thresholds moves to
-    ``targets[a * W + j]``, the target state paired with its own side, or
-    with the pair's side if the target lies on none.  The row's last
-    cumulative value is never compared, so j stays below W even when
-    rounding leaves the row sum under a uniform.  ``guide[a << BUCKET_BITS
-    | (raw >> 64 - BUCKET_BITS)]`` is that target pair shifted left by
-    BUCKET_BITS, or -1 where a threshold splits the word's bucket.
+    ``side`` gives each state's reflecting side (0 for none) and ``stop`` the
+    states where a walk ends.  Returns ``(bits, entry, guide, records)``.
+    Being at pair a is the int64 entry ``entry[a]``: ``a << bits`` to go on,
+    ``~a`` when a's state stops the walk.  A step reads its raw Philox word;
+    ``m = raw >> 11`` gives the uniform ``m * 2**-53``, which is ``>= c``
+    exactly when ``m >= ceil(c * 2**53)``.  Row i moves to its j-th target
+    when m reaches j of its cumulative probabilities (the last one is never
+    compared, so rounding cannot run past the row), paired with the target's
+    own side, or with the pair's side if the target lies on none.  The next
+    entry is ``guide[(a << bits) + (raw >> 64 - bits)]`` unless a threshold
+    falls inside the word's bucket; then it is ``split - k`` with ``split =
+    -1 - entry.size``, naming row k of ``records``: (threshold, entry for m
+    below it, entry for m at or above it), the latter another record when
+    the bucket holds a further threshold.  Buckets are 4 bits wide, or 6 when
+    more than 1 in 32 of the 4-bit cells would hold a threshold.
     """
     indptr, indices, data = _float_arrays(kernel)
     n = kernel.n_states
@@ -127,7 +125,6 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
     cum = np.cumsum(cum, axis=1)
     cum[np.arange(W) >= counts[:, None]] = 1.0
     T = np.ceil(cum[:, :W - 1] * 2.0 ** 53).astype(np.int64)
-    thresholds = np.repeat(T.T, 3, axis=1)
     # padding slots repeat the row's last target
     last = indices[indptr[1:] - 1]
     tgt = np.repeat(last[:, None], W, axis=1)
@@ -135,13 +132,30 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray):
     tside = side.astype(np.int64)[tgt][:, None, :]
     kept = np.arange(3)[None, :, None]
     targets = 3 * tgt[:, None, :] + np.where(tside != 0, tside, kept)
-    # j counts the thresholds at or below a bucket's first draw; the bucket
-    # is split where the count at its last draw differs
-    first = np.arange(1 << BUCKET_BITS, dtype=np.int64) << (53 - BUCKET_BITS)
-    j, j_end = ((T[:, None, :, None] <= m).sum(axis=2)
-                for m in (first, first + (first[1] - 1)))
-    guide = np.where(j != j_end, -1, np.take_along_axis(targets, j, axis=2) << BUCKET_BITS)
-    return thresholds, targets.reshape(-1), guide.reshape(-1)
+    pairs = np.arange(3 * n)
+    live = T < 2 ** 53             # 2**53 (padding) is beyond every draw
+    i, c = np.nonzero(live & (T % 2 ** 49 != 0))
+    bits = 4 if 2 * np.unique(i * 16 + (T[i, c] >> 49)).size <= n else 6
+    entry = np.where(np.repeat(stop, 3), ~pairs, pairs << bits)
+    code = entry[targets]
+    # a bucket's entry is the target at its first draw ...
+    first = np.arange(1 << bits, dtype=np.int64) << (53 - bits)
+    j = (T[:, None, :] <= first[:, None]).sum(axis=2)
+    guide = np.take_along_axis(code, j[:, None, :], axis=2)
+    # ... unless thresholds fall inside it: one record per threshold and pair,
+    # chained in order through the bucket
+    i, c = np.nonzero(live & (T % (1 << 53 - bits) != 0))
+    v, b = T[i, c], T[i, c] >> (53 - bits)
+    cell = (i << bits) + b
+    chained = cell == np.append(cell[1:], -1)
+    k = 3 * np.arange(len(v))[:, None] + np.arange(3)
+    split = -1 - entry.size
+    hi = np.where(chained[:, None], split - k - 3,
+                  code[i, :, (T[i] <= v[:, None]).sum(axis=1)])
+    records = np.stack([np.repeat(v, 3), code[i, :, c].ravel(), hi.ravel()], axis=1)
+    head = cell != np.append(-1, cell[:-1])
+    guide[i[head], :, b[head]] = split - k[head]
+    return bits, entry, guide.reshape(-1), records
 
 
 def _side_array(states) -> np.ndarray:
@@ -160,7 +174,7 @@ def _start_distribution(kernel: StochasticKernel, start):
     """Resolve a start spec to (fixed index | cdf array)."""
     if isinstance(start, np.ndarray):
         p = np.asarray(start, dtype=float)
-        if p.size != kernel.n_states or abs(p.sum() - 1.0) > 1e-9 or p.min() < 0:
+        if p.size != kernel.n_states or not (abs(p.sum() - 1.0) <= 1e-9 and p.min() >= 0):
             raise ParameterError("start distribution invalid")
         return None, np.cumsum(p)
     if isinstance(start, tuple) and len(start) == 2 and start[0] == "fiber":
@@ -193,7 +207,7 @@ def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
 def _run_block(args):
     """Walk one block of paths; returns its counts and the number of paths
     still active after ``step_cap`` steps (0 when all were absorbed)."""
-    (thresholds, targets, guide, stop, side, start_idx, start_cdf, n, seed,
+    (bits, entry, guide, records, side, start_idx, start_cdf, n, seed,
      block_id, step_cap) = args
     rng = np.random.Generator(
         np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block_id))))
@@ -203,46 +217,40 @@ def _run_block(args):
         state = np.minimum(state, S - 1)
     else:
         state = np.full(n, start_idx, dtype=np.int64)
-
-    exit_side = np.zeros((S, 3), dtype=np.int64)
     initial = np.bincount(state, minlength=S)
     hist = np.zeros(64, dtype=np.int64)
     ssum = smax = 0
 
-    # a path is its guide row ``pair << BUCKET_BITS``, plus 1 on a stop state
-    pair = 3 * state + side[state]
-    nxt = (pair << BUCKET_BITS) | stop[pair]
-    W = thresholds.shape[0] + 1
+    # a path is its entry; one sign test per step finds the stops and splits
+    nxt = entry[3 * state + side[state]]
+    split = -1 - entry.size
+    exits = [nxt[:0]]
     t = 0
     while True:
-        if (nxt & 1).any():
-            split = nxt == -1
-            if split.any():
-                split = np.flatnonzero(split)
-                a = pb[split] >> BUCKET_BITS
-                m = (raw[split] >> 11).view(np.int64)
-                idx = a * W
-                for column in thresholds:
-                    idx += m >= column[a]
-                a = targets[idx]
-                nxt[split] = (a << BUCKET_BITS) | stop[a]
-            done = (nxt & 1).astype(bool)
-            if done.any():
-                np.add.at(exit_side.reshape(-1), nxt[done] >> BUCKET_BITS, 1)
-                nd = int(done.sum())
-                hist[int(t).bit_length()] += nd
-                ssum += t * nd
-                smax = max(smax, t)
-                nxt = nxt[~done]
-        pb = nxt
-        if not pb.size or t == step_cap:
+        if nxt.size and nxt[nxt.argmin()] < 0:
+            neg = (nxt < 0).nonzero()[0]
+            e = nxt[neg]
+            if e[e.argmin()] <= split:         # split buckets: read the records
+                m = (raw[neg] >> 11).view(np.int64)
+                while (s := (e <= split).nonzero()[0]).size:
+                    rec = records.take(split - e[s], axis=0)
+                    e[s] = np.where(m[s] >= rec[:, 0], rec[:, 2], rec[:, 1])
+                nxt[neg] = e
+                e = e[e < 0]
+            if e.size:
+                exits.append(e)
+                hist[t.bit_length()] += e.size
+                ssum += t * e.size
+                smax = t
+                nxt = nxt[nxt >= 0]                # keeps the stream order
+        if not nxt.size or t == step_cap:
             break
-        raw = rng.bit_generator.random_raw(pb.size)
-        idx = (raw >> (64 - BUCKET_BITS)).view(np.int64)
-        idx += pb
-        nxt = guide[idx]
+        raw = rng.bit_generator.random_raw(nxt.size)
+        nxt += (raw >> (64 - bits)).view(np.int64)
+        nxt = guide.take(nxt)
         t += 1
-    return exit_side, initial, hist, ssum, smax, int(pb.size)
+    exit_side = np.bincount(~np.concatenate(exits), minlength=3 * S)
+    return exit_side.reshape(S, 3), initial, hist, ssum, smax, int(nxt.size)
 
 
 def run_paths(kernel: StochasticKernel, start, stop=None,
@@ -266,18 +274,18 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
         raise ParameterError("seed must be >= 0")
     if workers < 1:
         raise ParameterError("workers must be >= 1")
+    if block_size < 1 or step_cap < 0:
+        raise ParameterError("block_size must be >= 1 and step_cap >= 0")
     stopm = _resolve_stop(kernel, stop)
     if not stopm.any():
         raise ParameterError("no stop states")
     side = _side_array(kernel.states)
     if "last_side" not in observers:
         side[:] = 0
-    thresholds, targets, guide = padded_kernel(kernel, side)
-    stop3 = np.repeat(stopm, 3)
-    guide |= stop3[guide >> BUCKET_BITS]
+    tables = padded_kernel(kernel, side, stopm)
     start_idx, start_cdf = _start_distribution(kernel, start)
 
-    blocks = [(thresholds, targets, guide, stop3, side, start_idx, start_cdf,
+    blocks = [(*tables, side, start_idx, start_cdf,
                min(block_size, n_paths - lo), seed, b, step_cap)
               for b, lo in enumerate(range(0, n_paths, block_size))]
 

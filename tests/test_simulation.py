@@ -243,6 +243,33 @@ def test_step_cap_partial_counts_the_absorbed_paths():
     assert n1 == n2 and np.array_equal(a1.exit_side, a2.exit_side)
 
 
+@pytest.mark.parametrize("bad", [{"block_size": -5}, {"block_size": 0},
+                                 {"step_cap": -1}],
+                         ids=["block_size=-5", "block_size=0", "step_cap=-1"])
+def test_run_paths_refuses_a_bad_block_size_or_step_cap(bad):
+    # block_size=-5 made no blocks and claimed 100 paths with no exits,
+    # block_size=0 raised a bare ValueError and step_cap=-1 disabled the cap
+    lat, P = wedge(math.pi / 6, 4)
+    with pytest.raises(ParameterError):
+        run_paths(P, "apex", stop=4, n_paths=100, **bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=str)
+def test_run_paths_refuses_a_start_distribution_that_is_not_finite(bad):
+    lat, P = wedge(math.pi / 6, 4)
+    p = np.full(P.n_states, 1.0 / P.n_states)
+    p[3] = bad
+    with pytest.raises(ParameterError):
+        run_paths(P, p, stop=4, n_paths=100)
+
+
+def test_step_cap_zero_walks_no_step():
+    lat, P = wedge(math.pi / 6, 4)
+    with pytest.raises(SimulationTimeout) as info:
+        run_paths(P, "apex", stop=4, n_paths=100, step_cap=0)
+    assert info.value.active == 100 and info.value.partial.n_paths == 0
+
+
 def test_discrete_hit_prob_formula():
     Q = projected_wedge_chain(250, math.pi / 4, mode="float")
     h = lambda i: 1.0 / (2 * i + 1)
@@ -449,13 +476,35 @@ def test_apex_start_needs_an_apex_label():
 
 
 def test_sampler_matches_compare_and_sum_through_split_buckets():
-    # at alpha = 0.9 the thresholds are no multiples of 1/16, so many guide
-    # buckets are split and the steps through them take the column compare
+    # at alpha = 0.9 the thresholds are no multiples of 1/16, so the buckets
+    # are 6 bits wide, many are still split, and the steps through them read
+    # the threshold records
     lat, P = wedge(0.9, 8)
-    guide = simulation.padded_kernel(P, simulation._side_array(P.states))[2]
+    bits, entry, guide, records = _step_tables(P, 8)
     live = ~np.repeat(P.layers >= 8, 3)
-    assert (guide.reshape(len(live), -1)[live] == -1).mean() > 0.05
+    assert bits == 6
+    assert (guide.reshape(len(live), -1)[live] <= -1 - entry.size).mean() > 0.02
     _assert_same_as_reference(P, "apex", 8, 5000, 19, 2048)
+
+
+def _chained_kernel(extra):
+    """Two absorbing side states and a state whose row {0.002, 0.002, 0.996}
+    puts two distinct thresholds into its first bucket at 4 and at 6 bits;
+    ``extra`` states with thirds split two more 4-bit cells each."""
+    states = ((1, 1), (1, -1), (1, 0)) + tuple((2, y) for y in range(extra))
+    rows = [{0: 1.0}, {1: 1.0}, {0: 0.002, 1: 0.002, 2: 0.996}]
+    rows += [{0: 1 / 3, 1: 1 / 3, 3 + y: 1 / 3} for y in range(extra)]
+    return StochasticKernel(states=states, rows=rows, mode="float")
+
+
+@pytest.mark.parametrize("extra,bits", [(0, 4), (1, 6)])
+def test_sampler_matches_compare_and_sum_through_chained_records(extra, bits):
+    K = _chained_kernel(extra)
+    tables = _step_tables(K)
+    split = -1 - tables[1].size
+    assert tables[0] == bits
+    assert (tables[3][:, 2] <= split).any()          # a record names the next
+    _assert_same_as_reference(K, (1, 0), None, 2000, 23, 700)
 
 
 @settings(max_examples=15, deadline=None)
@@ -477,44 +526,99 @@ def test_sampler_matches_compare_and_sum_on_random_wedges(alpha, hold, M, n_path
 # the exact integer step tables
 # ---------------------------------------------------------------------------
 
-def _step_tables(kernel):
-    thresholds, targets, guide = simulation.padded_kernel(
-        kernel, simulation._side_array(kernel.states))
-    return thresholds, targets, guide.reshape(thresholds.shape[1], -1)
+def _step_tables(kernel, stop=None):
+    return simulation.padded_kernel(kernel, simulation._side_array(kernel.states),
+                                    simulation._resolve_stop(kernel, stop))
 
 
-@pytest.mark.parametrize("name", ["pi/6", "pi/4", "0.9", "vase", "ragged"])
-def test_guide_table_is_the_column_compare(name):
+def _resolve(tables, a, m):
+    """The entry that the guide and the threshold records give a path at
+    pairs ``a`` drawing the 53-bit ``m``."""
+    bits, entry, guide, records = tables
+    split = -1 - entry.size
+    e = guide[(a << bits) + (m >> (53 - bits))]
+    while (s := e <= split).any():
+        rec = records[split - e[s]]
+        e[s] = np.where(m[s] >= rec[:, 0], rec[:, 2], rec[:, 1])
+    return e
+
+
+def _thresholds(kernel):
+    """Each row's cumulative probabilities but the last, in 2**-53 units, and
+    the padded targets, from the CSR rows."""
+    cum, tgt = _padded_tables(kernel)
+    return np.ceil(cum[:, :-1] * 2.0 ** 53).astype(np.int64), tgt
+
+
+def _column_compare(kernel, stop, bits, a, m):
+    """The same entry by counting the row's thresholds at or below m."""
+    T, tgt = _thresholds(kernel)
+    side = simulation._side_array(kernel.states)
+    x = tgt[a // 3, (m[:, None] >= T[a // 3]).sum(axis=1)]
+    pair = 3 * x + np.where(side[x] != 0, side[x], a % 3)
+    return np.where(simulation._resolve_stop(kernel, stop)[x], ~pair, pair << bits)
+
+
+def _named_kernel(name):
     if name == "vase":
-        K = vase_rate_matrix(build_vase_grid(power_shape(2.0), 8, 8)).jump_chain()
-    elif name == "ragged":
-        K = _ragged_kernel()
-    else:
-        K = wedge({"pi/6": math.pi / 6, "pi/4": math.pi / 4}.get(name, 0.9), 8)[1]
-    thresholds, targets, guide = _step_tables(K)
-    W = thresholds.shape[0] + 1
-    pairs = np.arange(thresholds.shape[1])
-    bits = simulation.BUCKET_BITS
+        return vase_rate_matrix(build_vase_grid(power_shape(2.0), 8, 8)).jump_chain()
+    if name == "ragged":
+        return _ragged_kernel()
+    if name.startswith("chained"):
+        return _chained_kernel(int(name[-1]))
+    return wedge({"pi/6": math.pi / 6, "pi/4": math.pi / 4}.get(name, 0.9), 8)[1]
+
+
+@pytest.mark.parametrize("name", ["pi/6", "pi/4", "0.9", "vase", "ragged",
+                                  "chained-0", "chained-1"])
+def test_guide_table_is_the_column_compare(name):
+    K = _named_kernel(name)
+    tables = _step_tables(K)
+    bits, entry, guide = tables[:3]
+    T, _ = _thresholds(K)
+    a = np.arange(entry.size)
+    # the first and last draw of every bucket, every threshold and the draw
+    # just below it
     edge = np.arange(2 ** bits + 1, dtype=np.int64) << (53 - bits)
-
-    def compare(m):
-        # the fallback's count of thresholds at or below the 53-bit draw m
-        return targets[pairs * W + (m >= thresholds).sum(axis=0)] << bits
-
+    draws = np.concatenate([np.broadcast_to(np.append(edge[:-1], edge[1:] - 1),
+                                            (a.size, 2 * 2 ** bits)),
+                            T[a // 3], T[a // 3] - 1], axis=1)
+    draws = np.minimum(draws, 2 ** 53 - 1)
+    pairs = np.repeat(a, draws.shape[1])
+    assert np.array_equal(_resolve(tables, pairs, draws.ravel()),
+                          _column_compare(K, None, bits, pairs, draws.ravel()))
+    # a bucket is split exactly where a threshold lies strictly inside it
+    inside = np.zeros((K.n_states, 2 ** bits), dtype=bool)
     for b in range(2 ** bits):
-        whole = guide[:, b] != -1
-        for m in (edge[b], edge[b + 1] - 1):
-            assert np.array_equal(guide[whole, b], compare(m)[whole])
-        inside = ((thresholds > edge[b]) & (thresholds < edge[b + 1])).any(axis=0)
-        assert np.array_equal(~whole, inside)
+        inside[:, b] = ((T > edge[b]) & (T < edge[b + 1])).any(axis=1)
+    split = guide.reshape(entry.size, -1) <= -1 - entry.size
+    assert np.array_equal(split, np.repeat(inside, 3, axis=0))
+
+
+@pytest.mark.parametrize("name,bits", [("pi/6", 4), ("pi/4", 4), ("pi/3", 4),
+                                       ("0.9", 6), ("vase", 6)])
+def test_bucket_width_follows_the_share_of_split_cells(name, bits):
+    # 6 bits when more than 1 in 32 of the 4-bit cells would be split
+    if name == "vase":
+        K = vase_rate_matrix(build_vase_grid(power_shape(2.0), 20, 20)).jump_chain()
+    else:
+        K = wedge({"pi/6": math.pi / 6, "pi/4": math.pi / 4,
+                   "pi/3": math.pi / 3}.get(name, 0.9), 30)[1]
+    T, _ = _thresholds(K)
+    edge = np.arange(17, dtype=np.int64) << 49
+    split4 = sum(((T > edge[b]) & (T < edge[b + 1])).any(axis=1).sum()
+                 for b in range(16))
+    assert (split4 * 32 > 16 * K.n_states) == (bits == 6)
+    assert _step_tables(K)[0] == bits
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 3])
 def test_special_angle_guide_has_no_split_bucket(alpha):
     # every cumulative probability is a multiple of 1/8, so each threshold
-    # falls on a bucket edge and no step needs the fallback compare
-    guide = _step_tables(wedge(alpha, 30)[1])[2]
-    assert not (guide == -1).any()
+    # falls on a bucket edge and no step reads a threshold record
+    bits, entry, guide, records = _step_tables(wedge(alpha, 30)[1])
+    assert bits == 4 and len(records) == 0
+    assert guide.min() >= -entry.size
 
 
 def test_integer_threshold_is_the_float_compare():
@@ -522,17 +626,16 @@ def test_integer_threshold_is_the_float_compare():
     cs = [k * 2.0 ** -53 for k in ks]
     cs += [np.nextafter(c, 2.0) for c in cs] + [np.nextafter(c, 0.0) for c in cs]
     cs += [0.12499999999999997, 0.125, 1 / 3]
-    # states 0 and 1 absorb, so their rows are padded to the width 2 with 1.0
+    # states 0 and 1 absorb, so a step from state i >= 2 ends on ~0 or ~3
     rows = [{0: 1.0}, {1: 1.0}] + [{0: c, 1: 1.0 - c} for c in cs]
     K = StochasticKernel(states=tuple(range(len(rows))), rows=rows, mode="float")
-    thresholds = _step_tables(K)[0]
-    assert thresholds.shape == (1, 3 * len(rows))
+    tables = _step_tables(K)
     top = 2 ** 53 - 1                      # the largest draw m
-    assert thresholds[0, 0] == thresholds[0, 3] == 2 ** 53 > top
-    for c, T in zip(cs, thresholds[0, 6::3]):
+    for i, c in enumerate(cs, start=2):
         base = int(c * 2.0 ** 53)
-        for m in range(max(base - 2, 0), min(base + 3, top + 1)):
-            assert (m >= T) == (m * 2.0 ** -53 >= c), (c, m)
+        m = np.array([0, top] + list(range(max(base - 2, 0), min(base + 3, top + 1))))
+        want = np.where(m * 2.0 ** -53 >= c, ~3, ~0)
+        assert np.array_equal(_resolve(tables, np.full(m.size, 3 * i), m), want), c
 
 
 def test_raw_philox_word_is_the_uniform():
