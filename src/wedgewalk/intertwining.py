@@ -205,8 +205,8 @@ def semigroup_residual(link: MarkovLink, two_dim_rates: RateMatrix,
         acc = {t: np.zeros_like(term) for t in weights}
         spare = np.empty_like(term)
         for n in range(max(map(len, weights.values()), default=0)):
-            if n:                   # the last power becomes the spare block
-                spare = None
+            if n:                   # the spare is freed for the product, and
+                spare = None        # the previous power becomes the spare
                 term, spare = D @ term, term
             for t, w in weights.items():
                 if n < len(w):
@@ -219,10 +219,10 @@ def semigroup_residual(link: MarkovLink, two_dim_rates: RateMatrix,
     for lo in range(0, n1, _BLOCK):
         # (L e^{tQ2})^T and (e^{tQ1} L)^T on the block's link rows
         planar, spare = mix(Lt[:, lo:lo + _BLOCK].toarray(), D2t)
-        for t, acc in planar.items():
-            acc -= Lt @ S1[t][lo:lo + _BLOCK].T
-            out[t] = float(np.maximum(out[t], np.abs(acc, out=spare).max()))  # NaN stays
-        del planar, acc, spare      # before the next block's blocks exist
+        for t in planar:
+            planar[t] -= Lt @ S1[t][lo:lo + _BLOCK].T
+            out[t] = float(np.maximum(out[t], np.abs(planar[t], out=spare).max()))  # NaN stays
+        del planar, spare           # before the next block's blocks exist
     return out
 
 

@@ -15,6 +15,7 @@ whose bucket a threshold splits, and the latter follow exact-integer
 threshold records.  Vase chains enter through their embedded jump chain,
 whose hitting statistics coincide with the continuous-time chain's.
 """
+
 from __future__ import annotations
 
 import enum
@@ -134,8 +135,9 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     targets = 3 * tgt[:, None, :] + np.where(tside != 0, tside, kept)
     pairs = np.arange(3 * n)
     live = T < 2 ** 53             # 2**53 (padding) is beyond every draw
-    i, c = np.nonzero(live & (T % 2 ** 49 != 0))
-    bits = 4 if 2 * np.unique(i * 16 + (T[i, c] >> 49)).size <= n else 6
+    i, c = np.nonzero(live & (T % 2 ** 49 != 0))   # row-major: equal cells adjacent
+    split4 = np.count_nonzero(np.diff(i * 16 + (T[i, c] >> 49), prepend=-1))
+    bits = 4 if 2 * split4 <= n else 6
     entry = np.where(np.repeat(stop, 3), ~pairs, pairs << bits)
     code = entry[targets]
     # a bucket's entry is the target at its first draw ...

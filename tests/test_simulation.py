@@ -507,6 +507,32 @@ def test_sampler_matches_compare_and_sum_through_chained_records(extra, bits):
     _assert_same_as_reference(K, (1, 0), None, 2000, 23, 700)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_step_compares_the_drawn_word_with_each_threshold(extra, monkeypatch):
+    # the first words are drawn one below and at each threshold of the row
+    # {0.002, 0.002, 0.996}; the zero words after them send a path to state 0
+    K = _chained_kernel(extra)
+    T, _ = _thresholds(K)
+    m = np.array([T[2, 0] - 1, T[2, 0], T[2, 1] - 1, T[2, 1]], dtype=np.uint64)
+
+    class Words:
+        def __init__(self, seed):
+            self.bit_generator, self.left = self, m << np.uint64(11)
+
+        def random_raw(self, n):
+            out = np.append(self.left, np.zeros(n, dtype=np.uint64))[:n]
+            self.left = self.left[n:]
+            return out
+
+    monkeypatch.setattr(simulation.np.random, "Philox", Words)
+    monkeypatch.setattr(simulation.np.random, "Generator", lambda bit_generator: bit_generator)
+    agg = run_paths(K, (1, 0), n_paths=4)
+    # one step to state 0, two to state 1, and the path that stayed at
+    # state 2 goes on to state 0
+    assert agg.exit_side[0, Side.UPPER] == 2 and agg.exit_side[1, Side.LOWER] == 2
+    assert (agg.steps_sum, agg.steps_max) == (5, 2)
+
+
 @settings(max_examples=15, deadline=None)
 @given(alpha=st.floats(0.3, 1.5), hold=st.floats(0.02, 1 / 3),
        M=st.integers(2, 6), n_paths=st.integers(1, 500),
