@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -311,7 +312,7 @@ class VaseGrid:
     def n_sites(self) -> int:
         return (self.layers + 1) ** 2
 
-    @property
+    @cached_property
     def sites(self):
         k, y = _layer_major(self.layers)
         return tuple(zip(k.tolist(), y.tolist()))

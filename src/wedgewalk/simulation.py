@@ -1,14 +1,13 @@
 """Monte Carlo engine over stochastic kernels.
 
-Paths are simulated in fixed-size blocks; block b draws from its own
-counter-based Philox stream seeded by (master seed, b), so aggregates are
-bit-identical for any worker count and reproducible from (seed, parameters)
-alone.  Aggregation is a sum of per-block integer counts, hence associative
+Paths are simulated in fixed-size blocks; block b draws from its own SFC64
+stream seeded by (master seed, b), so aggregates are bit-identical for any
+worker count and reproducible from (seed, parameters) alone.  Aggregation is a sum of per-block integer counts, hence associative
 and order-independent.
 
 All chains are stepped through one vectorized kernel representation.  A
 path's state is the pair (site, last reflecting side), held as a signed
-entry.  Each step draws one raw Philox word per live path and gathers the
+entry.  Each step draws one raw 64-bit word per live path and gathers the
 next entry from a guide table (Chen & Asau 1974) by the pair and the word's
 top 4 or 6 bits; one sign test per step finds the paths that stopped or
 whose bucket a threshold splits, and the latter follow exact-integer
@@ -19,7 +18,6 @@ whose hitting statistics coincide with the continuous-time chain's.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -102,7 +100,7 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     ``side`` gives each state's reflecting side (0 for none) and ``stop`` the
     states where a walk ends.  Returns ``(bits, entry, guide, records)``.
     Being at pair a is the int64 entry ``entry[a]``: ``a << bits`` to go on,
-    ``~a`` when a's state stops the walk.  A step reads its raw Philox word;
+    ``~a`` when a's state stops the walk.  A step reads its block's raw word;
     ``m = raw >> 11`` gives the uniform ``m * 2**-53``, which is ``>= c``
     exactly when ``m >= ceil(c * 2**53)``.  Row i moves to its j-th target
     when m reaches j of its cumulative probabilities (the last one is never
@@ -206,13 +204,22 @@ def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
     return kernel.layers >= int(stop)
 
 
+SAMPLER = "sfc64"      # the block generator, named in every sampler record
+
+
+def _block_rng(seed: int, block_id: int) -> np.random.Generator:
+    """The generator of block ``block_id``; its ``random()`` is the raw word's
+    top 53 bits times 2**-53, as the step tables assume."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(entropy=(seed, block_id))))
+
+
 def _run_block(args):
     """Walk one block of paths; returns its counts and the number of paths
     still active after ``step_cap`` steps (0 when all were absorbed)."""
     (bits, entry, guide, records, side, start_idx, start_cdf, n, seed,
      block_id, step_cap) = args
-    rng = np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block_id))))
+    rng = _block_rng(seed, block_id)
     S = side.size
     if start_cdf is not None:
         state = np.searchsorted(start_cdf, rng.random(n), side="right").astype(np.int64)
@@ -292,6 +299,7 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
               for b, lo in enumerate(range(0, n_paths, block_size))]
 
     if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as ex:
             results = list(ex.map(_run_block, blocks))
     else:

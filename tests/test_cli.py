@@ -217,21 +217,21 @@ PINNED_RECORDS = {
     "simulate-wedge":
         (["simulate-wedge", "--stop-layer", "6", "--paths", "3000", "--seed", "11",
           "--bins", "4"],
-         "c35fc0c3529c54bb7cf510dcd96fccbcfcefb6dbef2b649fcfc24eda7cbff4f5"),
+         "793740ed381f06626aa77be5a60ed03c40bb48c9bde731aa06c16336a1629298"),
     "simulate-vase":
         (["simulate-vase", "--resolution", "6", "--stop-layer", "6", "--paths",
           "3000", "--seed", "12", "--bins", "4"],
-         "cad8e1a146053b9cd2dca357670172d38eb6ff13b8954f712c729a771b3cf5ed"),
+         "152d58dc37863cdab398be468931e1da5e4ca6a66c521deac18f5588d2837707"),
     # 6-bit buckets, many of them split by a threshold
     "simulate-wedge-alpha-0.9":
         (["simulate-wedge", "--alpha", "0.9", "--stop-layer", "6", "--paths",
           "3000", "--seed", "13", "--bins", "4"],
-         "4a875c7be120686ce4c1bd0de4a2392a5ce56901bbeeff75395235d0cb49be08"),
+         "891117beed8634ecdc9157dd21c4c2b64a0e4c0cbaa0a784cea5acca32ce01e5"),
     # two blocks of 65536 paths, walked by two workers
     "simulate-wedge-two-blocks":
         (["simulate-wedge", "--stop-layer", "4", "--paths", "70000", "--seed", "14",
           "--bins", "4", "--workers", "2"],
-         "ca5510f4185e9bb1738714971f4ad328c4e7125b049aaa87ccb4ea39b16b7946"),
+         "285c84a005b15256b42a170983eb9f2a59bb311b6ec511274bda26d564c54c87"),
 }
 
 
@@ -391,6 +391,18 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c",
          "import sys, wedgewalk; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # run_paths imports the pool only when it walks blocks in worker processes
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wedgewalk; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('concurrent', 'multiprocessing'))))"],
         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -161,8 +161,10 @@ def _reference_sites(N, alpha):
 @pytest.mark.parametrize("N", [1, 2, 30, 100])
 def test_lattice_arrays_are_the_site_loop(N):
     sites, _, layers = _reference_sites(N, 0.7)
-    grid_sites = build_vase_grid(power_shape(2.0), N, N).sites
+    grid = build_vase_grid(power_shape(2.0), N, N)
+    grid_sites = grid.sites
     assert grid_sites == sites and type(grid_sites[-1][1]) is int
+    assert grid.sites is grid_sites         # built once per grid
     if N < 2:
         return                          # a wedge has at least two layers
     for alpha in (math.pi / 6, math.pi / 4, 0.7):

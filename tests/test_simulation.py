@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from fractions import Fraction as F
 
@@ -69,7 +70,7 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     lat, P = wedge(math.pi / 6, 4)
     agg = run_paths(P, "apex", stop=4, n_paths=300, seed=2, workers=5000,
                     block_size=200)
@@ -347,9 +348,8 @@ def _padded_tables(kernel):
 def _reference_run_block(cum, tgt, stopm, side, start_idx, start_cdf, n, seed,
                          block_id, track):
     """One block of the sampler with the (paths, W) compare-and-sum row
-    selection: the same Philox stream and draws per step as ``run_paths``."""
-    rng = np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block_id))))
+    selection: the same block stream and draws per step as ``run_paths``."""
+    rng = simulation._block_rng(seed, block_id)
     S = stopm.size
     if start_cdf is not None:
         state = np.searchsorted(start_cdf, rng.random(n), side="right").astype(np.int64)
@@ -516,7 +516,7 @@ def test_step_compares_the_drawn_word_with_each_threshold(extra, monkeypatch):
     m = np.array([T[2, 0] - 1, T[2, 0], T[2, 1] - 1, T[2, 1]], dtype=np.uint64)
 
     class Words:
-        def __init__(self, seed):
+        def __init__(self, seed, block_id):
             self.bit_generator, self.left = self, m << np.uint64(11)
 
         def random_raw(self, n):
@@ -524,8 +524,7 @@ def test_step_compares_the_drawn_word_with_each_threshold(extra, monkeypatch):
             self.left = self.left[n:]
             return out
 
-    monkeypatch.setattr(simulation.np.random, "Philox", Words)
-    monkeypatch.setattr(simulation.np.random, "Generator", lambda bit_generator: bit_generator)
+    monkeypatch.setattr(simulation, "_block_rng", Words)
     agg = run_paths(K, (1, 0), n_paths=4)
     # one step to state 0, two to state 1, and the path that stayed at
     # state 2 goes on to state 0
@@ -664,10 +663,9 @@ def test_integer_threshold_is_the_float_compare():
         assert np.array_equal(_resolve(tables, np.full(m.size, 3 * i), m), want), c
 
 
-def test_raw_philox_word_is_the_uniform():
+def test_raw_block_word_is_the_uniform():
     def gen():
-        return np.random.Generator(np.random.Philox(
-            seed=np.random.SeedSequence(entropy=(4, 2))))
+        return simulation._block_rng(4, 2)
 
     a, b = gen(), gen()
     u = np.concatenate([a.random(5), a.random(1000)])
