@@ -100,7 +100,8 @@ def _simulate(kernel, args) -> int:
     dist = agg.exit_distribution(args.stop_layer, kernel.layers)
     chi = analytics.chi_square(dist.counts)
     results = {"exit_chi_square": chi, "n_paths": args.paths, "seed": args.seed,
-               "sampler": simulation.SAMPLER, "steps_mean": agg.steps_sum / agg.n_paths, "steps_max": agg.steps_max}
+               "sampler": simulation.SAMPLER,
+               "steps_mean": agg.steps_sum / agg.n_paths, "steps_max": agg.steps_max}
     curve = simulation.last_side_curve(agg, args.stop_layer, bins=args.bins)
     scored = []
     for b in curve.bins:

@@ -2,8 +2,8 @@
 
 Paths are simulated in fixed-size blocks; block b draws from its own SFC64
 stream seeded by (master seed, b), so aggregates are bit-identical for any
-worker count and reproducible from (seed, parameters) alone.  Aggregation is a sum of per-block integer counts, hence associative
-and order-independent.
+worker count and reproducible from (seed, parameters) alone.  Aggregation is
+a sum of per-block integer counts, hence associative and order-independent.
 
 All chains are stepped through one vectorized kernel representation.  A
 path's state is the pair (site, last reflecting side), held as a signed
@@ -208,8 +208,7 @@ SAMPLER = "sfc64"      # the block generator, named in every sampler record
 
 
 def _block_rng(seed: int, block_id: int) -> np.random.Generator:
-    """The generator of block ``block_id``; its ``random()`` is the raw word's
-    top 53 bits times 2**-53, as the step tables assume."""
+    """Block ``block_id``'s generator, whose ``random()`` is ``(raw >> 11) * 2**-53``."""
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(entropy=(seed, block_id))))
 

@@ -386,26 +386,24 @@ def test_vase_rate_check_fits_at_256_layers(tmp_path):
     assert _vase_check_peak_mb(tmp_path, 256) < 130
 
 
-def test_import_loads_no_scipy():
+def _loaded_by_import(*packages):
+    """The modules of ``packages`` that ``import wedgewalk`` loads."""
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, wedgewalk; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"],
         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_by_import("scipy") == "[]"
 
 
 def test_import_loads_no_process_pool():
     # run_paths imports the pool only when it walks blocks in worker processes
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, wedgewalk; "
-         "print(sorted(m for m in sys.modules "
-         "if m.startswith(('concurrent', 'multiprocessing'))))"],
-        capture_output=True, text=True, env=child_env())
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _loaded_by_import("concurrent", "multiprocessing") == "[]"
 
 
 def _scipy_sparse_loaded_by(tmp_path, command):
