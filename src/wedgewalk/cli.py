@@ -112,8 +112,7 @@ def _simulate(kernel, args) -> int:
         scored.append({"s": s, "p_hat": b.p_hat, "stderr": b.stderr, "n": b.n,
                        "watts_closed": analytics.watts_closed(s),
                        "watts_composed": analytics.watts_composed(s)})
-    results["curve"] = curve.to_json_dict(params=_params(args), seed=args.seed,
-                                          n_paths=args.paths)
+    results["curve"] = curve.to_json_dict()
     results["curve_scored"] = scored
     ok = chi["p_value"] > 0.001
     return _emit(args, results, ok)
@@ -152,21 +151,19 @@ def cmd_green(args) -> int:
 
 def cmd_reverse(args) -> int:
     alpha = geometry.parse_angle(args.alpha)
-    spec, lat, P = _wedge_kernel(alpha, args.layers, args.mode)
+    spec, _, P = _wedge_kernel(alpha, args.layers, args.mode)
     g = green_reversal.green_vector(P, (0, 0))
     rev = green_reversal.nagasawa_reverse(P, g)
     s2 = spec.float_sin_sq
     N = args.layers
-    worst = 0.0
-    for (k, y) in lat.sites:
-        if not (0 < k < N and abs(y) < k):
-            continue
-        row = rev.kernel.rows[lat.index(k, y)]
-        down = float(row.get(lat.index(k - 1, y), 0.0))
-        up = float(row.get(lat.index(k + 1, y), 0.0))
-        worst = max(worst,
-                    abs(down - s2 / 2 * (N - k + 1) / (N - k)),
-                    abs(up - s2 / 2 * (N - k - 1) / (N - k)))
+    # inner rows' steps to (k - 1, y) and (k + 1, y), at columns s - 2k and
+    # s + 2k + 2 in layer-major order, against their closed forms
+    k, y = geometry._layer_major(N)
+    s = np.flatnonzero((0 < k) & (k < N) & (abs(y) < k))
+    k, R = k[s], rev.kernel.to_csr()
+    down, up = (np.asarray(R[s, s + step]).ravel() for step in (-2 * k, 2 * k + 2))
+    worst = float(max(np.abs(down - s2 / 2 * (N - k + 1) / (N - k)).max(initial=0.0),
+                      np.abs(up - s2 / 2 * (N - k - 1) / (N - k)).max(initial=0.0)))
     results = {"table_residual": worst,
                "initial_law_uniform": bool(np.allclose(
                    rev.initial_law[rev.initial_law > 0], 1.0 / (2 * N + 1)))}

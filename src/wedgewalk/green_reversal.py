@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SolverError, UnreachableStateError
-from .kernels import FLOAT, RATIONAL, StochasticKernel, _row_arrays
+from .kernels import FLOAT, RATIONAL, StochasticKernel, _float_arrays, _row_arrays
 
 KILLED = "KILLED"
 
@@ -247,64 +247,61 @@ class ReversedChain:
 
 
 def nagasawa_reverse(kernel: StochasticKernel, green: GreenVector) -> ReversedChain:
-    """Reversed kernel p_hat(x, y) = g(y) p(y, x) / g(x).
+    """Reversed kernel p_hat(x, y) = g(y) p(y, x) / g(x): row x is column x
+    of P weighted by g, one transpose of P's arrays.
 
     Rows at forward-absorbing states use the absorption weight
-    sum_y g(y) p(y, w) in place of g(w) and define the reversal's first step;
-    the forward source row is sub-stochastic, with the deficit 1/g(source)
-    routed to the killed pseudo-state.
+    sum_y g(y) p(y, x) in place of g(x) and define the reversal's first step
+    (an absorbing state that nothing reaches keeps the row {x: 1}); the
+    forward source row is sub-stochastic, with the deficit 1/g(source)
+    routed to the killed pseudo-state.  Rational rows hold w(y) num(y, x)
+    over w(x) den(x), with the integer weights w(y) = D g(y) / den(y).
     """
-    n = kernel.n_states
-    mask = green.absorbing
-    g = green.visits
+    n, mask, g, source = kernel.n_states, green.absorbing, green.visits, green.source
+    for x in np.flatnonzero(~mask).tolist():
+        if g[x] == 0:
+            raise UnreachableStateError(f"state {kernel.states[x]} has zero visit count")
     rational = kernel.mode == RATIONAL and green.mode == RATIONAL
-    zero = Fraction(0) if rational else 0.0
-    one = Fraction(1) if rational else 1.0
-
-    incoming = [dict() for _ in range(n)]
-    for y in range(n):
-        if mask[y]:
-            continue
-        for x, p in kernel.rows[y].items():
-            if p != 0:
-                incoming[x][y] = p
-
-    kill = n
-    rows = [dict() for _ in range(n)]
-    initial = [zero] * n
-    for x in range(n):
-        if mask[x]:
-            w_abs = sum(g[y] * p for y, p in incoming[x].items())
-            initial[x] = w_abs
-            if w_abs == 0:
-                rows[x] = {x: one}          # unreachable absorbing state
-                continue
-            rows[x] = {y: g[y] * p / w_abs for y, p in incoming[x].items()}
-        else:
-            if g[x] == 0:
-                raise UnreachableStateError(
-                    f"state {kernel.states[x]} has zero visit count")
-            row = {y: g[y] * p / g[x] for y, p in incoming[x].items() if not mask[y]}
-            if x == green.source:
-                deficit = one - sum(row.values())
-                row[kill] = deficit
-            rows[x] = row
-    rows.append({kill: one})
-
-    states = tuple(list(kernel.states) + [KILLED])
-    layers = None
-    if kernel.layers is not None:
-        layers = np.append(kernel.layers, -1).astype(np.int32)
-    mode = RATIONAL if rational else FLOAT
-    rev = StochasticKernel(states=states, rows=rows, mode=mode, layers=layers)
-    init = np.zeros(n + 1)
-    for i, v in enumerate(initial):
-        init[i] = float(v)
+    indptr, indices, values = kernel.arrays if rational else _float_arrays(kernel)
+    nums, dens = values if rational else (values.tolist(), [1] * n)
+    if rational:
+        D = math.lcm(*{v.denominator for v in g}) * math.lcm(*set(dens))
+        weight = [v.numerator * (D // (v.denominator * d)) for v, d in zip(g, dens)]
+    else:
+        weight = [float(v) for v in g]
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keep = np.flatnonzero(~mask[rows] & (np.array(nums, dtype=object) != 0))
+    keep = keep[np.argsort(indices[keep], kind="stable")]    # by column, rows ascending
+    x_of, y_of = indices[keep], rows[keep]
+    flow = [weight[y] * nums[e] for y, e in zip(y_of.tolist(), keep.tolist())]
+    den = [w * d for w, d in zip(weight, dens)]
+    bounds = np.searchsorted(x_of, np.arange(n + 1)).tolist()
+    initial, ones = [Fraction(0) if rational else 0.0] * n, [n]    # ones: rows {x: 1}
+    for x in np.flatnonzero(mask).tolist():
+        den[x] = initial[x] = sum(flow[bounds[x]:bounds[x + 1]])
+        if den[x] == 0:
+            den[x] = 1
+            ones.append(x)
+        elif rational:
+            initial[x] = Fraction(den[x], D)
+    if not rational:
+        flow = [f / den[x] for f, x in zip(flow, x_of.tolist())]
+    kill = (den[source] if rational else 1.0) - sum(flow[bounds[source]:bounds[source + 1]])
+    row_of = np.concatenate([x_of, [source], ones])
+    order = np.argsort(row_of, kind="stable")       # the kill entry ends the source row
+    entries = np.array(flow + [kill] + [1] * len(ones), dtype=object)[order].tolist()
+    layers = None if kernel.layers is None else np.append(kernel.layers, -1).astype(np.int32)
+    rev = StochasticKernel(
+        states=kernel.states + (KILLED,), mode=RATIONAL if rational else FLOAT, layers=layers,
+        arrays=(np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=n + 1))]),
+                np.concatenate([y_of, [n], ones])[order],
+                (entries, den + [1]) if rational else np.array(entries, dtype=float)))
+    init = np.array([float(v) for v in initial] + [0.0])
     tot = init.sum()
     if abs(tot - 1.0) > 1e-9:
         raise SolverError(f"absorption law sums to {tot}, green inconsistent")
     init /= tot
-    return ReversedChain(kernel=rev, initial_law=init, kill_index=kill,
+    return ReversedChain(kernel=rev, initial_law=init, kill_index=n,
                          source=green.source, initial_exact=initial)
 
 

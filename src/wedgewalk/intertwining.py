@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice
 from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel,
-                      _CSROperator, _csr, _float_arrays, _row_arrays)
+                      _CSROperator, _csr, _float_arrays)
 
 _INT64_MAX = 2 ** 63 - 1
 _BLOCK = 16     # link rows evolved together; a few (K+1)^2 x _BLOCK arrays
@@ -242,8 +242,9 @@ def harmonic_residual(one_dim_chain: StochasticKernel) -> float:
     Q = one_dim_chain
     keep = [i for i in np.flatnonzero(~Q.absorbing_mask()).tolist() if i > 0]
     if Q.mode == RATIONAL:
-        h = _exact("h", _row_arrays([{0: Fraction(1, 2 * j + 1)}
-                                     for j in range(Q.n_states)], exact=True), 1)
+        n = Q.n_states
+        h = _exact("h", (np.arange(n + 1), np.zeros(n, dtype=np.int64),
+                         ([1] * n, list(range(1, 2 * n, 2)))), 1)
         Qh = _exact_matmul(_exact("Q", Q.arrays, Q.n_states), h)
         pick = lambda E: (E[0], E[1][keep], [E[2][i] for i in keep])
         return float(_exact_maxdiff(pick(Qh), pick(h)))

@@ -51,7 +51,6 @@ class EmpiricalDistribution:
     counts: np.ndarray
     total: int
     seed: int
-    workers: int = 1
 
     def __post_init__(self):
         if int(self.counts.sum()) != self.total:
@@ -80,18 +79,6 @@ class PathAggregate:
         return EmpiricalDistribution(labels=[self.states[i] for i in sel],
                                      counts=counts, total=int(counts.sum()),
                                      seed=self.seed)
-
-    def merge(self, other: "PathAggregate") -> "PathAggregate":
-        if other.states != self.states or other.seed != self.seed:
-            raise ParameterError("cannot merge aggregates from different runs")
-        return PathAggregate(states=self.states,
-                             n_paths=self.n_paths + other.n_paths,
-                             seed=self.seed,
-                             exit_side=self.exit_side + other.exit_side,
-                             initial=self.initial + other.initial,
-                             steps_hist=self.steps_hist + other.steps_hist,
-                             steps_sum=self.steps_sum + other.steps_sum,
-                             steps_max=max(self.steps_max, other.steps_max))
 
 
 def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
@@ -381,9 +368,8 @@ class SideCurve:
     stop_layer: int
     n_bins: int
 
-    def to_json_dict(self, params=None, seed=None, n_paths=None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "params": params or {}, "seed": seed, "n_paths": n_paths,
             "undefined_fraction": self.undefined_fraction,
             "bins": [{"s_lo": b.s_lo, "s_hi": b.s_hi, "n": b.n,
                       "p_hat": b.p_hat, "stderr": b.stderr, "mean_s": b.mean_s}

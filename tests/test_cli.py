@@ -217,21 +217,21 @@ PINNED_RECORDS = {
     "simulate-wedge":
         (["simulate-wedge", "--stop-layer", "6", "--paths", "3000", "--seed", "11",
           "--bins", "4"],
-         "793740ed381f06626aa77be5a60ed03c40bb48c9bde731aa06c16336a1629298"),
+         "a807f407bd512d5857d652082639e2737a9a3cde5ac8f3633547c88a54f98130"),
     "simulate-vase":
         (["simulate-vase", "--resolution", "6", "--stop-layer", "6", "--paths",
           "3000", "--seed", "12", "--bins", "4"],
-         "152d58dc37863cdab398be468931e1da5e4ca6a66c521deac18f5588d2837707"),
+         "fa4d7dafbcf26c2138f577ba8bc5529dfbfc08712e03b371278f11f25d238545"),
     # 6-bit buckets, many of them split by a threshold
     "simulate-wedge-alpha-0.9":
         (["simulate-wedge", "--alpha", "0.9", "--stop-layer", "6", "--paths",
           "3000", "--seed", "13", "--bins", "4"],
-         "891117beed8634ecdc9157dd21c4c2b64a0e4c0cbaa0a784cea5acca32ce01e5"),
+         "a556a84c49c2a511d49ef605053de59f0ecac9db933e76886e7a7871116e2726"),
     # two blocks of 65536 paths, walked by two workers
     "simulate-wedge-two-blocks":
         (["simulate-wedge", "--stop-layer", "4", "--paths", "70000", "--seed", "14",
           "--bins", "4", "--workers", "2"],
-         "285c84a005b15256b42a170983eb9f2a59bb311b6ec511274bda26d564c54c87"),
+         "f645b40b7638a9fee58bf67e1072b59a06f96571b16b0bca3bfa83bd314de3e5"),
 }
 
 
@@ -247,6 +247,18 @@ def test_sampler_stream_is_pinned(argv, digest, tmp_path, capsys):
     record.pop("version")          # a release bump is not a change of draws
     text = json.dumps(record, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sampler_results_do_not_depend_on_the_worker_count(tmp_path, capsys):
+    # the two-block run: only the record's params name the worker count
+    argv, _ = PINNED_RECORDS["simulate-wedge-two-blocks"]
+    results = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"record-{workers}.json"
+        assert run_cli(argv[:-1] + [workers, "--output", str(path)]) == 0
+        results.append(json.loads(path.read_text())["results"])
+    capsys.readouterr()
+    assert results[0] == results[1]
 
 
 def _argv_from_params(command, params):
@@ -356,6 +368,14 @@ def test_console_entry_point():
         assert cmd in out.stdout
 
 
+# Runs the CLI, then prints the process's own peak RSS line from
+# /proc/self/status.  VmHWM starts afresh at exec, while wait4's ru_maxrss
+# would also count the RSS of the forking test process.
+_REPORT_PEAK = ("import sys; from wedgewalk.cli import main; code = main(sys.argv[1:]); "
+                "print(*[l for l in open('/proc/self/status') if l.startswith('VmHWM:')]); "
+                "sys.exit(code)")
+
+
 def _vase_check_peak_mb(tmp_path, K):
     """Peak RSS, in MB, of a child process running the vase rate and
     semigroup checks at resolution = layers = K.  Its address space is capped
@@ -363,15 +383,13 @@ def _vase_check_peak_mb(tmp_path, K):
     import resource
 
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-    with open(tmp_path / "stderr.txt", "w") as err:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "wedgewalk", "verify-intertwining",
-             "--shape", "power:2", "--resolution", str(K), "--layers", str(K),
-             "--output", str(tmp_path / "record.json")],
-            stdout=subprocess.DEVNULL, stderr=err, env=child_env(), preexec_fn=cap)
-        _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, (tmp_path / "stderr.txt").read_text()
-    return usage.ru_maxrss / 1024       # ru_maxrss is in KiB on Linux
+    out = subprocess.run(
+        [sys.executable, "-c", _REPORT_PEAK, "verify-intertwining",
+         "--shape", "power:2", "--resolution", str(K), "--layers", str(K),
+         "--output", str(tmp_path / "record.json")],
+        capture_output=True, text=True, env=child_env(), preexec_fn=cap)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout.split()[-2]) / 1024       # VmHWM is in kB
 
 
 def test_vase_rate_check_memory_scales_with_nonzeros(tmp_path):
@@ -438,6 +456,26 @@ def test_reverse_builds_only_the_planar_kernel(monkeypatch, capsys):
     monkeypatch.setattr(intertwining, "build_link", unused)
     assert run_cli(["reverse", "--layers", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["table_residual"] <= 1e-12
+
+
+class _Unread:
+    """Stands in for the ``rows`` view: reading it fails the test.  Rows
+    given to a constructor are still kept, as an instance attribute."""
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return self
+        raise AssertionError(f"{type(op).__name__}.rows was read")
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: " ".join(argv[:3]))
+def test_no_subcommand_reads_dict_rows(argv, tmp_path, monkeypatch, capsys):
+    # every operator is read through its CSR arrays
+    from wedgewalk.kernels import _CSROperator
+
+    monkeypatch.setattr(_CSROperator, "rows", _Unread())
+    assert run_cli(argv + ["--output", str(tmp_path / "record.json")]) == 0
+    capsys.readouterr()
 
 
 def test_no_subcommand_loads_scipy_integrate_or_optimize(tmp_path):

@@ -9,6 +9,7 @@ from wedgewalk import (
     ParameterError,
     SolverError,
     StochasticKernel,
+    UnreachableStateError,
     WedgeSpec,
     build_wedge_lattice,
     fit_green_constant,
@@ -19,7 +20,7 @@ from wedgewalk import (
     projected_wedge_chain,
     wedge_kernel,
 )
-from wedgewalk import green_reversal
+from wedgewalk import green_reversal, kernels
 from wedgewalk.green_reversal import _lifted_green, _rational_green
 from wedgewalk.kernels import row_displacement
 
@@ -251,6 +252,81 @@ def test_reversed_initial_law_uniform():
     rev = nagasawa_reverse(P, green_vector(P, (0, 0)))
     weights = [rev.initial_exact[lat.index(N, y)] for y in range(-N, N + 1)]
     assert all(w == F(1, 2 * N + 1) for w in weights)
+
+
+def _reversal_by_definition(P, green):
+    """Rows and absorption weights of p_hat(x, y) = g(y) p(y, x) / g(x),
+    from P's dict rows, in the float order of operations (g(y) p) / g(x)
+    with sums taken over y ascending."""
+    n, g, mask = P.n_states, green.visits, green.absorbing
+    rows, weights = [], [0] * n
+    for x in range(n):
+        col = {y: P.rows[y][x] for y in range(n) if not mask[y] and P.rows[y].get(x, 0) != 0}
+        if mask[x]:
+            weights[x] = sum(g[y] * p for y, p in col.items())
+            rows.append({y: g[y] * p / weights[x] for y, p in col.items()}
+                        if weights[x] else {x: 1})
+        else:
+            rows.append({y: g[y] * p / g[x] for y, p in col.items()})
+            if x == green.source:
+                rows[x][n] = 1 - sum(rows[x].values())
+    return rows + [{n: 1}], weights
+
+
+def _float_kernel(P):
+    return StochasticKernel(states=P.states, mode="float", layers=P.layers,
+                            rows=[{j: float(v) for j, v in r.items()} for r in P.rows])
+
+
+def _reversal_cases():
+    """Wedge kernels from the apex, and the scrambled kernel from two
+    sources with an extra absorbing state that no row reaches."""
+    for alpha in (math.pi / 6, math.pi / 4, math.pi / 3):
+        for N in (8, 30):
+            spec = WedgeSpec(alpha=alpha, layers=N)
+            lat = build_wedge_lattice(spec)
+            yield wedge_kernel(lat, spec), wedge_kernel(lat, spec, mode="float"), (0, 0)
+    P = _scrambled_kernel()
+    P = StochasticKernel(states=P.states + (P.n_states,), mode="rational",
+                         rows=P.rows + [{P.n_states: F(1)}])
+    for source in (0, 5):
+        yield P, _float_kernel(P), source
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_reversed_rows_are_the_definition(mode):
+    for exact, approx, source in _reversal_cases():
+        P = exact if mode == "rational" else approx
+        green = green_vector(P, source)
+        rev = nagasawa_reverse(P, green)
+        rows, weights = _reversal_by_definition(P, green)
+        assert rev.kernel.mode == mode
+        assert rev.kernel.rows == rows
+        assert rev.initial_exact == weights
+        assert rev.kill_index == P.n_states
+    # the scrambled kernel's extra state: no weight, and a row that holds
+    extra = P.n_states - 1
+    assert rev.kernel.rows[extra] == {extra: 1} and rev.initial_exact[extra] == 0
+
+
+def test_reversed_float_arrays_round_the_exact_rows():
+    # the unreduced integer rows divide to float(Fraction), correctly rounded
+    for exact, _, source in _reversal_cases():
+        rev = nagasawa_reverse(exact, green_vector(exact, source))
+        assert kernels._float_arrays(rev.kernel)[2].tolist() == \
+            [float(v) for row in rev.kernel.rows for _, v in sorted(row.items())]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_reversal_of_an_unreached_transient_state_is_refused(mode):
+    # state 1 is transient, but the walk from 0 never visits it
+    rows = [{2: F(1, 2), 0: F(1, 2)}, {0: F(1)}, {2: F(1)}]
+    P = StochasticKernel(states=("a", "b", "c"), mode="rational", rows=rows)
+    P = P if mode == "rational" else _float_kernel(P)
+    green = green_vector(P, 0)
+    assert green.visits[1] == 0
+    with pytest.raises(UnreachableStateError, match="state b"):
+        nagasawa_reverse(P, green)
 
 
 def enumerate_forward_paths(kernel, lat, stop_layer, max_len):

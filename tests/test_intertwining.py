@@ -110,13 +110,12 @@ def test_rational_verify_converts_each_operator_once(monkeypatch, tmp_path, caps
         return real(rows, exact)
 
     monkeypatch.setattr(kernels, "_row_arrays", counting)
-    monkeypatch.setattr(intertwining, "_row_arrays", counting)
+    monkeypatch.setattr(intertwining, "_row_arrays", counting, raising=False)
     assert cli.main(["verify-intertwining", "--alpha", "pi/6", "--mode", "rational",
                      "--layers", "20", "--output", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
-    # P, Q and the link are built as arrays; only the harmonic vector
-    # 1/(2i+1) (21 rows) is converted from dict rows
-    assert seen == [21]
+    # P, Q, the link and the harmonic vector 1/(2i+1) are all built as arrays
+    assert seen == []
 
 
 def test_exact_check_refuses_numbers_beyond_int64():
@@ -534,7 +533,7 @@ def test_vase_verify_converts_no_dict_rows(monkeypatch, tmp_path, capsys):
 
     seen = []
     monkeypatch.setattr(kernels, "_row_arrays", lambda *a: seen.append(a))
-    monkeypatch.setattr(intertwining, "_row_arrays", lambda *a: seen.append(a))
+    monkeypatch.setattr(intertwining, "_row_arrays", lambda *a: seen.append(a), raising=False)
     assert cli.main(["verify-intertwining", "--shape", "power:2", "--layers", "16",
                      "--output", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
