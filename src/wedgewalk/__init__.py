@@ -19,7 +19,6 @@ from .errors import (
 )
 from .geometry import (
     ShapeFunction,
-    Site,
     VaseGrid,
     WedgeLattice,
     WedgeSpec,

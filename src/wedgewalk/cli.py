@@ -97,7 +97,7 @@ def _simulate(kernel, args) -> int:
     agg = simulation.run_paths(kernel, "apex", stop=args.stop_layer,
                                n_paths=args.paths, seed=args.seed,
                                workers=args.workers)
-    dist = agg.exit_distribution(args.stop_layer, kernel.layers)
+    dist = agg.exit_distribution(args.stop_layer)
     chi = analytics.chi_square(dist.counts)
     results = {"exit_chi_square": chi, "n_paths": args.paths, "seed": args.seed,
                "sampler": simulation.SAMPLER,
@@ -158,9 +158,8 @@ def cmd_reverse(args) -> int:
     N = args.layers
     # inner rows' steps to (k - 1, y) and (k + 1, y), at columns s - 2k and
     # s + 2k + 2 in layer-major order, against their closed forms
-    k, y = geometry._layer_major(N)
-    s = np.flatnonzero((0 < k) & (k < N) & (abs(y) < k))
-    k, R = k[s], rev.kernel.to_csr()
+    s = np.flatnonzero((0 < P.layers) & (P.layers < N) & (abs(P.y) < P.layers))
+    k, R = P.layers[s], rev.kernel.to_csr()
     down, up = (np.asarray(R[s, s + step]).ravel() for step in (-2 * k, 2 * k + 2))
     worst = float(max(np.abs(down - s2 / 2 * (N - k + 1) / (N - k)).max(initial=0.0),
                       np.abs(up - s2 / 2 * (N - k - 1) / (N - k)).max(initial=0.0)))
@@ -321,8 +320,8 @@ def main(argv=None) -> int:
     try:
         args.output = _output_path(args)
         return args.fn(args)
-    except WedgewalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WedgewalkError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -98,60 +98,47 @@ class WedgeSpec:
         return math.sin(self.alpha) ** 2 if s2 is None else float(s2)
 
 
-@dataclass(frozen=True)
-class Site:
-    """A lattice site, addressed by layer and signed transverse index."""
-
-    layer: int
-    transverse: int
-
-    def __post_init__(self):
-        if self.layer < 0 or abs(self.transverse) > self.layer:
-            raise ParameterError(f"invalid site {(self.layer, self.transverse)}")
-
-    def position(self, alpha: float) -> complex:
-        return self.layer * math.cos(alpha) + 1j * self.transverse * math.sin(alpha)
-
-
 def site_index(k: int, y: int) -> int:
     """Layer-major enumeration: layers 0..k-1 hold k^2 sites."""
     return k * k + (y + k)
 
 
 def _layer_major(layers: int):
-    """Layer and transverse arrays ``(k, y)`` of the sites 0 <= k <= layers,
-    |y| <= k, in ``site_index`` order."""
-    k = np.repeat(np.arange(layers + 1), 2 * np.arange(layers + 1) + 1)
-    return k, np.arange(k.size) - k * (k + 1)
+    """Layer and transverse int32 arrays ``(k, y)`` of the sites
+    0 <= k <= layers, |y| <= k, in ``site_index`` order."""
+    k = np.repeat(np.arange(layers + 1, dtype=np.int32), 2 * np.arange(layers + 1) + 1)
+    return k, (np.arange(k.size) - k.astype(np.int64) * (k + 1)).astype(np.int32)
 
 
-@dataclass(frozen=True)
-class WedgeLattice:
-    """All sites (k, y), 0 <= k <= layers, |y| <= k, plus the planar embedding."""
-
-    spec: WedgeSpec
-    sites: tuple
-    positions: np.ndarray = field(repr=False)
+class _Sites:
+    """The sites (k, y), |y| <= k, of layers 0 .. K in ``site_index`` order:
+    site i is (``layer[i]``, ``y[i]``)."""
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        return self.layer.size
 
     def index(self, k: int, y: int) -> int:
-        if not (0 <= k <= self.spec.layers and abs(y) <= k):
-            raise ParameterError(f"site {(k, y)} outside lattice")
+        if not (0 <= k <= self.layer[-1] and abs(y) <= k):
+            raise ParameterError(f"site {(k, y)} outside the {type(self).__name__}")
         return site_index(k, y)
 
-    def layers_of(self) -> np.ndarray:
-        return _layer_major(self.spec.layers)[0].astype(np.int32)
+
+@dataclass(frozen=True)
+class WedgeLattice(_Sites):
+    """All sites of the truncated wedge; site i lies at ``positions[i]``."""
+
+    spec: WedgeSpec
+    layer: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
 
 
 def build_wedge_lattice(spec: WedgeSpec) -> WedgeLattice:
     """Enumerate the truncated wedge lattice; (N+1)^2 sites, injective embedding."""
     k, y = _layer_major(spec.layers)
     positions = k * math.cos(spec.alpha) + 1j * (y * math.sin(spec.alpha))
-    return WedgeLattice(spec=spec, sites=tuple(zip(k.tolist(), y.tolist())),
-                        positions=positions)
+    return WedgeLattice(spec=spec, layer=k, y=y, positions=positions)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +281,12 @@ def bisect_increasing(fn: Callable[[float], float], target: float,
 
 
 @dataclass(frozen=True)
-class VaseGrid:
+class VaseGrid(_Sites):
     """Vase discretization: layer k sits at abscissa x_k where h(x_k) = k/N.
 
     ``angles[k]`` is the inclination of the boundary segment between layers
     k and k+1: tan(angles[k]) = (1/N) / (x_{k+1} - x_k).  Sites are (k, y)
-    with |y| <= k, embedded at x_k + i y/N.
+    with |y| <= k, embedded at x_k + i y/N; ``layers`` is the top layer K.
     """
 
     shape: ShapeFunction
@@ -308,22 +295,14 @@ class VaseGrid:
     abscissas: np.ndarray = field(repr=False)   # x_0 .. x_K
     angles: np.ndarray = field(repr=False)      # alpha_0 .. alpha_{K-1}
 
-    @property
-    def n_sites(self) -> int:
-        return (self.layers + 1) ** 2
+    # built on first read: the radial operators need no site arrays
+    @cached_property
+    def layer(self) -> np.ndarray:
+        return _layer_major(self.layers)[0]
 
     @cached_property
-    def sites(self):
-        k, y = _layer_major(self.layers)
-        return tuple(zip(k.tolist(), y.tolist()))
-
-    def index(self, k: int, y: int) -> int:
-        if not (0 <= k <= self.layers and abs(y) <= k):
-            raise ParameterError(f"site {(k, y)} outside grid")
-        return site_index(k, y)
-
-    def position(self, k: int, y: int) -> complex:
-        return self.abscissas[k] + 1j * y / self.resolution
+    def y(self) -> np.ndarray:
+        return _layer_major(self.layers)[1]
 
     def cot_angles(self) -> np.ndarray:
         return 1.0 / np.tan(self.angles)

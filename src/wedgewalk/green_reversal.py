@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,37 +18,38 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SolverError, UnreachableStateError
-from .kernels import FLOAT, RATIONAL, StochasticKernel, _float_arrays, _row_arrays
-
-KILLED = "KILLED"
+from .kernels import FLOAT, RATIONAL, StochasticKernel, _float_arrays, _state
 
 
 @dataclass
 class GreenVector:
-    """Expected visit counts before absorption; zero at absorbing states."""
+    """Expected visit counts before absorption; zero at absorbing states.
+    ``layers`` and ``y`` are the kernel's."""
 
     source: int
     absorbing: np.ndarray = field(repr=False)    # bool mask
     visits: list = field(repr=False)             # Fractions or floats, len n_states
     mode: str = FLOAT
-    states: Optional[tuple] = None
+    layers: Optional[np.ndarray] = field(default=None, repr=False)
+    y: Optional[np.ndarray] = field(default=None, repr=False)
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.visits])
 
     def to_csv(self, path) -> None:
+        """One line per state: its layer, transverse index and visits; on a
+        radial chain, its index, an empty field and its visits."""
+        n = len(self.visits)
+        k, y = ((self.layers.tolist(), self.y.tolist()) if self.y is not None
+                else (range(n), [""] * n))
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["layer", "transverse", "visits"])
-            for s, v in zip(self.states, self.visits):
-                if isinstance(s, tuple):
-                    w.writerow([s[0], s[1], float(v)])
-                else:
-                    w.writerow([s, "", float(v)])
+            w.writerows(zip(k, y, self.as_floats().tolist()))
 
 
 def _rational_green(arrays, transient, source_pos):
-    """Exact solve of (I - T)^T g = e_src, T the exact ``_row_arrays`` of a
+    """Exact solve of (I - T)^T g = e_src, T the exact CSR arrays of a
     kernel restricted to ``transient``, by fraction-free elimination in
     natural order, inside the band.
 
@@ -126,36 +126,38 @@ def _lifted_green(kernel: StochasticKernel, mask, transient, source):
     g1(k) / |F_k|, which holds when the uniform fiber link intertwines P
     with Q, and kept only if it solves g (I - T) = e_src exactly and I - T
     is invertible."""
-    layers = kernel.layers
-    if layers is None or kernel.states[source] != (0, 0) \
-            or set(layers[mask].tolist()) & set(layers[~mask].tolist()):
+    if kernel.y is None or source != 0:
         return None
-    layer, (indptr, indices, (nums, dens)) = layers.tolist(), kernel.arrays
-    bounds, cols = indptr.tolist(), indices.tolist()
-    size, flows = Counter(layer), defaultdict(int)
-    for s in transient:                       # numerator sums per (k, k', den)
-        for e in range(bounds[s], bounds[s + 1]):
-            flows[layer[s], layer[cols[e]], dens[s]] += nums[e]
-    ks, t_ks = sorted(size), sorted({layer[s] for s in transient})
-    radial = [defaultdict(Fraction) for _ in ks]
-    for (k, k2, d), v in flows.items():
-        radial[ks.index(k)][ks.index(k2)] += Fraction(v, d * size[k])
+    ks, layer, size = np.unique(kernel.layers, return_inverse=True, return_counts=True)
+    t_ks = np.flatnonzero(np.bincount(layer[~mask], minlength=ks.size) == size)
+    if np.count_nonzero(~mask) != size[t_ks].sum():      # a layer is split
+        return None
+    indptr, indices, (nums, dens) = kernel.arrays
+    row = np.repeat(np.arange(len(dens)), np.diff(indptr))
+    e = np.flatnonzero(~mask[row])                      # the transient rows' entries
+    d = math.lcm(*set(dens))
+    nums, dens = np.array(nums, dtype=object)[e], np.array(dens, dtype=object)[row[e]]
+    # Q(k, k') sums P over F_k x F_k', over the denominator d |F_k|
+    flows = np.zeros((ks.size, ks.size), dtype=object)
+    np.add.at(flows, (layer[row[e]], layer[indices[e]]), nums * (d // dens))
+    k, k2 = np.nonzero(flows)
+    radial = (np.searchsorted(k, np.arange(ks.size + 1)), k2,
+              (flows[k, k2].tolist(), [d * n for n in size.tolist()]))
     try:
-        g1 = _rational_green(_row_arrays(radial, exact=True), [ks.index(k) for k in t_ks],
-                             t_ks.index(layer[source]))
+        g1 = _rational_green(radial, t_ks.tolist(), int(np.searchsorted(t_ks, layer[source])))
     except SolverError:
         return None
-    g = {k: v / size[k] for k, v in zip(t_ks, g1)}
-    D = math.lcm(*[v.denominator for v in g.values()]) * math.lcm(*set(dens))
-    w, flow = [0] * len(layer), [0] * len(layer)  # D g(s) / den(s), D (g T)(j)
-    for s in transient:
-        w[s] = g[layer[s]].numerator * (D // (g[layer[s]].denominator * dens[s]))
-        for e in range(bounds[s], bounds[s + 1]):
-            flow[cols[e]] += w[s] * nums[e]
-    if any(w[j] * dens[j] - flow[j] != D * (j == source) for j in transient) \
-            or not _reaches_absorption(kernel, mask):
+    g = np.zeros(ks.size, dtype=object)
+    g[t_ks] = [v / k for v, k in zip(g1, size[t_ks].tolist())]
+    D = math.lcm(*[v.denominator for v in g[t_ks]]) * d
+    # the certificate in Python ints: D g(j) = D (g T)(j) + D [j = source]
+    Dg = np.array([int(v * D) for v in g.tolist()], dtype=object)[layer]
+    flow = np.zeros(len(Dg), dtype=object)
+    flow[source] = D
+    np.add.at(flow, indices[e], Dg[row[e]] // dens * nums)
+    if (Dg != flow)[transient].any() or not _reaches_absorption(kernel, mask):
         return None
-    return [g[layer[s]] for s in transient]
+    return g[layer[transient]].tolist()
 
 
 def green_vector(kernel: StochasticKernel, source,
@@ -168,40 +170,28 @@ def green_vector(kernel: StochasticKernel, source,
     radial chain when that is certified exact; other rational solves are
     exact fraction-free elimination in the band.
     """
-    if isinstance(source, tuple):
-        source = kernel.index[source]
+    source = _state(kernel, source)
     mask = (kernel.absorbing_mask() if absorbing is None
             else np.asarray(absorbing, dtype=bool))
     if mask[source]:
         raise ParameterError("source must be transient")
-    transient = [i for i in range(kernel.n_states) if not mask[i]]
-    src_pos = transient.index(source)
+    transient = np.flatnonzero(~mask)
+    src_pos = int(np.searchsorted(transient, source))
 
     if kernel.mode == RATIONAL:
         g_tr = _lifted_green(kernel, mask, transient, source)
         if g_tr is None:
-            g_tr = _rational_green(kernel.arrays, transient, src_pos)
+            g_tr = _rational_green(kernel.arrays, transient.tolist(), src_pos)
     else:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as splinalg
-
-        P = kernel.to_csr()
-        T = P[transient][:, transient]
-        A = (sp.identity(len(transient), format="csc") - T).T.tocsc()
         e = np.zeros(len(transient))
         e[src_pos] = 1.0
-        try:
-            g_tr = splinalg.spsolve(A, e)
-        except Exception as exc:  # pragma: no cover - scipy raises various types
-            raise SolverError(f"green solve failed: {exc}") from exc
-        if not np.all(np.isfinite(g_tr)):
-            raise SolverError("green solve returned non-finite visit counts")
-        g_tr = g_tr.tolist()
-    visits = [Fraction(0) if kernel.mode == RATIONAL else 0.0] * kernel.n_states
-    for s, v in zip(transient, g_tr):
-        visits[s] = v
-    return GreenVector(source=source, absorbing=mask, visits=visits,
-                       mode=kernel.mode, states=kernel.states)
+        g_tr = _transient_solve(kernel.to_csr()[transient], transient, e,
+                                transpose=True).tolist()
+    visits = np.full(kernel.n_states, Fraction(0) if kernel.mode == RATIONAL else 0.0,
+                     dtype=object)
+    visits[transient] = g_tr
+    return GreenVector(source=source, absorbing=mask, visits=visits.tolist(),
+                       mode=kernel.mode, layers=kernel.layers, y=kernel.y)
 
 
 def green_closed_form_1d(layers: int, y: int):
@@ -260,7 +250,7 @@ def nagasawa_reverse(kernel: StochasticKernel, green: GreenVector) -> ReversedCh
     n, mask, g, source = kernel.n_states, green.absorbing, green.visits, green.source
     for x in np.flatnonzero(~mask).tolist():
         if g[x] == 0:
-            raise UnreachableStateError(f"state {kernel.states[x]} has zero visit count")
+            raise UnreachableStateError(f"state {x} has zero visit count")
     rational = kernel.mode == RATIONAL and green.mode == RATIONAL
     indptr, indices, values = kernel.arrays if rational else _float_arrays(kernel)
     nums, dens = values if rational else (values.tolist(), [1] * n)
@@ -290,12 +280,14 @@ def nagasawa_reverse(kernel: StochasticKernel, green: GreenVector) -> ReversedCh
     row_of = np.concatenate([x_of, [source], ones])
     order = np.argsort(row_of, kind="stable")       # the kill entry ends the source row
     entries = np.array(flow + [kill] + [1] * len(ones), dtype=object)[order].tolist()
-    layers = None if kernel.layers is None else np.append(kernel.layers, -1).astype(np.int32)
+    # the killed state n sits on layer -1
+    append = lambda a, v: None if a is None else np.append(a, v).astype(np.int32)
     rev = StochasticKernel(
-        states=kernel.states + (KILLED,), mode=RATIONAL if rational else FLOAT, layers=layers,
-        arrays=(np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=n + 1))]),
-                np.concatenate([y_of, [n], ones])[order],
-                (entries, den + [1]) if rational else np.array(entries, dtype=float)))
+        (np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=n + 1))]),
+         np.concatenate([y_of, [n], ones])[order],
+         (entries, den + [1]) if rational else np.array(entries, dtype=float)),
+        mode=RATIONAL if rational else FLOAT,
+        layers=append(kernel.layers, -1), y=append(kernel.y, 0))
     init = np.array([float(v) for v in initial] + [0.0])
     tot = init.sum()
     if abs(tot - 1.0) > 1e-9:
@@ -305,33 +297,38 @@ def nagasawa_reverse(kernel: StochasticKernel, green: GreenVector) -> ReversedCh
                          source=green.source, initial_exact=initial)
 
 
-def hit_probability(kernel: StochasticKernel, start, targets: Sequence,
-                    blockers: Sequence) -> float:
-    """P(reach any target before any blocker), by absorbing linear solve."""
+def _transient_solve(rows, transient, b, transpose: bool = False) -> np.ndarray:
+    """The absorbing-chain solve: x with (I - T) x = b, or (I - T)^T x = b
+    with ``transpose``, where T = rows[:, transient] and ``rows`` are a
+    float kernel's CSR rows at the ``transient`` states."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as splinalg
 
-    if isinstance(start, tuple):
-        start = kernel.index[start]
-    tset = {kernel.index[t] if isinstance(t, tuple) else int(t) for t in targets}
-    bset = {kernel.index[b] if isinstance(b, tuple) else int(b) for b in blockers}
+    A = sp.identity(len(transient), format="csc") - rows[:, transient]
+    try:
+        x = splinalg.spsolve((A.T if transpose else A).tocsc(), b)
+    except Exception as exc:  # pragma: no cover - scipy raises various types
+        raise SolverError(f"absorbing-chain solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SolverError("absorbing-chain solve returned non-finite values")
+    return x
+
+
+def hit_probability(kernel: StochasticKernel, start, targets: Sequence,
+                    blockers: Sequence) -> float:
+    """P(reach any target before any blocker), by absorbing linear solve.
+    States are indices or sites (k, y) of a planar kernel."""
+    start = _state(kernel, start)
+    tset = sorted({_state(kernel, t) for t in targets})
     # absorbing states that are not targets can never lead to one
-    bset.update(set(np.flatnonzero(kernel.absorbing_mask()).tolist()) - tset)
+    frozen = kernel.absorbing_mask()
+    frozen[tset + [_state(kernel, b) for b in blockers]] = True
     if start in tset:
         return 1.0
-    if start in bset:
+    if frozen[start]:
         return 0.0
-    frozen = tset | bset
-    transient = [i for i in range(kernel.n_states) if i not in frozen]
-    pos = {s: i for i, s in enumerate(transient)}
-    if start not in pos:
-        raise ParameterError("start state is neither transient nor frozen")
+    transient = np.flatnonzero(~frozen)
     P = kernel.to_csr()[transient]
-    T = P[:, transient]
-    rhs = np.asarray(P[:, sorted(tset)].sum(axis=1)).ravel()
-    A = (sp.identity(len(transient), format="csc") - T).tocsc()
-    try:
-        u = splinalg.spsolve(A, rhs)
-    except Exception as exc:  # pragma: no cover
-        raise SolverError(f"hit-probability solve failed: {exc}") from exc
-    return float(u[pos[start]])
+    rhs = np.asarray(P[:, tset].sum(axis=1)).ravel()
+    u = _transient_solve(P, transient, rhs)
+    return float(u[np.searchsorted(transient, start)])

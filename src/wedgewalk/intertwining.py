@@ -33,9 +33,9 @@ class MarkovLink(_CSROperator):
 
     what = "link row"
 
-    def __init__(self, n_source, n_target, rows=None, mode=RATIONAL, arrays=None):
+    def __init__(self, n_source, n_target, *, arrays, mode=RATIONAL):
         self.n_source, self.n_target, self.mode = n_source, n_target, mode
-        self._keep(rows, arrays)
+        self.arrays = self.check(arrays, mode, self.what)
 
     def to_csr(self):
         return _csr(_float_arrays(self), self.n_target)
@@ -43,10 +43,7 @@ class MarkovLink(_CSROperator):
 
 def build_link(space) -> MarkovLink:
     """Uniform fiber link for a wedge lattice, a vase grid, or a layer count."""
-    if isinstance(space, (WedgeLattice, VaseGrid)):
-        K = space.spec.layers if isinstance(space, WedgeLattice) else space.layers
-    else:
-        K = int(space)
+    K = int(space.layer[-1]) if isinstance(space, (WedgeLattice, VaseGrid)) else int(space)
     # layer k's fiber is the sites k^2 .. k^2 + 2k in layer-major order
     indptr = np.arange(K + 2, dtype=np.int64) ** 2
     nums = [1] * (K + 1) ** 2
@@ -84,7 +81,7 @@ def _row_absmax(M) -> list:
 
 
 def _exact(name: str, arrays, n_cols: int):
-    """Exact ``_row_arrays`` as an exact matrix ``(name, num, den)``: int64
+    """Exact CSR arrays as an exact matrix ``(name, num, den)``: int64
     CSR numerators over one Python-int denominator per row.  ``name`` labels
     overflow errors."""
     indptr, indices, (nums, den) = arrays
@@ -230,10 +227,10 @@ def filter_sample(link: MarkovLink, state: int, rng: np.random.Generator):
     """Draw a planar site index from the fiber law of a radial state."""
     if not 0 <= state < link.n_source:
         raise ParameterError(f"state {state} outside the link source space")
-    row = link.rows[state]
-    targets = sorted(row)
+    indptr, indices, _ = link.arrays
+    lo, hi = int(indptr[state]), int(indptr[state + 1])
     # uniform fibers: an integer draw suffices and keeps the stream cheap
-    return targets[int(rng.integers(0, len(targets)))]
+    return int(indices[lo + int(rng.integers(0, hi - lo))])
 
 
 def harmonic_residual(one_dim_chain: StochasticKernel) -> float:

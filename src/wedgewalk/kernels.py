@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import VaseGrid, WedgeLattice, WedgeSpec, _layer_major
+from .geometry import VaseGrid, WedgeLattice, WedgeSpec, site_index
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -41,32 +41,11 @@ def _resolve_mode(mode: str, s2_exact) -> str:
     return mode
 
 
-def _row_arrays(rows, exact: bool = False):
-    """CSR arrays ``(indptr, indices, values)`` of dict rows ``{column:
-    value}``, columns sorted within each row.  ``values`` is a float array,
-    or with ``exact`` a pair of Python-int lists ``(numerators, dens)``: row
-    i's numerators over ``dens[i]``, the lcm of its denominators."""
-    n = len(rows)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter((j for r in rows for j in r), dtype=np.int64, count=nnz)
-    order = np.lexsort((indices, np.repeat(np.arange(n), np.diff(indptr))))
-    if not exact:
-        data = np.fromiter((float(v) for r in rows for v in r.values()),
-                           dtype=float, count=nnz)
-        return indptr, indices[order], data[order]
-    dens = [math.lcm(*[v.denominator for v in r.values()]) for r in rows]
-    nums = [v.numerator * (d // v.denominator)
-            for r, d in zip(rows, dens) for v in r.values()]
-    return indptr, indices[order], ([nums[e] for e in order.tolist()], dens)
-
-
 def _check_stochastic(arrays, mode: str, what: str = "row"):
-    """``arrays``, CSR arrays in the ``_row_arrays`` form of ``mode``.
-    Raises ``ParameterError`` unless every row is a probability vector:
-    exactly (integer numerators summing to the row denominator) in rational
-    mode, to 1e-12 in float mode."""
+    """``arrays``, the CSR arrays of an operator in ``mode``.  Raises
+    ``ParameterError`` unless every row is a probability vector: exactly
+    (integer numerators summing to the row denominator) in rational mode,
+    to 1e-12 in float mode."""
     indptr, _, values = arrays
     n = len(indptr) - 1
     if mode == RATIONAL:
@@ -95,7 +74,7 @@ def _check_stochastic(arrays, mode: str, what: str = "row"):
 
 
 def _pattern_arrays(patterns, kind, layer, mode: str):
-    """CSR arrays, in the ``_row_arrays`` form of ``mode``, of rows that each
+    """CSR arrays, in the form of ``mode``, of rows that each
     follow one of the ``patterns``.  ``patterns[c]`` lists pattern c's entries
     in column order as ``(a, b, value)``; row s of ``kind[s] == c`` holds
     ``value`` at column ``s + a + b * layer[s]``.  Exact values go over the
@@ -116,7 +95,7 @@ def _pattern_arrays(patterns, kind, layer, mode: str):
 
 
 def _float_arrays(op):
-    """Float ``_row_arrays`` of an operator: its kept ones in float mode, its
+    """Float CSR arrays of an operator: its kept ones in float mode, its
     exact numerators divided by their row denominators in rational mode
     (correctly rounded, as ``float(Fraction)``)."""
     if op.mode == FLOAT:
@@ -126,8 +105,18 @@ def _float_arrays(op):
     return indptr, indices, np.array(list(map(operator.truediv, nums, dens)))
 
 
+def _entry_values(op) -> list:
+    """An operator's stored entries, row by row: Fractions in rational
+    mode, floats in float mode."""
+    indptr, _, values = op.arrays
+    if op.mode != RATIONAL:
+        return values.tolist()
+    dens = np.repeat(np.array(values[1], dtype=object), np.diff(indptr))
+    return list(map(Fraction, values[0], dens))
+
+
 def _csr(arrays, n_cols: int, diagonal=None):
-    """Float CSR matrix of float ``_row_arrays``; ``diagonal`` (one value per
+    """Float CSR matrix of float CSR arrays; ``diagonal`` (one value per
     row) is added on the diagonal."""
     import scipy.sparse as sp
 
@@ -140,7 +129,7 @@ def _csr(arrays, n_cols: int, diagonal=None):
 
 
 def _check_rates(arrays, mode=FLOAT, what: str = "row"):
-    """Float ``_row_arrays`` of off-diagonal rates.  Raises ``ParameterError``
+    """Float CSR arrays of off-diagonal rates.  Raises ``ParameterError``
     if a row stores a diagonal entry or a negative or non-finite rate."""
     indptr, indices, data = arrays
     row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
@@ -152,47 +141,49 @@ def _check_rates(arrays, mode=FLOAT, what: str = "row"):
 
 
 class _CSROperator:
-    """An operator kept as checked CSR ``arrays`` in the ``_row_arrays``
-    form of its ``mode``.  Dict ``rows`` given to the constructor are
-    converted once; otherwise ``rows``, a list of ``{column: value}``, is
-    built from the arrays on first access."""
+    """An operator on the states 0 .. n-1, kept as checked CSR ``arrays``
+    ``(indptr, indices, values)`` with the columns of each row ascending.
+    ``values`` is a float array in float mode; in rational mode it is a
+    pair of Python-int lists ``(numerators, dens)``, row i's numerators
+    over the positive denominator ``dens[i]``."""
 
     what, check = "row", staticmethod(_check_stochastic)
 
-    def _keep(self, rows, arrays):
-        if arrays is None:
-            arrays = _row_arrays(rows, exact=self.mode == RATIONAL)
-            self.rows = rows
-        self.arrays = self.check(arrays, self.mode, self.what)
-
+    # a list of {column: value}; bench/spans.py counts entries through it
     @functools.cached_property
     def rows(self) -> list:
-        indptr, indices, values = self.arrays
-        bounds, cols = indptr.tolist(), indices.tolist()
-        if self.mode == RATIONAL:
-            dens = np.repeat(np.array(values[1], dtype=object), np.diff(indptr))
-            values = list(map(Fraction, values[0], dens))
-        else:
-            values = values.tolist()
+        bounds, cols = self.arrays[0].tolist(), self.arrays[1].tolist()
+        values = _entry_values(self)
         return [dict(zip(cols[lo:hi], values[lo:hi]))
                 for lo, hi in zip(bounds, bounds[1:])]
 
-    @functools.cached_property
-    def index(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
-
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.arrays[0]) - 1
+
+
+def _state(op, state) -> int:
+    """Index of ``state``, given as an index or as a site (k, y) of a planar
+    operator; ``ParameterError`` if the operator has no such state."""
+    if isinstance(state, tuple):
+        k, y = state
+        if op.y is None or not (0 <= k <= op.layers.max() and abs(y) <= k):
+            raise ParameterError(f"site {state} outside the operator's sites")
+        return site_index(k, y)
+    if not 0 <= int(state) < op.n_states:
+        raise ParameterError(f"state {state} outside the operator's states")
+    return int(state)
 
 
 class StochasticKernel(_CSROperator):
-    """Sparse row-stochastic operator over an enumerated state space, given
-    by dict ``rows`` ``{state_index: probability}`` or by CSR ``arrays``."""
+    """Sparse row-stochastic operator given by its CSR ``arrays``.  State i
+    lies on layer ``layers[i]`` at transverse index ``y[i]``: a planar site
+    (k, y) is state ``site_index(k, y)``; ``y`` is None on a radial chain,
+    and both are None on a kernel with no layered states."""
 
-    def __init__(self, states, rows=None, *, mode, layers=None, arrays=None):
-        self.states, self.mode, self.layers = tuple(states), mode, layers
-        self._keep(rows, arrays)
+    def __init__(self, arrays, *, mode, layers=None, y=None):
+        self.mode, self.layers, self.y = mode, layers, y
+        self.arrays = self.check(arrays, mode, self.what)
 
     def is_absorbing(self, i: int) -> bool:
         return bool(self.absorbing_mask()[i])
@@ -208,19 +199,15 @@ class StochasticKernel(_CSROperator):
 
 class RateMatrix(_CSROperator):
     """Sparse conservative rate matrix: CSR ``arrays`` of the off-diagonal
-    rates (``rows``, alias ``off_rows``, their dict view) and ``exit_rates``,
-    the negated diagonal, by default each row's rates summed in dict order."""
+    rates and ``exit_rates``, the negated diagonal.  ``layers`` and ``y``
+    place the states as in ``StochasticKernel``."""
 
     mode, check = FLOAT, staticmethod(_check_rates)
 
-    def __init__(self, states, off_rows=None, layers=None, *, arrays=None,
-                 exit_rates=None):
-        self.states, self.layers = tuple(states), layers
-        self._keep(off_rows, arrays)
-        self.exit_rates = np.asarray([sum(r.values()) for r in self.rows]
-                                     if exit_rates is None else exit_rates, dtype=float)
-
-    off_rows = property(lambda self: self.rows)
+    def __init__(self, arrays, *, exit_rates, layers=None, y=None):
+        self.layers, self.y = layers, y
+        self.arrays = self.check(arrays, self.mode, self.what)
+        self.exit_rates = np.asarray(exit_rates, dtype=float)
 
     def to_csr(self):
         """The full generator, diagonal included."""
@@ -240,8 +227,7 @@ class RateMatrix(_CSROperator):
         arrays = (np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]),
                   np.concatenate([indices[move], stay])[order],
                   np.concatenate([data[move] / rate[move], np.ones(stay.size)])[order])
-        return StochasticKernel(states=self.states, mode=FLOAT, layers=self.layers,
-                                arrays=arrays)
+        return StochasticKernel(arrays, mode=FLOAT, layers=self.layers, y=self.y)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +270,10 @@ def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,
                 [(-1, 0, q), (0, 0, q), (2, 2, p), (3, 2, p)],   # y = k
                 [(0, 0, q), (1, 0, q), (1, 2, p), (2, 2, p)],    # y = -k
                 [(0, -2, p), (-1, 0, q), (1, 0, q), (2, 2, p)]]  # inner
-    layer = lattice.layers_of()
-    y = np.arange(lattice.n_sites) - layer * (layer + 1)
+    layer, y = lattice.layer, lattice.y
     kind = np.select([layer >= M, layer == 0, y == layer, y == -layer], [0, 1, 2, 3], 4)
-    return StochasticKernel(states=lattice.sites, mode=mode, layers=layer,
-                            arrays=_pattern_arrays(patterns, kind, layer, mode))
+    return StochasticKernel(_pattern_arrays(patterns, kind, layer, mode), mode=mode,
+                            layers=layer, y=y)
 
 
 def projected_wedge_chain(layers: int, alpha: float,
@@ -308,10 +293,9 @@ def projected_wedge_chain(layers: int, alpha: float,
     patterns += [[(-1, 0, step(2 * i - 1, 2 * i + 1)), (0, 0, 1 - s2),
                   (1, 0, step(2 * i + 3, 2 * i + 1))] for i in range(1, N)]
     patterns.append([(0, 0, one)])
-    return StochasticKernel(states=tuple(range(N + 1)), mode=mode,
-                            layers=np.arange(N + 1, dtype=np.int32),
-                            arrays=_pattern_arrays(patterns, np.arange(N + 1),
-                                                   np.zeros(N + 1, dtype=np.int64), mode))
+    return StochasticKernel(_pattern_arrays(patterns, np.arange(N + 1),
+                                            np.zeros(N + 1, dtype=np.int64), mode),
+                            mode=mode, layers=np.arange(N + 1, dtype=np.int32))
 
 
 def row_displacement(kernel: StochasticKernel, i: int):
@@ -320,13 +304,16 @@ def row_displacement(kernel: StochasticKernel, i: int):
     Exact in rational mode.  The wedge embedding puts (k, y) at
     k cos(a) + i y sin(a), so the physical mean step is (a*cos, b*sin).
     """
-    k0, y0 = kernel.states[i]
-    a = b = Fraction(0) if kernel.mode == RATIONAL else 0.0
-    for j, pr in kernel.rows[i].items():
-        k1, y1 = kernel.states[j]
-        a = a + pr * (k1 - k0)
-        b = b + pr * (y1 - y0)
-    return a, b
+    if kernel.y is None:
+        raise ParameterError("row_displacement needs a planar kernel")
+    indptr, indices, values = kernel.arrays
+    lo, hi = indptr[i], indptr[i + 1]
+    cols = indices[lo:hi]
+    steps = [(a[cols] - a[i]).tolist() for a in (kernel.layers, kernel.y)]
+    if kernel.mode == RATIONAL:         # numerators over the row's denominator
+        return tuple(Fraction(sum(map(operator.mul, values[0][lo:hi], d)), values[1][i])
+                     for d in steps)
+    return tuple(sum(map(operator.mul, values[lo:hi].tolist(), d)) for d in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +367,7 @@ def vase_rate_matrix(grid: VaseGrid, apex_rate: float = 1.0 / 6.0,
     boundary flux bias that does not vanish in the scaling limit.
     """
     c, d = _vase_layer_rates(grid, apex_rate)
-    k, y = _layer_major(grid.layers)
+    k, y = grid.layer, grid.y
     s, inside, c, d = np.arange(k.size), (0 < k) & (k < grid.layers), c[k], d[k]
     up = down = np.full(k.size, 0.5)
     if exact_projection:            # the skew on the bonds (y, y+1) and (y-1, y)
@@ -404,8 +391,7 @@ def vase_rate_matrix(grid: VaseGrid, apex_rate: float = 1.0 / 6.0,
     # exit rates summed as the rows are listed: up, down, forward, back
     exit_rates = np.where(inner, ((up + down) + c) + d,
                           (vals[:, 0] + vals[:, 1]) + vals[:, 2])
-    return RateMatrix(states=grid.sites, layers=k.astype(np.int32),
-                      arrays=_slot_arrays(cols, vals), exit_rates=exit_rates)
+    return RateMatrix(_slot_arrays(cols, vals), exit_rates=exit_rates, layers=k, y=y)
 
 
 def projected_vase_rates(grid: VaseGrid, apex_rate: float = 1.0 / 6.0) -> RateMatrix:
@@ -415,8 +401,8 @@ def projected_vase_rates(grid: VaseGrid, apex_rate: float = 1.0 / 6.0) -> RateMa
     cols = np.where((0 < k) & (k < grid.layers), [k - 1, k + 1], -1).T
     vals = np.array([(2 * k - 1) / (2 * k + 1) * d, (2 * k + 3) / (2 * k + 1) * c]).T
     cols[0], vals[0] = (1, -1), (3.0 * apex_rate, 0.0)
-    return RateMatrix(states=tuple(range(k.size)), layers=k.astype(np.int32),
-                      arrays=_slot_arrays(cols, vals), exit_rates=vals[:, 0] + vals[:, 1])
+    return RateMatrix(_slot_arrays(cols, vals), exit_rates=vals[:, 0] + vals[:, 1],
+                      layers=k.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +410,16 @@ def projected_vase_rates(grid: VaseGrid, apex_rate: float = 1.0 / 6.0) -> RateMa
 # ---------------------------------------------------------------------------
 
 def write_triplets(op, path) -> None:
-    """Dump a kernel or rate matrix as text rows of
-    ``from to numerator denominator`` (rational) or ``from to value`` (float)."""
+    """Dump a kernel or rate matrix as text rows of ``from to numerator
+    denominator`` (rational, in lowest terms) or ``from to value`` (float)."""
+    indptr, indices, _ = op.arrays
+    rows = np.repeat(np.arange(op.n_states), np.diff(indptr)).tolist()
+    value = "{0.numerator} {0.denominator}".format if op.mode == RATIONAL else repr
     with open(path, "w") as fh:
         kind = "rate-matrix" if isinstance(op, RateMatrix) else "stochastic"
         fh.write(f"# {kind} {op.mode}\n")
-        for i, row in enumerate(op.rows):
-            for j, v in sorted(row.items()):
-                fh.write(f"{i} {j} {v.numerator} {v.denominator}\n" if op.mode == RATIONAL
-                         else f"{i} {j} {float(v)!r}\n")
+        fh.writelines(map("{} {} {}\n".format, rows, indices.tolist(),
+                          map(value, _entry_values(op))))
 
 
 def read_triplets(path):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, SimulationTimeout
 from . import green_reversal as _green
-from .kernels import StochasticKernel, _float_arrays
+from .kernels import StochasticKernel, _float_arrays, _state
 
 class Side(enum.IntEnum):
     UNDEFINED = 0
@@ -35,10 +35,10 @@ class Side(enum.IntEnum):
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One observed trajectory: where it exited, the last reflecting side it
+    """One observed trajectory: its exit state, the last reflecting side it
     touched (boundary contact = site with |y| = k >= 1), and its length."""
 
-    exit_site: tuple
+    exit_state: int
     last_side: Side
     steps: int
 
@@ -47,7 +47,7 @@ class PathRecord:
 class EmpiricalDistribution:
     """Counts over labelled bins with full seed provenance."""
 
-    labels: list
+    labels: np.ndarray
     counts: np.ndarray
     total: int
     seed: int
@@ -59,9 +59,11 @@ class EmpiricalDistribution:
 
 @dataclass
 class PathAggregate:
-    """Summed per-block observations from ``run_paths``."""
+    """Summed per-block observations from ``run_paths``; ``layers`` and
+    ``y`` are the kernel's."""
 
-    states: tuple
+    layers: Optional[np.ndarray]
+    y: Optional[np.ndarray]
     n_paths: int
     seed: int
     exit_side: np.ndarray        # (n_states, 3): columns Side.{UNDEFINED,UPPER,LOWER}
@@ -73,11 +75,13 @@ class PathAggregate:
     def exit_counts(self) -> np.ndarray:
         return self.exit_side.sum(axis=1)
 
-    def exit_distribution(self, layer: int, layers: np.ndarray) -> EmpiricalDistribution:
-        sel = np.nonzero(layers[: len(self.states)] == layer)[0]
+    def exit_distribution(self, layer: int) -> EmpiricalDistribution:
+        """Exit counts at the states of ``layer``, labelled by state index."""
+        if self.layers is None:
+            raise ParameterError("exit distribution requested but kernel has no layer map")
+        sel = np.flatnonzero(self.layers == layer)
         counts = self.exit_counts()[sel]
-        return EmpiricalDistribution(labels=[self.states[i] for i in sel],
-                                     counts=counts, total=int(counts.sum()),
+        return EmpiricalDistribution(labels=sel, counts=counts, total=int(counts.sum()),
                                      seed=self.seed)
 
 
@@ -145,15 +149,13 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     return bits, entry, guide.reshape(-1), records
 
 
-def _side_array(states) -> np.ndarray:
-    side = np.zeros(len(states), dtype=np.int8)
-    for i, s in enumerate(states):
-        if isinstance(s, tuple):
-            k, y = s
-            if k >= 1 and y == k:
-                side[i] = Side.UPPER
-            elif k >= 1 and y == -k:
-                side[i] = Side.LOWER
+def _side_array(kernel: StochasticKernel) -> np.ndarray:
+    """Each state's reflecting side: upper at y = k >= 1, lower at y = -k <= -1."""
+    side = np.zeros(kernel.n_states, dtype=np.int8)
+    if kernel.y is not None:
+        k, y = kernel.layers, kernel.y
+        side[(k >= 1) & (y == k)] = Side.UPPER
+        side[(k >= 1) & (y == -k)] = Side.LOWER
     return side
 
 
@@ -166,19 +168,16 @@ def _start_distribution(kernel: StochasticKernel, start):
         return None, np.cumsum(p)
     if isinstance(start, tuple) and len(start) == 2 and start[0] == "fiber":
         k = int(start[1])
+        lo, hi = _state(kernel, (k, -k)), _state(kernel, (k, k)) + 1
         p = np.zeros(kernel.n_states)
-        for y in range(-k, k + 1):
-            p[kernel.index[(k, y)]] = 1.0 / (2 * k + 1)
+        p[lo:hi] = 1.0 / (2 * k + 1)
         return None, np.cumsum(p)
-    if isinstance(start, tuple):
-        return kernel.index[start], None
     if start == "apex":
-        # planar chains label the apex (0, 0), radial chains 0
-        for apex in ((0, 0), 0):
-            if apex in kernel.index:
-                return kernel.index[apex], None
-        raise ParameterError("start 'apex': the kernel has no state (0, 0) or 0")
-    return int(start), None
+        # the apex (0, 0) of a planar chain and state 0 of a radial one
+        if kernel.layers is None or kernel.layers[0] != 0:
+            raise ParameterError("start 'apex': the kernel's state 0 is not on layer 0")
+        return 0, None
+    return _state(kernel, start), None
 
 
 def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
@@ -274,7 +273,7 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
     stopm = _resolve_stop(kernel, stop)
     if not stopm.any():
         raise ParameterError("no stop states")
-    side = _side_array(kernel.states)
+    side = _side_array(kernel)
     if "last_side" not in observers:
         side[:] = 0
     tables = padded_kernel(kernel, side, stopm)
@@ -292,7 +291,7 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
         results = [_run_block(a) for a in blocks]
 
     S = kernel.n_states
-    agg = PathAggregate(states=kernel.states, n_paths=0, seed=seed,
+    agg = PathAggregate(layers=kernel.layers, y=kernel.y, n_paths=0, seed=seed,
                         exit_side=np.zeros((S, 3), dtype=np.int64),
                         initial=np.zeros(S, dtype=np.int64),
                         steps_hist=np.zeros(64, dtype=np.int64),
@@ -320,31 +319,27 @@ def sample_path(kernel: StochasticKernel, start, stop=None,
     vectorized engine and a source of individual ``PathRecord`` values."""
     rng = rng or np.random.default_rng()
     stopm = _resolve_stop(kernel, stop)
-    side = _side_array(kernel.states)
+    side = _side_array(kernel)
     start_idx, start_cdf = _start_distribution(kernel, start)
     if start_cdf is not None:
         state = int(np.searchsorted(start_cdf, rng.random(), side="right"))
     else:
         state = start_idx
+    indptr, indices, data = _float_arrays(kernel)
     last = Side(int(side[state]))
     steps = 0
     while not stopm[state]:
-        row = kernel.rows[state]
-        u = rng.random()
-        acc = 0.0
-        for j in sorted(row):
-            acc += float(row[j])
-            if u < acc:
-                state = j
-                break
-        else:
-            state = max(row)
+        # the first target whose cumulative probability exceeds the draw,
+        # or the last one when rounding leaves the sum below it
+        lo, hi = indptr[state], indptr[state + 1]
+        j = np.searchsorted(np.cumsum(data[lo:hi]), rng.random(), side="right")
+        state = int(indices[lo + min(j, hi - lo - 1)])
         if side[state]:
             last = Side(int(side[state]))
         steps += 1
         if steps > step_cap:
             raise SimulationTimeout(f"path exceeded {step_cap} steps")
-    return PathRecord(exit_site=kernel.states[state], last_side=last, steps=steps)
+    return PathRecord(exit_state=state, last_side=last, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +393,16 @@ def last_side_curve(aggregate: PathAggregate, stop_layer: int,
     M = stop_layer
     if bins < 2:
         raise ParameterError("need at least 2 bins")
-    up = np.zeros(bins)
-    lo = np.zeros(bins)
-    undef = 0
-    s_weight = np.zeros(bins)
-    for i, st in enumerate(aggregate.states):
-        if not isinstance(st, tuple) or st[0] != M:
-            continue
-        y = st[1]
-        s = (y / M + 1.0) / 2.0
-        j = min(int(s * bins), bins - 1)
-        row = aggregate.exit_side[i]
-        undef += int(row[Side.UNDEFINED])
-        up[j] += row[Side.UPPER]
-        lo[j] += row[Side.LOWER]
-        s_weight[j] += s * (row[Side.UPPER] + row[Side.LOWER])
+    # exits at the sites (M, y); a radial chain has none
+    sel = np.flatnonzero(aggregate.layers == M) if aggregate.y is not None else np.arange(0)
+    s = (aggregate.y[sel] / M + 1.0) / 2.0 if sel.size else np.zeros(0)
+    at = np.minimum((s * bins).astype(np.int64), bins - 1)       # each site's bin
+    rows = aggregate.exit_side[sel]
+    undef = int(rows[:, Side.UNDEFINED].sum())
+    up = np.bincount(at, weights=rows[:, Side.UPPER], minlength=bins)
+    lo = np.bincount(at, weights=rows[:, Side.LOWER], minlength=bins)
+    s_weight = np.bincount(at, weights=s * (rows[:, Side.UPPER] + rows[:, Side.LOWER]),
+                           minlength=bins)
     out = []
     for j in range(bins):
         n = int(up[j] + lo[j])
@@ -433,8 +423,6 @@ def discrete_hit_prob(one_dim_chain: StochasticKernel, start: int,
     """P(reach ``lower`` before ``upper``) for a radial chain, by linear solve."""
     if not 0 <= lower < start < upper:
         raise ParameterError("need 0 <= lower < start < upper")
-    if upper >= one_dim_chain.n_states:
-        raise ParameterError("upper endpoint outside the chain")
     return _green.hit_probability(one_dim_chain, start, targets=[lower],
                                   blockers=[upper])
 

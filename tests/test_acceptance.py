@@ -69,12 +69,12 @@ def test_c03_uniform_hitting():
     lat = ww.build_wedge_lattice(spec)
     P = ww.wedge_kernel(lat, spec, mode="float")
     agg = ww.run_paths(P, "apex", stop=M, n_paths=100000, seed=2026)
-    wedge_chi = ww.chi_square(agg.exit_distribution(M, P.layers).counts)
+    wedge_chi = ww.chi_square(agg.exit_distribution(M).counts)
 
     grid = ww.build_vase_grid("power:2", 20, 20)
     Pv = ww.vase_rate_matrix(grid).jump_chain()
     aggv = ww.run_paths(Pv, "apex", stop=20, n_paths=100000, seed=2027)
-    vase_chi = ww.chi_square(aggv.exit_distribution(20, Pv.layers).counts)
+    vase_chi = ww.chi_square(aggv.exit_distribution(20).counts)
 
     ok = wedge_chi["p_value"] > 0.001 and vase_chi["p_value"] > 0.001
     _criterion(3, ok, f"uniform hitting: wedge p={wedge_chi['p_value']:.3f} "
@@ -152,7 +152,7 @@ def _pathwise_identity_exact():
     while stack:
         path, prob = stack.pop()
         cur = path[-1]
-        if lat.sites[cur][0] >= N:
+        if lat.layer[cur] >= N:
             rpath = path[::-1]
             q = rev.initial_exact[rpath[0]]
             for a, b in zip(rpath, rpath[1:]):

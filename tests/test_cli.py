@@ -360,7 +360,7 @@ def test_outdir_env(tmp_path, monkeypatch, capsys):
 
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "wedgewalk", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     for cmd in ("verify-intertwining", "simulate-wedge", "simulate-vase",
                 "green", "reverse", "watts", "bessel-check", "strip-check",
@@ -402,6 +402,22 @@ def test_vase_rate_check_fits_at_256_layers(tmp_path):
     # 66,049 states; the dense semigroup arrays alone would take 1 GB, and the
     # streamed check peaked at 108 MB as a whole process (Python 3.11, numpy 2.4)
     assert _vase_check_peak_mb(tmp_path, 256) < 130
+
+
+def test_a_run_too_large_for_memory_exits_2(tmp_path):
+    # 9 million sites: the float kernel's arrays alone need more than the
+    # 1.5 GB of address space the child gets, so the run ends with an error
+    # line and the usage exit code instead of a traceback
+    import resource
+
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+    out = subprocess.run(
+        [sys.executable, "-m", "wedgewalk", "simulate-wedge", "--stop-layer", "3000",
+         "--paths", "10", "--output", str(tmp_path / "record.json")],
+        capture_output=True, text=True, env=child_env(), preexec_fn=cap, timeout=300)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr, out.stderr
+    assert not (tmp_path / "record.json").exists()
 
 
 def _loaded_by_import(*packages):
@@ -459,8 +475,7 @@ def test_reverse_builds_only_the_planar_kernel(monkeypatch, capsys):
 
 
 class _Unread:
-    """Stands in for the ``rows`` view: reading it fails the test.  Rows
-    given to a constructor are still kept, as an instance attribute."""
+    """Stands in for the ``rows`` view: reading it fails the test."""
 
     def __get__(self, op, owner=None):
         if op is None:

@@ -5,7 +5,6 @@ import pytest
 
 from wedgewalk import (
     ParameterError,
-    Site,
     WedgeSpec,
     build_vase_grid,
     build_wedge_lattice,
@@ -22,8 +21,8 @@ def test_wedge_site_count_small():
     spec = WedgeSpec(alpha=math.pi / 4, layers=2)
     lat = build_wedge_lattice(spec)
     assert lat.n_sites == 9
-    assert lat.sites == ((0, 0), (1, -1), (1, 0), (1, 1),
-                         (2, -2), (2, -1), (2, 0), (2, 1), (2, 2))
+    assert list(zip(lat.layer.tolist(), lat.y.tolist())) == [
+        (0, 0), (1, -1), (1, 0), (1, 1), (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 41])
@@ -56,7 +55,7 @@ def test_invalid_specs():
     with pytest.raises(ParameterError):
         WedgeSpec(alpha=0.5, layers=5, apex_hold=0.5)
     with pytest.raises(ParameterError):
-        Site(layer=2, transverse=3)
+        build_wedge_lattice(WedgeSpec(alpha=0.5, layers=5)).index(2, 3)
 
 
 def test_parse_angle():
@@ -162,16 +161,15 @@ def _reference_sites(N, alpha):
 def test_lattice_arrays_are_the_site_loop(N):
     sites, _, layers = _reference_sites(N, 0.7)
     grid = build_vase_grid(power_shape(2.0), N, N)
-    grid_sites = grid.sites
-    assert grid_sites == sites and type(grid_sites[-1][1]) is int
-    assert grid.sites is grid_sites         # built once per grid
+    assert tuple(zip(grid.layer.tolist(), grid.y.tolist())) == sites
+    assert grid.layer.dtype == grid.y.dtype == np.int32
     if N < 2:
         return                          # a wedge has at least two layers
     for alpha in (math.pi / 6, math.pi / 4, 0.7):
         sites, positions, layers = _reference_sites(N, alpha)
         lat = build_wedge_lattice(WedgeSpec(alpha=alpha, layers=N))
-        assert lat.sites == sites and type(lat.sites[-1][0]) is int
+        assert tuple(zip(lat.layer.tolist(), lat.y.tolist())) == sites
         assert lat.positions.dtype == positions.dtype
         assert np.array_equal(lat.positions.view(np.int64), positions.view(np.int64))
-        got = lat.layers_of()
-        assert got.dtype == np.int32 and np.array_equal(got, layers)
+        assert lat.layer.dtype == lat.y.dtype == np.int32
+        assert np.array_equal(lat.layer, layers)

@@ -8,7 +8,6 @@ import pytest
 from wedgewalk import (
     ParameterError,
     SolverError,
-    StochasticKernel,
     UnreachableStateError,
     WedgeSpec,
     build_wedge_lattice,
@@ -23,6 +22,8 @@ from wedgewalk import (
 from wedgewalk import green_reversal, kernels
 from wedgewalk.green_reversal import _lifted_green, _rational_green
 from wedgewalk.kernels import row_displacement
+
+from rows_reference import green_csv_reference, kernel_from_rows, layer_sites
 
 
 def _reference_rational_green(rows, transient, source_pos):
@@ -75,7 +76,7 @@ def _scrambled_kernel(n=14, seed=7):
         total = sum(weights.values())
         rows.append({j: F(w, total) for j, w in weights.items()})
     rows += [{n - 2: F(1)}, {n - 1: F(1)}]
-    return StochasticKernel(states=tuple(range(n)), rows=rows, mode="rational")
+    return kernel_from_rows(rows, "rational")
 
 
 def path_sum_green(kernel, source, n_states, tail=1e-12):
@@ -160,16 +161,14 @@ def test_exact_green_matches_dense_elimination_without_a_band():
         banded, dense = _green_solves(P, source)
         assert banded == dense
     g = green_vector(P, 5)
-    want = green_vector(StochasticKernel(states=P.states, mode="float",
-                                         rows=[{j: float(v) for j, v in r.items()}
-                                               for r in P.rows]), 5)
+    want = green_vector(kernel_from_rows([{j: float(v) for j, v in r.items()}
+                                          for r in P.rows], "float"), 5)
     assert np.allclose(g.as_floats(), want.as_floats(), rtol=1e-12, atol=0)
 
 
 def test_exact_green_zero_pivot_is_a_solver_error():
     # states 0 and 1 swap forever and never reach the absorbing state 2
-    P = StochasticKernel(states=(0, 1, 2), mode="rational",
-                         rows=[{1: F(1)}, {0: F(1)}, {2: F(1)}])
+    P = kernel_from_rows([{1: F(1)}, {0: F(1)}, {2: F(1)}], "rational")
     with pytest.raises(SolverError):
         green_vector(P, 0)
 
@@ -274,8 +273,8 @@ def _reversal_by_definition(P, green):
 
 
 def _float_kernel(P):
-    return StochasticKernel(states=P.states, mode="float", layers=P.layers,
-                            rows=[{j: float(v) for j, v in r.items()} for r in P.rows])
+    return kernel_from_rows([{j: float(v) for j, v in r.items()} for r in P.rows], "float",
+                            layers=P.layers, y=P.y)
 
 
 def _reversal_cases():
@@ -287,8 +286,7 @@ def _reversal_cases():
             lat = build_wedge_lattice(spec)
             yield wedge_kernel(lat, spec), wedge_kernel(lat, spec, mode="float"), (0, 0)
     P = _scrambled_kernel()
-    P = StochasticKernel(states=P.states + (P.n_states,), mode="rational",
-                         rows=P.rows + [{P.n_states: F(1)}])
+    P = kernel_from_rows(P.rows + [{P.n_states: F(1)}], "rational")
     for source in (0, 5):
         yield P, _float_kernel(P), source
 
@@ -321,11 +319,11 @@ def test_reversed_float_arrays_round_the_exact_rows():
 def test_reversal_of_an_unreached_transient_state_is_refused(mode):
     # state 1 is transient, but the walk from 0 never visits it
     rows = [{2: F(1, 2), 0: F(1, 2)}, {0: F(1)}, {2: F(1)}]
-    P = StochasticKernel(states=("a", "b", "c"), mode="rational", rows=rows)
+    P = kernel_from_rows(rows, "rational")
     P = P if mode == "rational" else _float_kernel(P)
     green = green_vector(P, 0)
     assert green.visits[1] == 0
-    with pytest.raises(UnreachableStateError, match="state b"):
+    with pytest.raises(UnreachableStateError, match="state 1 "):
         nagasawa_reverse(P, green)
 
 
@@ -338,7 +336,7 @@ def enumerate_forward_paths(kernel, lat, stop_layer, max_len):
     while stack:
         path, prob = stack.pop()
         cur = path[-1]
-        if lat.sites[cur][0] >= stop_layer:
+        if lat.layer[cur] >= stop_layer:
             out.append((path, prob))
             continue
         if len(path) > max_len:
@@ -394,8 +392,8 @@ def test_reversed_boundary_row_mirrors_reflection(alpha_s2):
     row = dict(rev.kernel.rows[i])
     row[lat.index(k - 1, k - 1)] *= F(N - k, N - k + 1)
     row[lat.index(k + 1, k)] *= F(N - k, N - k - 1)
-    a_r = sum(p * (lat.sites[j][0] - k) for j, p in row.items())
-    b_r = sum(p * (lat.sites[j][1] - k) for j, p in row.items())
+    a_r = sum(p * (int(lat.layer[j]) - k) for j, p in row.items())
+    b_r = sum(p * (int(lat.y[j]) - k) for j, p in row.items())
     assert (a_r, b_r) == _reflect_across_normal(a_f, b_f, s2)
 
 
@@ -420,6 +418,23 @@ def test_green_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "layer,transverse,visits"
     assert len(lines) == 1 + lat.n_sites
+
+
+def test_green_csv_is_the_state_loop_writer(tmp_path):
+    # byte for byte against the writer that loops over the site labels:
+    # the radial vector of the green subcommand, and planar vectors
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for alpha, N in ((math.pi / 6, 50), (0.9, 12)):
+        g = green_vector(projected_wedge_chain(N, alpha, mode="float"), 0)
+        g.to_csv(got)
+        green_csv_reference(g, range(N + 1), want)
+        assert got.read_bytes() == want.read_bytes()
+    for alpha, mode in ((math.pi / 6, "float"), (math.pi / 3, "rational"), (0.9, "float")):
+        spec = WedgeSpec(alpha=alpha, layers=6)
+        g = green_vector(wedge_kernel(build_wedge_lattice(spec), spec, mode=mode), (0, 0))
+        g.to_csv(got)
+        green_csv_reference(g, layer_sites(6), want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def _wedge_system(alpha, N):
@@ -464,7 +479,7 @@ def test_green_of_a_layered_kernel_that_is_not_intertwined(monkeypatch):
     rows = [dict(r) for r in P.rows]
     rows[lat.index(2, 0)][lat.index(2, 1)] -= eps
     rows[lat.index(2, 0)][lat.index(2, -1)] += eps
-    Pe = StochasticKernel(states=P.states, rows=rows, mode=P.mode, layers=P.layers)
+    Pe = kernel_from_rows(rows, P.mode, layers=P.layers, y=P.y)
     assert _lifted_green(Pe, mask, transient, 0) is None
     sizes = _spy_on_elimination(monkeypatch)
     g = green_vector(Pe, (0, 0))
@@ -490,11 +505,10 @@ def test_lift_is_refused_when_absorption_is_unreachable(monkeypatch):
     # a closed class that never absorbs.  The fiber-uniform lift g = (3, 2,
     # 2, 2) solves g (I - T) = e_src, but so does g + t (0, 0, 1, 1): the
     # system is singular and stays a SolverError
-    states = ((0, 0), (1, -1), (1, 0), (1, 1)) + tuple((2, y) for y in range(-2, 3))
+    layers, y = np.array(layer_sites(2)).T
     rows = [{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 4), 1: F(1, 4), 4: F(1, 2)},
             {3: F(1)}, {2: F(1)}] + [{j: F(1)} for j in range(4, 9)]
-    P = StochasticKernel(states=states, rows=rows, mode="rational",
-                         layers=np.array([0, 1, 1, 1, 2, 2, 2, 2, 2]))
+    P = kernel_from_rows(rows, "rational", layers=layers, y=y)
     with pytest.raises(SolverError):
         green_vector(P, (0, 0))
     monkeypatch.setattr(green_reversal, "_reaches_absorption", lambda *a: True)

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedgewalk import (
-    MarkovLink,
     ParameterError,
     RateMatrix,
     ShapeError,
-    StochasticKernel,
     WedgeSpec,
     build_link,
     build_vase_grid,
@@ -27,7 +25,10 @@ from wedgewalk import (
     wedge_kernel,
 )
 from wedgewalk.geometry import site_index
-from wedgewalk.kernels import _layer_rates, _row_arrays
+from wedgewalk.kernels import _layer_rates
+
+from rows_reference import (kernel_from_rows, layer_sites, link_from_rows, rates_from_rows,
+                            row_arrays)
 
 
 def wedge_ops(alpha, n, mode="auto"):
@@ -51,7 +52,7 @@ def test_link_arrays_match_the_dict_row_reference():
         link = build_link(K)
         want = [{site_index(k, y): F(1, 2 * k + 1) for y in range(-k, k + 1)}
                 for k in range(K + 1)]
-        (ip, ix, exact), (wip, wix, wexact) = link.arrays, _row_arrays(want, exact=True)
+        (ip, ix, exact), (wip, wix, wexact) = link.arrays, row_arrays(want, exact=True)
         assert np.array_equal(ip, wip) and np.array_equal(ix, wix) and exact == wexact
         # the float form divides the exact arrays; the dict view is not built
         assert np.array_equal(link.to_csr().toarray(), dense_rows(want, link.n_target))
@@ -90,7 +91,7 @@ def test_perturbed_kernel_residual_is_the_exact_fraction():
     row = rows[lat.index(2, 0)]
     row[lat.index(2, 1)] -= eps
     row[lat.index(2, -1)] += eps
-    Pe = StochasticKernel(states=P.states, rows=rows, mode=P.mode)
+    Pe = kernel_from_rows(rows, P.mode)
     L = _exact("link", link.arrays, link.n_target)
     d = _exact_maxdiff(_exact_matmul(L, _exact("P", Pe.arrays, Pe.n_states)),
                        _exact_matmul(_exact("Q", Q.arrays, Q.n_states), L))
@@ -100,48 +101,27 @@ def test_perturbed_kernel_residual_is_the_exact_fraction():
     assert rep.exact_zero is False and rep.passed is False
 
 
-def test_rational_verify_converts_each_operator_once(monkeypatch, tmp_path, capsys):
-    from wedgewalk import cli, intertwining, kernels
-
-    real, seen = kernels._row_arrays, []
-
-    def counting(rows, exact=False):
-        seen.append(len(rows))
-        return real(rows, exact)
-
-    monkeypatch.setattr(kernels, "_row_arrays", counting)
-    monkeypatch.setattr(intertwining, "_row_arrays", counting, raising=False)
-    assert cli.main(["verify-intertwining", "--alpha", "pi/6", "--mode", "rational",
-                     "--layers", "20", "--output", str(tmp_path / "r.json")]) == 0
-    capsys.readouterr()
-    # P, Q, the link and the harmonic vector 1/(2i+1) are all built as arrays
-    assert seen == []
-
-
 def test_exact_check_refuses_numbers_beyond_int64():
     # one fiber of two sites; the planar kernel's first row has a
     # denominator above 2^63, so its numerator 2^63 leaves the int64 range
     big = 2 ** 63 + 1
-    link = MarkovLink(n_source=1, n_target=2, rows=[{0: F(1, 2), 1: F(1, 2)}])
-    Q = StochasticKernel(states=(0,), rows=[{0: F(1)}], mode="rational")
-    P = StochasticKernel(states=(0, 1), mode="rational",
-                         rows=[{0: F(1, big), 1: F(big - 1, big)}, {1: F(1)}])
+    link = link_from_rows(1, 2, [{0: F(1, 2), 1: F(1, 2)}])
+    Q = kernel_from_rows([{0: F(1)}], "rational")
+    P = kernel_from_rows([{0: F(1, big), 1: F(big - 1, big)}, {1: F(1)}], "rational")
     with pytest.raises(ParameterError, match=r"^P: exact numerators"):
         intertwining_residual(link, P, Q, mode="stochastic")
     # every numerator fits, but the lcm of two coprime 40-bit denominators
     # that one link row meets makes the product overflow
     d1, d2 = 2 ** 40 + 1, 2 ** 40 - 1
-    P = StochasticKernel(states=(0, 1), mode="rational",
-                         rows=[{0: F(1, d1), 1: F(d1 - 1, d1)},
-                               {0: F(1, d2), 1: F(d2 - 1, d2)}])
+    P = kernel_from_rows([{0: F(1, d1), 1: F(d1 - 1, d1)},
+                          {0: F(1, d2), 1: F(d2 - 1, d2)}], "rational")
     with pytest.raises(ParameterError, match=r"^link\.P: exact product"):
         intertwining_residual(link, P, Q, mode="stochastic")
     # both products fit, but bringing Q.link's denominator 2 up to
     # link.P's 2 (2^62 - 1) scales its row by 2^62 - 1 and the difference
     # would overflow
     d = 2 ** 62 - 1
-    P = StochasticKernel(states=(0, 1), mode="rational",
-                         rows=[{0: F(1, d), 1: F(d - 1, d)}] * 2)
+    P = kernel_from_rows([{0: F(1, d), 1: F(d - 1, d)}] * 2, "rational")
     with pytest.raises(ParameterError, match=r"^link\.P - Q\.link: exact difference"):
         intertwining_residual(link, P, Q, mode="stochastic")
 
@@ -201,7 +181,7 @@ def test_corrupted_row_detected():
     rows = [dict(r) for r in P.rows]       # a kernel converts its rows once
     rows[i][lat.index(3, 0)] += eps
     rows[i][lat.index(1, 0)] -= eps
-    P = StochasticKernel(states=P.states, rows=rows, mode=P.mode)
+    P = kernel_from_rows(rows, P.mode)
     rep = intertwining_residual(link, P, Q, mode="stochastic")
     assert rep.residual >= eps / (2 * 2 + 1) * 0.99
 
@@ -338,7 +318,7 @@ def _reference_vase_rows(grid, apex_rate=1.0 / 6.0, exact_projection=True):
         return rate
 
     rows = []
-    for (k, y) in grid.sites:
+    for (k, y) in layer_sites(K):
         if k >= K:
             rows.append({})
         elif k == 0:
@@ -396,10 +376,10 @@ def _check_vase_builders(grid, **options):
                 build(grid, **opts)
             return None
         Q = build(grid, **opts)
-        assert_same_bits(Q.arrays, _row_arrays(want))
+        assert_same_bits(Q.arrays, row_arrays(want))
         exits = np.array([sum(r.values()) for r in want], dtype=float)
         assert np.array_equal(Q.exit_rates.view(np.int64), exits.view(np.int64))
-        assert_same_bits(Q.jump_chain().arrays, _row_arrays(_reference_jump_rows(want)))
+        assert_same_bits(Q.jump_chain().arrays, row_arrays(_reference_jump_rows(want)))
         assert Q.rows == want and "rows" in vars(Q)
         built.append(Q)
     return built
@@ -444,10 +424,10 @@ def test_rate_rows_go_through_one_rate_check():
                           ([{1: math.nan}, {}], "non-finite rate in row 0"),
                           ([{1: 0.5}, {0: math.inf}], "non-finite rate in row 1")):
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            RateMatrix(states=(0, 1), off_rows=rows)
+            rates_from_rows(rows)
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            RateMatrix(states=(0, 1), arrays=_row_arrays(rows), exit_rates=[0.0, 0.0])
-    Q = RateMatrix(states=(0, 1), off_rows=[{1: 0.25}, {}])
+            RateMatrix(row_arrays(rows), exit_rates=[0.0, 0.0])
+    Q = rates_from_rows([{1: 0.25}, {}])
     assert Q.exit_rates.tolist() == [0.25, 0.0] and Q.is_absorbing(1)
     assert Q.jump_chain().rows == [{1: 1.0}, {1: 1.0}]
 
@@ -526,15 +506,3 @@ def test_blocked_semigroup_check_still_sees_the_plain_rates_defect():
     assert list(got) == times and min(want.values()) > 1e-4
     for t in times:
         assert got[t] == pytest.approx(want[t], rel=1e-12)
-
-
-def test_vase_verify_converts_no_dict_rows(monkeypatch, tmp_path, capsys):
-    from wedgewalk import cli, intertwining, kernels
-
-    seen = []
-    monkeypatch.setattr(kernels, "_row_arrays", lambda *a: seen.append(a))
-    monkeypatch.setattr(intertwining, "_row_arrays", lambda *a: seen.append(a), raising=False)
-    assert cli.main(["verify-intertwining", "--shape", "power:2", "--layers", "16",
-                     "--output", str(tmp_path / "r.json")]) == 0
-    capsys.readouterr()
-    assert seen == []

@@ -6,11 +6,12 @@ import pytest
 
 from wedgewalk import (
     ParameterError,
-    StochasticKernel,
     WedgeSpec,
     build_vase_grid,
     build_wedge_lattice,
+    green_vector,
     linear_shape,
+    nagasawa_reverse,
     power_shape,
     projected_vase_rates,
     projected_wedge_chain,
@@ -19,7 +20,9 @@ from wedgewalk import (
     wedge_kernel,
     write_triplets,
 )
-from wedgewalk.kernels import _row_arrays, row_displacement
+from wedgewalk.kernels import row_displacement
+
+from rows_reference import kernel_from_rows, layer_sites, row_arrays, write_triplets_reference
 
 
 def make_wedge(alpha, layers, mode="auto"):
@@ -123,13 +126,13 @@ def test_vase_rates_cone():
     grid = build_vase_grid(linear_shape(1.0), 4, 4)
     Q = vase_rate_matrix(grid)
     i = grid.index(2, 0)
-    row = Q.off_rows[i]
+    row = Q.rows[i]
     assert row[grid.index(3, 0)] == pytest.approx(0.5, abs=1e-12)
     assert row[grid.index(1, 0)] == pytest.approx(0.5, abs=1e-12)
     # conical shapes carry no vertical skew (up to abscissa solve noise)
     assert row[grid.index(2, 1)] == pytest.approx(0.5, abs=1e-11)
     assert row[grid.index(2, -1)] == pytest.approx(0.5, abs=1e-11)
-    bd = Q.off_rows[grid.index(2, 2)]
+    bd = Q.rows[grid.index(2, 2)]
     assert bd[grid.index(2, 1)] == pytest.approx(0.5, abs=1e-11)
     assert bd[grid.index(3, 2)] == pytest.approx(0.5, abs=1e-12)
     assert bd[grid.index(3, 3)] == pytest.approx(0.5, abs=1e-12)
@@ -141,7 +144,7 @@ def test_vase_rate_asymmetry_matches_drift():
     grid = build_vase_grid(power_shape(2.0), 64, 66)
     Q = vase_rate_matrix(grid)
     k = 64  # layer at x = 1
-    row = Q.off_rows[grid.index(k, 0)]
+    row = Q.rows[grid.index(k, 0)]
     fwd = row[grid.index(k + 1, 0)]
     back = row[grid.index(k - 1, 0)]
     assert fwd > back > 0
@@ -152,26 +155,26 @@ def test_vase_zero_mean():
     Q = vase_rate_matrix(grid)
     xs = grid.abscissas
     for k in range(2, 15):
-        row = Q.off_rows[grid.index(k, 0)]
-        drift = sum(v * (xs[kk] - xs[k]) for (kk, yy), v in
-                    ((grid.sites[j], v) for j, v in row.items()) if yy == 0)
+        row = Q.rows[grid.index(k, 0)]
+        drift = sum(v * (xs[grid.layer[j]] - xs[k]) for j, v in row.items()
+                    if grid.y[j] == 0)
         assert abs(drift) <= 1e-13
 
 
 def test_projected_vase_rates_cone():
     grid = build_vase_grid(linear_shape(1.0), 4, 4)
     Qp = projected_vase_rates(grid)
-    assert Qp.off_rows[1][2] == pytest.approx(5 / 3 * 0.5, abs=1e-12)
-    assert Qp.off_rows[1][0] == pytest.approx(1 / 3 * 0.5, abs=1e-12)
-    assert Qp.off_rows[4] == {}
+    assert Qp.rows[1][2] == pytest.approx(5 / 3 * 0.5, abs=1e-12)
+    assert Qp.rows[1][0] == pytest.approx(1 / 3 * 0.5, abs=1e-12)
+    assert Qp.rows[4] == {}
 
 
 def test_projected_vase_ratio_tends_to_one():
     grid = build_vase_grid(linear_shape(1.0), 1, 400)
     Qp = projected_vase_rates(grid)
     k = 399
-    up = Qp.off_rows[k][k + 1]
-    dn = Qp.off_rows[k][k - 1]
+    up = Qp.rows[k][k + 1]
+    dn = Qp.rows[k][k - 1]
     assert up / dn == pytest.approx(1.0, abs=0.01)
 
 
@@ -183,7 +186,7 @@ def test_wedge_consistency_of_vase_projection():
     Qp = projected_vase_rates(grid)
     chain = projected_wedge_chain(8, alpha, mode="float")
     for k in range(1, 8):
-        odds_vase = Qp.off_rows[k][k + 1] / Qp.off_rows[k][k - 1]
+        odds_vase = Qp.rows[k][k + 1] / Qp.rows[k][k - 1]
         odds_wedge = chain.rows[k][k + 1] / chain.rows[k][k - 1]
         assert odds_vase == pytest.approx(odds_wedge, rel=1e-9)
         assert odds_vase == pytest.approx((2 * k + 3) / (2 * k - 1), rel=1e-9)
@@ -192,14 +195,14 @@ def test_wedge_consistency_of_vase_projection():
 def test_nonconical_vertical_rates_are_skewed():
     grid = build_vase_grid(power_shape(2.0), 16, 16)
     Q = vase_rate_matrix(grid)
-    row = Q.off_rows[grid.index(3, 1)]
+    row = Q.rows[grid.index(3, 1)]
     up = row[grid.index(3, 2)]
-    dn_from_above = Q.off_rows[grid.index(3, 2)][grid.index(3, 1)]
+    dn_from_above = Q.rows[grid.index(3, 2)][grid.index(3, 1)]
     assert up != pytest.approx(0.5, abs=1e-6)
     # the skew is a bond flow: opposing rates on one bond still sum to 1
     assert up + dn_from_above == pytest.approx(1.0, abs=1e-12)
     plain = vase_rate_matrix(grid, exact_projection=False)
-    prow = plain.off_rows[grid.index(3, 1)]
+    prow = plain.rows[grid.index(3, 1)]
     assert prow[grid.index(3, 2)] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -223,36 +226,29 @@ def test_triplet_roundtrip(tmp_path):
     write_triplets(Q, path)
     kind, _, rows = read_triplets(path)
     assert kind == "rate-matrix"
-    assert rows[grid.index(1, 0)] == Q.off_rows[grid.index(1, 0)]
+    assert rows[grid.index(1, 0)] == Q.rows[grid.index(1, 0)]
 
 
 def test_rational_validation_is_exact():
     # 1 - 10^-30 is 1.0 as a float; the integer row check still sees it
     short = F(1, 2) - F(1, 10 ** 30)
     with pytest.raises(ParameterError, match="not 1"):
-        StochasticKernel(states=(0, 1), mode="rational",
-                         rows=[{0: F(1, 2), 1: short}, {1: F(1)}])
+        kernel_from_rows([{0: F(1, 2), 1: short}, {1: F(1)}], "rational")
     with pytest.raises(ParameterError, match="negative"):
-        StochasticKernel(states=(0, 1), mode="rational",
-                         rows=[{0: F(3, 2), 1: F(-1, 2)}, {1: F(1)}])
+        kernel_from_rows([{0: F(3, 2), 1: F(-1, 2)}, {1: F(1)}], "rational")
     with pytest.raises(ParameterError, match="row 1"):
-        StochasticKernel(states=(0, 1), mode="rational", rows=[{0: F(1)}, {}])
-    StochasticKernel(states=(0, 1), mode="rational",
-                     rows=[{0: F(1, 3), 1: F(2, 3)}, {1: 1}])
+        kernel_from_rows([{0: F(1)}, {}], "rational")
+    kernel_from_rows([{0: F(1, 3), 1: F(2, 3)}, {1: 1}], "rational")
 
 
 def test_float_validation_keeps_its_tolerance():
-    StochasticKernel(states=(0, 1), mode="float",
-                     rows=[{0: 0.5, 1: 0.5 + 5e-13}, {1: 1.0}])
+    kernel_from_rows([{0: 0.5, 1: 0.5 + 5e-13}, {1: 1.0}], "float")
     with pytest.raises(ParameterError, match="row 0"):
-        StochasticKernel(states=(0, 1), mode="float",
-                         rows=[{0: 0.5, 1: 0.5 + 5e-12}, {1: 1.0}])
+        kernel_from_rows([{0: 0.5, 1: 0.5 + 5e-12}, {1: 1.0}], "float")
     with pytest.raises(ParameterError, match="negative probability in row 1"):
-        StochasticKernel(states=(0, 1), mode="float",
-                         rows=[{0: 1.0}, {0: 1.5, 1: -0.5}])
+        kernel_from_rows([{0: 1.0}, {0: 1.5, 1: -0.5}], "float")
     with pytest.raises(ParameterError, match="row 0 sums to nan"):
-        StochasticKernel(states=(0, 1), mode="float",
-                         rows=[{0: math.nan, 1: 0.5}, {1: 1.0}])
+        kernel_from_rows([{0: math.nan, 1: 0.5}, {1: 1.0}], "float")
 
 
 def _reference_wedge_rows(lattice, spec, M, mode):
@@ -266,7 +262,7 @@ def _reference_wedge_rows(lattice, spec, M, mode):
     p, q = s2 / 2, (1 - s2) / 2
     idx = lattice.index
     rows = []
-    for (k, y) in lattice.sites:
+    for (k, y) in layer_sites(lattice.spec.layers):
         if k >= M:
             rows.append({idx(k, y): one})
         elif k == 0:
@@ -323,12 +319,12 @@ def _check_builders(alpha, N, mode, absorb_at=None, apex_hold=None):
     M = N if absorb_at is None else absorb_at
     P = wedge_kernel(lat, spec, absorb_at=absorb_at, mode=mode)
     want = _reference_wedge_rows(lat, spec, M, mode)
-    assert_same_arrays(P.arrays, _row_arrays(want, exact=mode == "rational"), mode)
+    assert_same_arrays(P.arrays, row_arrays(want, exact=mode == "rational"), mode)
     assert P.rows == want
     if absorb_at is None:
         Q = projected_wedge_chain(N, alpha, apex_hold=apex_hold, mode=mode)
         want = _reference_radial_rows(spec, mode)
-        assert_same_arrays(Q.arrays, _row_arrays(want, exact=mode == "rational"), mode)
+        assert_same_arrays(Q.arrays, row_arrays(want, exact=mode == "rational"), mode)
         assert Q.rows == want
 
 
@@ -355,5 +351,31 @@ def test_dict_rows_are_built_on_first_access():
     rows = P.rows
     assert P.rows is rows and rows[lat.index(0, 0)] == {
         lat.index(1, y): F(1, 3) for y in (-1, 0, 1)}
-    given = [{0: F(1, 2), 1: F(1, 2)}, {1: F(1)}]
-    assert StochasticKernel(states=(0, 1), rows=given, mode="rational").rows is given
+
+
+def _unreduced_entries(op):
+    """The rational entries whose numerator shares a factor with its row's
+    denominator in ``op.arrays``."""
+    indptr, _, (nums, dens) = op.arrays
+    den = np.repeat(np.array(dens, dtype=object), np.diff(indptr)).tolist()
+    return sum(math.gcd(n, d) > 1 for n, d in zip(nums, den))
+
+
+def test_triplet_files_are_the_dict_row_writer(tmp_path):
+    # byte for byte against the writer that loops over the dict rows: where
+    # the arrays hold an unreduced numerator (the radial hold 1/2 is 6 over
+    # 12 at pi/4; reversed rows go over w(x) den(x)), the file still holds
+    # the entry in lowest terms
+    ops = [make_wedge(alpha, 6)[2] for alpha in (math.pi / 6, math.pi / 4, math.pi / 3)]
+    ops += [projected_wedge_chain(6, math.pi / 4),
+            nagasawa_reverse(ops[0], green_vector(ops[0], (0, 0))).kernel]
+    assert _unreduced_entries(ops[3]) and _unreduced_entries(ops[4])
+    ops += [make_wedge(math.pi / 6, 6, mode="float")[2], make_wedge(0.9, 6, mode="float")[2]]
+    grid = build_vase_grid(power_shape(2.0), 6, 6)
+    ops += [vase_rate_matrix(grid), projected_vase_rates(grid),
+            vase_rate_matrix(grid).jump_chain()]
+    for op in ops:
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_triplets(op, got)
+        write_triplets_reference(op, want)
+        assert got.read_bytes() == want.read_bytes()

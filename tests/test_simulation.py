@@ -11,7 +11,6 @@ from wedgewalk import (
     PathAggregate,
     Side,
     SimulationTimeout,
-    StochasticKernel,
     WedgeSpec,
     bessel3_hit,
     build_vase_grid,
@@ -33,6 +32,8 @@ from wedgewalk import (
     wedge_kernel,
 )
 from wedgewalk import simulation
+
+from rows_reference import kernel_from_rows
 
 
 def wedge(alpha, m, mode="float"):
@@ -91,14 +92,14 @@ def test_start_on_stop_layer_exits_immediately():
     assert agg.steps_sum == 0 and agg.steps_max == 0
     # exit counts coincide with the initial fiber draw
     assert np.array_equal(agg.exit_counts(), agg.initial)
-    dist = agg.exit_distribution(6, P.layers)
+    dist = agg.exit_distribution(6)
     assert dist.total == 4000
 
 
 def test_uniform_hitting_wedge():
     lat, P = wedge(math.pi / 6, 12)
     agg = run_paths(P, "apex", stop=12, n_paths=30000, seed=7)
-    dist = agg.exit_distribution(12, P.layers)
+    dist = agg.exit_distribution(12)
     out = chi_square(dist.counts)
     assert out["p_value"] > 0.001
 
@@ -114,10 +115,22 @@ def test_exit_symmetry():
         assert abs(a - b) <= 4 * sigma + 1
 
 
+def test_a_start_outside_the_kernel_is_a_parameter_error():
+    lat, P = wedge(math.pi / 6, 4)
+    Q = projected_wedge_chain(4, math.pi / 6, mode="float")
+    for kernel, start in ((P, (5, 0)), (P, (2, 3)), (P, (-1, 0)), (P, ("fiber", 5)),
+                          (P, ("fiber", -1)), (P, 25), (P, -1), (Q, ("fiber", 2)),
+                          (Q, (1, 0))):
+        with pytest.raises(ParameterError):
+            simulation._start_distribution(kernel, start)
+    with pytest.raises(ParameterError):
+        run_paths(P, (5, 0), stop=4, n_paths=10)
+
+
 def test_sample_path_record():
     lat, P = wedge(math.pi / 6, 5)
     rec = sample_path(P, "apex", stop=5, rng=np.random.default_rng(0))
-    assert rec.exit_site[0] == 5
+    assert P.layers[rec.exit_state] == 5
     assert rec.steps >= 5
     assert rec.last_side in (Side.UPPER, Side.LOWER, Side.UNDEFINED)
 
@@ -165,7 +178,7 @@ def test_vase_jump_chain_uniform_hitting():
     grid = build_vase_grid(power_shape(2.0), 10, 10)
     P = vase_rate_matrix(grid).jump_chain()
     agg = run_paths(P, "apex", stop=10, n_paths=30000, seed=17)
-    dist = agg.exit_distribution(10, P.layers)
+    dist = agg.exit_distribution(10)
     out = chi_square(dist.counts)
     assert out["p_value"] > 0.001
 
@@ -175,7 +188,7 @@ def test_vase_plain_rates_show_the_bias():
     grid = build_vase_grid(power_shape(2.0), 10, 10)
     P = vase_rate_matrix(grid, exact_projection=False).jump_chain()
     agg = run_paths(P, "apex", stop=10, n_paths=30000, seed=17)
-    dist = agg.exit_distribution(10, P.layers)
+    dist = agg.exit_distribution(10)
     out = chi_square(dist.counts)
     assert out["p_value"] < 1e-6
 
@@ -397,7 +410,7 @@ def _assert_same_as_reference(kernel, start, stop, n_paths, seed, block_size,
                     n_paths=n_paths, seed=seed, block_size=block_size)
     cum, tgt = _padded_tables(kernel)
     stopm = simulation._resolve_stop(kernel, stop)
-    side = simulation._side_array(kernel.states)
+    side = simulation._side_array(kernel)
     start_idx, start_cdf = simulation._start_distribution(kernel, start)
     blocks = [_reference_run_block(cum, tgt, stopm, side, start_idx, start_cdf,
                                    min(block_size, n_paths - lo), seed, b, track)
@@ -435,10 +448,11 @@ def test_sampler_matches_compare_and_sum_from_a_fiber():
 
 def _ragged_kernel():
     """Rows of every width 1..7, with absorbing rows every ninth state and
-    site labels (k, y) so that some states lie on a reflecting side."""
+    layers and transverse indices (k, y) that put some states on a
+    reflecting side."""
     rng = np.random.default_rng(12)
     n = 45
-    states = tuple((i // 7 + 1, i % 7 - 3) for i in range(n))
+    layers, y = np.arange(n) // 7 + 1, np.arange(n) % 7 - 3
     absorbing = [i for i in range(n) if i % 9 == 8]
     rows = []
     for i in range(n):
@@ -455,7 +469,7 @@ def _ragged_kernel():
             p = rng.random(len(cols)) + 0.05
             p /= p.sum()
             rows.append(dict(zip(sorted(cols), p.tolist())))
-    return StochasticKernel(states=states, rows=rows, mode="float")
+    return kernel_from_rows(rows, "float", layers=layers, y=y)
 
 
 def test_sampler_matches_compare_and_sum_on_ragged_rows():
@@ -465,13 +479,13 @@ def test_sampler_matches_compare_and_sum_on_ragged_rows():
     start = np.full(K.n_states, 1.0 / K.n_states)
     for track in (True, False):
         _assert_same_as_reference(K, start, None, 4000, 11, 1500, track=track)
-    _assert_same_as_reference(K, K.states[2], None, 4000, 13, 1500)
+    _assert_same_as_reference(K, 2, None, 4000, 13, 1500)
 
 
 def test_apex_start_needs_an_apex_label():
     Q = projected_wedge_chain(6, math.pi / 6, mode="float")
     agg = run_paths(Q, "apex", stop=np.arange(Q.n_states) >= 6, n_paths=50)
-    assert agg.initial[Q.index[0]] == 50
+    assert agg.initial[0] == 50
     with pytest.raises(ParameterError):
         run_paths(_ragged_kernel(), "apex", n_paths=10)
 
@@ -492,10 +506,11 @@ def _chained_kernel(extra):
     """Two absorbing side states and a state whose row {0.002, 0.002, 0.996}
     puts two distinct thresholds into its first bucket at 4 and at 6 bits;
     ``extra`` states with thirds split two more 4-bit cells each."""
-    states = ((1, 1), (1, -1), (1, 0)) + tuple((2, y) for y in range(extra))
+    layers, y = [1, 1, 1] + [2] * extra, [1, -1, 0] + list(range(extra))
     rows = [{0: 1.0}, {1: 1.0}, {0: 0.002, 1: 0.002, 2: 0.996}]
     rows += [{0: 1 / 3, 1: 1 / 3, 3 + y: 1 / 3} for y in range(extra)]
-    return StochasticKernel(states=states, rows=rows, mode="float")
+    # the site (1, 0) is state site_index(1, 0) = 2, as a start below
+    return kernel_from_rows(rows, "float", layers=np.array(layers), y=np.array(y))
 
 
 @pytest.mark.parametrize("extra,bits", [(0, 4), (1, 6)])
@@ -553,7 +568,7 @@ def test_sampler_matches_compare_and_sum_on_random_wedges(alpha, hold, M, n_path
 # ---------------------------------------------------------------------------
 
 def _step_tables(kernel, stop=None):
-    return simulation.padded_kernel(kernel, simulation._side_array(kernel.states),
+    return simulation.padded_kernel(kernel, simulation._side_array(kernel),
                                     simulation._resolve_stop(kernel, stop))
 
 
@@ -579,7 +594,7 @@ def _thresholds(kernel):
 def _column_compare(kernel, stop, bits, a, m):
     """The same entry by counting the row's thresholds at or below m."""
     T, tgt = _thresholds(kernel)
-    side = simulation._side_array(kernel.states)
+    side = simulation._side_array(kernel)
     x = tgt[a // 3, (m[:, None] >= T[a // 3]).sum(axis=1)]
     pair = 3 * x + np.where(side[x] != 0, side[x], a % 3)
     return np.where(simulation._resolve_stop(kernel, stop)[x], ~pair, pair << bits)
@@ -654,7 +669,7 @@ def test_integer_threshold_is_the_float_compare():
     cs += [0.12499999999999997, 0.125, 1 / 3]
     # states 0 and 1 absorb, so a step from state i >= 2 ends on ~0 or ~3
     rows = [{0: 1.0}, {1: 1.0}] + [{0: c, 1: 1.0 - c} for c in cs]
-    K = StochasticKernel(states=tuple(range(len(rows))), rows=rows, mode="float")
+    K = kernel_from_rows(rows, "float")
     tables = _step_tables(K)
     top = 2 ** 53 - 1                      # the largest draw m
     for i, c in enumerate(cs, start=2):
