@@ -65,6 +65,7 @@ from .simulation import (
     Side,
     SideCurve,
     discrete_hit_prob,
+    exact_exit_law,
     last_side_curve,
     run_paths,
     sample_path,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, SimulationTimeout
 from . import green_reversal as _green
-from .kernels import StochasticKernel, _float_arrays, _state
+from .kernels import StochasticKernel, _csr, _float_arrays, _state
 
 class Side(enum.IntEnum):
     UNDEFINED = 0
@@ -310,6 +310,41 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
             f"{active} paths still active after {step_cap} steps",
             partial=agg, active=active)
     return agg
+
+
+def exact_exit_law(kernel: StochasticKernel, start, stop=None) -> np.ndarray:
+    """The law of (exit state, last reflecting side) that ``run_paths``
+    samples, as an (n_states, 3) array in the layout of
+    ``PathAggregate.exit_side``.
+
+    The walk on pairs (state, last side) is Markov: pair (i, s) moves to
+    (t, side of t, or s if t lies on none) with p(i, t).  One sparse solve
+    (I - T)^T x = mu gives the expected visits x to each transient pair from
+    the start law mu, and the stop pairs receive mu plus x R.  It reads the
+    kernel's CSR arrays, not the sampler's tables, so it checks them.
+    """
+    stopm = _resolve_stop(kernel, stop)
+    side = _side_array(kernel).astype(np.int64)
+    start_idx, start_cdf = _start_distribution(kernel, start)
+    n = kernel.n_states
+    indptr, indices, data = _float_arrays(kernel)
+    bounds = np.append(0, np.cumsum(np.repeat(np.diff(indptr), 3)))
+    pair = np.repeat(np.arange(3 * n), np.diff(bounds))
+    e = indptr[pair // 3] + np.arange(pair.size) - bounds[pair]
+    t = indices[e]
+    P2 = _csr((bounds, 3 * t + np.where(side[t] != 0, side[t], pair % 3), data[e]), 3 * n)
+    if start_cdf is None:
+        start_cdf = (np.arange(n) >= start_idx).astype(float)
+    mu = np.zeros(3 * n)
+    mu[3 * np.arange(n) + side] = np.diff(start_cdf, prepend=0.0)
+    ends = np.repeat(stopm, 3)
+    transient = np.flatnonzero(~ends)
+    law = np.where(ends, mu, 0.0)
+    if transient.size:
+        rows = P2[transient]
+        x = _green._transient_solve(rows, transient, mu[transient], transpose=True)
+        law += rows.T @ x * ends
+    return law.reshape(n, 3)
 
 
 def sample_path(kernel: StochasticKernel, start, stop=None,

@@ -17,6 +17,7 @@ from wedgewalk import (
     build_wedge_lattice,
     chi_square,
     discrete_hit_prob,
+    exact_exit_law,
     green_vector,
     kolmogorov_critical,
     ks_statistic,
@@ -258,6 +259,55 @@ def test_step_cap_partial_counts_the_absorbed_paths():
     assert n1 == n2 and np.array_equal(a1.exit_side, a2.exit_side)
 
 
+def _line_kernel():
+    """The deterministic walk 0 -> 1 -> ... -> 5, absorbed at 5, so a path
+    from state i takes 5 - i steps; state 1 lies on the lower side and
+    state 3 on the upper one."""
+    rows = [{i + 1: 1.0} for i in range(5)] + [{5: 1.0}]
+    return kernel_from_rows(rows, "float", layers=np.array([2, 1, 2, 3, 2, 2]),
+                            y=np.array([0, -1, 0, 3, 1, 1]))
+
+
+def _line_expected(initial, cap):
+    """The aggregate of the line walk from the start counts ``initial``,
+    with the paths longer than ``cap`` left active."""
+    steps = 5 - np.arange(6)
+    done = initial * (steps <= cap)
+    hist = np.zeros(64, dtype=np.int64)
+    np.add.at(hist, [int(s).bit_length() for s in steps], done)
+    # from states 0..3 the last side met is the upper one at state 3
+    exit_5 = [done[4:].sum(), done[:4].sum(), 0]
+    return hist, int(done @ steps), int(steps[done > 0].max(initial=0)), exit_5
+
+
+def test_step_accounting_is_exact_for_odd_and_even_path_lengths():
+    K = _line_kernel()
+    agg = run_paths(K, np.full(6, 1 / 6), stop=None, n_paths=6000, seed=37,
+                    block_size=1000)
+    assert agg.initial.min() > 0 and agg.n_paths == 6000
+    hist, ssum, smax, exit_5 = _line_expected(agg.initial, 5)
+    assert np.array_equal(agg.steps_hist, hist)
+    assert (agg.steps_sum, agg.steps_max) == (ssum, smax) and smax == 5
+    assert agg.exit_side[5].tolist() == exit_5
+    assert agg.exit_side[:5].sum() == 0
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
+def test_step_cap_is_exact_in_single_steps(cap):
+    # the paths of length at most the cap are absorbed, the others active
+    K = _line_kernel()
+    with pytest.raises(SimulationTimeout) as info:
+        run_paths(K, np.full(6, 1 / 6), stop=None, n_paths=6000, seed=41,
+                  block_size=1000, step_cap=cap)
+    err, agg = info.value, info.value.partial
+    hist, ssum, smax, exit_5 = _line_expected(agg.initial, cap)
+    assert err.active == int(agg.initial[:5 - cap].sum())
+    assert agg.n_paths == 6000 - err.active == int(agg.initial[5 - cap:].sum())
+    assert np.array_equal(agg.steps_hist, hist)
+    assert (agg.steps_sum, agg.steps_max) == (ssum, smax) and smax == cap
+    assert agg.exit_side[5].tolist() == exit_5
+
+
 @pytest.mark.parametrize("bad", [{"block_size": -5}, {"block_size": 0},
                                  {"step_cap": -1}],
                          ids=["block_size=-5", "block_size=0", "step_cap=-1"])
@@ -335,6 +385,59 @@ def test_empirical_distribution_validation():
 
     with pytest.raises(ParameterError):
         EmpiricalDistribution(labels=[1, 2], counts=np.array([3, 4]), total=8, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the sampler against the exact law of (exit state, last side)
+# ---------------------------------------------------------------------------
+
+def _assert_matches_exact_law(kernel, start, stop, n_paths, seed):
+    law = exact_exit_law(kernel, start, stop)
+    assert law.shape == (kernel.n_states, 3)
+    assert abs(law.sum() - 1.0) <= 5e-13 and law.min() >= 0.0   # the solve's mass defect
+    agg = run_paths(kernel, start, stop=stop, n_paths=n_paths, seed=seed)
+    # no path ends in a cell of no mass; the rest are scored cell by cell
+    cells = law.ravel() > 0
+    assert agg.exit_side.ravel()[~cells].sum() == 0
+    out = chi_square(agg.exit_side.ravel()[cells], law.ravel()[cells])
+    assert out["p_value"] > 0.001, out
+
+
+def test_exact_exit_law_is_sampled_at_pi_over_6():
+    _assert_matches_exact_law(wedge(math.pi / 6, 30)[1], "apex", 30, 100000, 43)
+
+
+def test_exact_exit_law_is_sampled_at_alpha_0_9():
+    _assert_matches_exact_law(wedge(0.9, 30)[1], "apex", 30, 100000, 47)
+
+
+def test_exact_exit_law_is_sampled_on_the_vase_jump_chain():
+    P = vase_rate_matrix(build_vase_grid(power_shape(2.0), 20, 20)).jump_chain()
+    _assert_matches_exact_law(P, "apex", 20, 100000, 53)
+
+
+def test_exact_exit_law_is_sampled_on_the_reversed_chain():
+    # the reversed walk from the exit layer, stopped where it first meets
+    # layer 15 (the kill state, which it cannot reach first, stays a stop),
+    # and run on to its kill state
+    lat, P = wedge(math.pi / 6, 30)
+    rev = nagasawa_reverse(P, green_vector(P, (0, 0)))
+    stop = (rev.kernel.layers == 15) | rev.kernel.absorbing_mask()
+    _assert_matches_exact_law(rev.kernel, rev.initial_law, stop, 100000, 59)
+    _assert_matches_exact_law(rev.kernel, rev.initial_law, None, 100000, 61)
+
+
+def test_exact_exit_law_of_the_line_walk():
+    # from a fixed start, from a stop state and from a start law
+    K = _line_kernel()
+    want = np.zeros((6, 3))
+    want[5, Side.UPPER] = 1.0
+    assert np.array_equal(exact_exit_law(K, 0), want)
+    want[5] = [1.0, 0.0, 0.0]
+    assert np.array_equal(exact_exit_law(K, 5), want)
+    want[5] = [0.5, 0.5, 0.0]
+    law = exact_exit_law(K, np.array([0.5, 0, 0, 0, 0.25, 0.25]))
+    assert np.allclose(law, want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
