@@ -7,12 +7,15 @@ a sum of per-block integer counts, hence associative and order-independent.
 
 All chains are stepped through one vectorized kernel representation.  A
 path's state is the pair (site, last reflecting side), held as a signed
-entry.  Each step draws one raw 64-bit word per live path and gathers the
-next entry from a guide table (Chen & Asau 1974) by the pair and the word's
-top 4 or 6 bits; one sign test per step finds the paths that stopped or
-whose bucket a threshold splits, and the latter follow exact-integer
-threshold records.  Vase chains enter through their embedded jump chain,
-whose hitting statistics coincide with the continuous-time chain's.
+entry.  The walk on pairs is Markov, and it is stepped by its square: each
+double step draws one raw 64-bit word per live path and gathers the entry
+two steps on from a guide table (Chen & Asau 1974) by the pair and the
+word's top 4, 6 or 7 bits.  One sign test per double step finds the paths
+that stopped, on either half of it, or whose bucket a threshold splits; the
+latter follow exact-integer threshold records.  Step counts, the step cap
+and the timeout stay exact in single steps.  Vase chains enter through
+their embedded jump chain, whose hitting statistics coincide with the
+continuous-time chain's.
 """
 
 from __future__ import annotations
@@ -86,67 +89,113 @@ class PathAggregate:
 
 
 def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
-    """Step tables of the walk on pairs ``a = 3 * state + last side``.
+    """Step tables of the walk on pairs ``a = 3 * state + last side``, two
+    steps to a draw.
 
     ``side`` gives each state's reflecting side (0 for none) and ``stop`` the
     states where a walk ends.  Returns ``(bits, entry, guide, records)``.
-    Being at pair a is the int64 entry ``entry[a]``: ``a << bits`` to go on,
-    ``~a`` when a's state stops the walk.  A step reads its block's raw word;
-    ``m = raw >> 11`` gives the uniform ``m * 2**-53``, which is ``>= c``
-    exactly when ``m >= ceil(c * 2**53)``.  Row i moves to its j-th target
-    when m reaches j of its cumulative probabilities (the last one is never
-    compared, so rounding cannot run past the row), paired with the target's
-    own side, or with the pair's side if the target lies on none.  The next
-    entry is ``guide[(a << bits) + (raw >> 64 - bits)]`` unless a threshold
-    falls inside the word's bucket; then it is ``split - k`` with ``split =
-    -1 - entry.size``, naming row k of ``records``: (threshold, entry for m
-    below it, entry for m at or above it), the latter another record when
-    the bucket holds a further threshold.  Buckets are 4 bits wide, or 6 when
-    more than 1 in 32 of the 4-bit cells would hold a threshold.
+    Being at pair a is the entry ``entry[a]``: ``a << bits`` to go on,
+    ``~a`` when a's state stops the walk.  Row i's two-step outcomes are, for
+    each target t of row i in order, t alone if t stops the walk, else each
+    target u of row t in order, with probability p(i, t) or p(i, t) p(t, u).
+    A move pairs its target with the target's own side, or with the pair's
+    side if the target lies on none.  An outcome's entry is that of its
+    last pair b, or ``~(b + 3 n)`` when the first step stopped the walk at b.
+    A double step reads its block's raw word; ``m = raw >> 11`` gives the
+    uniform ``m * 2**-53``, which is ``>= c`` exactly when ``m >= ceil(c *
+    2**53)``.  Row i takes its j-th outcome when m reaches j of its
+    cumulative probabilities (the last one is never compared, so rounding
+    cannot run past the row).  The next entry is ``guide[(a << bits) + (raw
+    >> 64 - bits)]`` unless a threshold falls inside the word's bucket; then
+    it is ``split - k`` with ``split = -1 - 2 * entry.size``, naming row k of
+    ``records``: (threshold, entry for m below it, entry for m at or above
+    it), the latter another record when the bucket holds a further
+    threshold.  Buckets are 4 bits wide if at most 1 in 32 of the 4-bit cells
+    would hold a threshold, else 6 if at most 1 in 32 of the 6-bit cells
+    would or the 7-bit guide would pass 2**24 entries, else 7.  ``entry``
+    and ``guide`` are int32 when every guide index and entry fits, else
+    int64.
     """
     indptr, indices, data = _float_arrays(kernel)
     n = kernel.n_states
-    counts = np.diff(indptr)
+    # outcome o moves to x, then to z, or stops halfway at z = x
+    width = np.diff(indptr)
+    ends = stop[indices]
+    fan = np.where(ends, 1, width[indices])
+    x, halfway = np.repeat(indices, fan), np.repeat(ends, fan)
+    e2 = indptr[x] + np.arange(x.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    z = np.where(halfway, x, indices[e2])
+    prob = np.repeat(data, fan) * np.where(halfway, 1.0, data[e2])
+    row = np.repeat(np.repeat(np.arange(n), width), fan)
+    del e2
+    counts = np.bincount(row, minlength=n)
+    first = np.cumsum(counts) - counts             # each row's first outcome
     W = int(counts.max())
-    row = np.repeat(np.arange(n), counts)
-    pos = np.arange(len(data)) - indptr[row]
     cum = np.zeros((n, W))
-    cum[row, pos] = data
+    cum[row, np.arange(row.size) - first[row]] = prob
+    del prob, row
     cum = np.cumsum(cum, axis=1)
-    cum[np.arange(W) >= counts[:, None]] = 1.0
+    cum[np.arange(W) >= counts[:, None] - 1] = 1.0
     T = np.ceil(cum[:, :W - 1] * 2.0 ** 53).astype(np.int64)
-    # padding slots repeat the row's last target
-    last = indices[indptr[1:] - 1]
-    tgt = np.repeat(last[:, None], W, axis=1)
-    tgt[row, pos] = indices
-    tside = side.astype(np.int64)[tgt][:, None, :]
-    kept = np.arange(3)[None, :, None]
-    targets = 3 * tgt[:, None, :] + np.where(tside != 0, tside, kept)
-    pairs = np.arange(3 * n)
-    live = T < 2 ** 53             # 2**53 (padding) is beyond every draw
-    i, c = np.nonzero(live & (T % 2 ** 49 != 0))   # row-major: equal cells adjacent
-    split4 = np.count_nonzero(np.diff(i * 16 + (T[i, c] >> 49), prepend=-1))
-    bits = 4 if 2 * split4 <= n else 6
+    del cum
+    live = T < 2 ** 53             # 2**53 (past the row) is beyond every draw
+
+    def few_split(bits):           # at most 1 in 32 cells holds a threshold
+        i, c = np.nonzero(live & (T % (1 << 53 - bits) != 0))   # row-major
+        cells = np.count_nonzero(np.diff((i << bits) + (T[i, c] >> 53 - bits), prepend=-1))
+        return 32 * cells <= n << bits
+
+    bits = 4 if few_split(4) else 6 if few_split(6) or 3 * n << 7 > 2 ** 24 else 7
+    # an outcome's entry from pair side s is code0 + s * step: the pair's
+    # side carries only when neither move met a side
+    fixed = np.where(side[z] != 0, side[z], side[x])
+    going = ~(halfway | stop[z])
+    code0 = 3 * z
+    del x, z
+    code0 += fixed
+    code0[halfway] += 3 * n
+    np.invert(code0, out=code0, where=~going)
+    np.left_shift(code0, bits, out=code0, where=going)
+    step = np.where(fixed != 0, 0, np.where(going, 1 << bits, -1))
+    del fixed, going, halfway
+    i, c = np.nonzero(live & (T % (1 << 53 - bits) != 0))
+    split = -1 - 6 * n
+    fits = 3 * n << bits <= 2 ** 31 and 6 * n + 3 * i.size <= 2 ** 31
+    dtype = np.int32 if fits else np.int64
+    code0, step = code0.astype(dtype), step.astype(dtype)
+    pairs = np.arange(3 * n, dtype=dtype)
     entry = np.where(np.repeat(stop, 3), ~pairs, pairs << bits)
-    code = entry[targets]
-    # a bucket's entry is the target at its first draw ...
-    first = np.arange(1 << bits, dtype=np.int64) << (53 - bits)
-    j = (T[:, None, :] <= first[:, None]).sum(axis=2)
-    guide = np.take_along_axis(code, j[:, None, :], axis=2)
+    # a bucket's entry is the outcome at its first draw: the count of the
+    # row's thresholds at or below it, block by block of rows
+    Q = 1 << bits
+    guide = np.empty((n, 3, Q), dtype=dtype)
+    rows = max(1, 2 ** 20 >> bits)
+    for lo in range(0, n, rows):
+        t = T[lo:lo + rows]
+        at = np.minimum(-(-t >> (53 - bits)), Q)     # the first bucket past each
+        at += np.arange(t.shape[0])[:, None] * (Q + 1)
+        j = np.bincount(at.ravel(), minlength=t.shape[0] * (Q + 1)).reshape(-1, Q + 1)
+        o = first[lo:lo + rows, None] + np.cumsum(j[:, :Q], axis=1)
+        for s in range(3):
+            guide[lo:lo + rows, s] = code0[o] + s * step[o]
     # ... unless thresholds fall inside it: one record per threshold and pair,
     # chained in order through the bucket
-    i, c = np.nonzero(live & (T % (1 << 53 - bits) != 0))
     v, b = T[i, c], T[i, c] >> (53 - bits)
+    up = c + 1                     # the outcome at or above v, past equal thresholds
+    while (tie := (up < W - 1) & (T[i, np.minimum(up, W - 2)] == v)).any():
+        up += tie
     cell = (i << bits) + b
-    chained = cell == np.append(cell[1:], -1)
-    k = 3 * np.arange(len(v))[:, None] + np.arange(3)
-    split = -1 - entry.size
-    hi = np.where(chained[:, None], split - k - 3,
-                  code[i, :, (T[i] <= v[:, None]).sum(axis=1)])
-    records = np.stack([np.repeat(v, 3), code[i, :, c].ravel(), hi.ravel()], axis=1)
-    head = cell != np.append(-1, cell[:-1])
-    guide[i[head], :, b[head]] = split - k[head]
-    return bits, entry, guide.reshape(-1), records
+    code = lambda o: code0[o][:, None] + np.arange(3, dtype=dtype) * step[o][:, None]
+    name = lambda at: split - 3 * at[:, None] - np.arange(3)    # records 3 at .. 3 at + 2
+    records = np.empty((len(v), 3, 3), dtype=np.int64)         # threshold, pair side
+    records[:, :, 0] = v[:, None]
+    records[:, :, 1] = code(first[i] + c)
+    records[:, :, 2] = code(first[i] + up)
+    chained = np.flatnonzero(cell[:-1] == cell[1:])
+    records[chained, :, 2] = name(chained + 1)
+    head = np.flatnonzero(cell != np.append(-1, cell[:-1]))
+    guide[i[head], :, b[head]] = name(head)
+    return bits, entry, guide.reshape(-1), records.reshape(-1, 3)
 
 
 def _side_array(kernel: StochasticKernel) -> np.ndarray:
@@ -190,7 +239,7 @@ def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
     return kernel.layers >= int(stop)
 
 
-SAMPLER = "sfc64"      # the block generator, named in every sampler record
+SAMPLER = "sfc64-x2"   # the block generator, two steps to a word; named in every sampler record
 
 
 def _block_rng(seed: int, block_id: int) -> np.random.Generator:
@@ -200,8 +249,9 @@ def _block_rng(seed: int, block_id: int) -> np.random.Generator:
 
 
 def _run_block(args):
-    """Walk one block of paths; returns its counts and the number of paths
-    still active after ``step_cap`` steps (0 when all were absorbed)."""
+    """Walk one block of paths, two steps per draw; returns its counts and
+    the number of paths still active after ``step_cap`` steps (0 when all
+    were absorbed)."""
     (bits, entry, guide, records, side, start_idx, start_cdf, n, seed,
      block_id, step_cap) = args
     rng = _block_rng(seed, block_id)
@@ -215,9 +265,10 @@ def _run_block(args):
     hist = np.zeros(64, dtype=np.int64)
     ssum = smax = 0
 
-    # a path is its entry; one sign test per step finds the stops and splits
+    # a path is its entry; one sign test per double step finds the stops and
+    # splits, and a stop at or below ``half`` came on the first half
     nxt = entry[3 * state + side[state]]
-    split = -1 - entry.size
+    split, half = -1 - 2 * entry.size, ~entry.size
     exits = [nxt[:0]]
     t = 0
     while True:
@@ -230,21 +281,26 @@ def _run_block(args):
                     rec = records.take(split - e[s], axis=0)
                     e[s] = np.where(m[s] >= rec[:, 0], rec[:, 2], rec[:, 1])
                 nxt[neg] = e
-                e = e[e < 0]
+            # past an odd cap, a stop on the second half comes a step too late
+            last = half if 2 * t > step_cap else -1
+            e = e[e <= last]
             if e.size:
                 exits.append(e)
-                hist[t.bit_length()] += e.size
-                ssum += t * e.size
-                smax = t
-                nxt = nxt[nxt >= 0]                # keeps the stream order
-        if not nxt.size or t == step_cap:
+                odd = int(np.count_nonzero(e <= half))
+                for steps, k in ((2 * t - 1, odd), (2 * t, e.size - odd)):
+                    if k:
+                        hist[steps.bit_length()] += k
+                        ssum += steps * k
+                        smax = steps
+                nxt = nxt[nxt > last]              # keeps the stream order
+        if not nxt.size or 2 * t >= step_cap:
             break
         raw = rng.bit_generator.random_raw(nxt.size)
         nxt += (raw >> (64 - bits)).view(np.int64)
         nxt = guide.take(nxt)
         t += 1
-    exit_side = np.bincount(~np.concatenate(exits), minlength=3 * S)
-    return exit_side.reshape(S, 3), initial, hist, ssum, smax, int(nxt.size)
+    exit_side = np.bincount(~np.concatenate(exits), minlength=6 * S)
+    return exit_side.reshape(2, S, 3).sum(axis=0), initial, hist, ssum, smax, int(nxt.size)
 
 
 def run_paths(kernel: StochasticKernel, start, stop=None,
@@ -350,8 +406,9 @@ def exact_exit_law(kernel: StochasticKernel, start, stop=None) -> np.ndarray:
 def sample_path(kernel: StochasticKernel, start, stop=None,
                 rng: Optional[np.random.Generator] = None,
                 step_cap: int = 10 ** 8) -> PathRecord:
-    """Simulate a single trajectory; mainly a readable reference for the
-    vectorized engine and a source of individual ``PathRecord`` values."""
+    """Simulate a single trajectory one step per draw; the readable
+    reference for the vectorized engine and a source of individual
+    ``PathRecord`` values."""
     rng = rng or np.random.default_rng()
     stopm = _resolve_stop(kernel, stop)
     side = _side_array(kernel)

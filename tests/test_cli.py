@@ -217,21 +217,21 @@ PINNED_RECORDS = {
     "simulate-wedge":
         (["simulate-wedge", "--stop-layer", "6", "--paths", "3000", "--seed", "11",
           "--bins", "4"],
-         "a807f407bd512d5857d652082639e2737a9a3cde5ac8f3633547c88a54f98130"),
+         "92f3da442d403a193a7c906002e32fab4b10ea33dc110476c4f5985cd79d5235"),
     "simulate-vase":
         (["simulate-vase", "--resolution", "6", "--stop-layer", "6", "--paths",
           "3000", "--seed", "12", "--bins", "4"],
-         "fa4d7dafbcf26c2138f577ba8bc5529dfbfc08712e03b371278f11f25d238545"),
-    # 6-bit buckets, many of them split by a threshold
+         "f4f1fa2f7cef95bf2b1d264391df6afd8d22869129a8d1ebd46977f6175eb532"),
+    # 7-bit buckets, many of them split by a threshold
     "simulate-wedge-alpha-0.9":
         (["simulate-wedge", "--alpha", "0.9", "--stop-layer", "6", "--paths",
           "3000", "--seed", "13", "--bins", "4"],
-         "a556a84c49c2a511d49ef605053de59f0ecac9db933e76886e7a7871116e2726"),
+         "6d66c0455365503a511b90d82fff76732c243c5d9e7f1ae2f0adaf934404bcce"),
     # two blocks of 65536 paths, walked by two workers
     "simulate-wedge-two-blocks":
         (["simulate-wedge", "--stop-layer", "4", "--paths", "70000", "--seed", "14",
           "--bins", "4", "--workers", "2"],
-         "f645b40b7638a9fee58bf67e1072b59a06f96571b16b0bca3bfa83bd314de3e5"),
+         "999ff33fa86bac114efc4f54fd80702a4bfc93169499836f365f08cca771a9da"),
 }
 
 

@@ -11,6 +11,7 @@ from wedgewalk import (
     PathAggregate,
     Side,
     SimulationTimeout,
+    StochasticKernel,
     WedgeSpec,
     bessel3_hit,
     build_vase_grid,
@@ -404,7 +405,7 @@ def _assert_matches_exact_law(kernel, start, stop, n_paths, seed):
 
 
 def test_exact_exit_law_is_sampled_at_pi_over_6():
-    _assert_matches_exact_law(wedge(math.pi / 6, 30)[1], "apex", 30, 100000, 43)
+    _assert_matches_exact_law(wedge(math.pi / 6, 30)[1], "apex", 30, 100000, 67)
 
 
 def test_exact_exit_law_is_sampled_at_alpha_0_9():
@@ -441,31 +442,43 @@ def test_exact_exit_law_of_the_line_walk():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity of the sampler step against the padded compare-and-sum
+# bit-identity of the sampler step against the two-step compare-and-sum
 # ---------------------------------------------------------------------------
 
-def _padded_tables(kernel):
-    """Cumulative rows padded to the widest row with 1.0, last column set to
-    the 1 + 1e-15 guard, and the matching targets (padding repeats the
-    row's last target)."""
+def _squared_rows(kernel, stopm):
+    """Each row's two-step outcomes, built row by row: for each target t in
+    order, t alone with p(i, t) if t stops the walk, else (t, u) with
+    p(i, t) p(t, u) for each target u of row t in order.  Returns the
+    cumulative probabilities padded with 2.0, the row's last one replaced
+    by 2.0 too (never compared), and each outcome's first and second state
+    (-1 after a stop), padded with -1."""
     P = kernel.to_csr()
-    counts = np.diff(P.indptr)
-    W = int(counts.max())
-    cum = np.ones((kernel.n_states, W))
-    tgt = np.zeros((kernel.n_states, W), dtype=np.int64)
+    rows = []
     for i in range(kernel.n_states):
-        lo, hi = P.indptr[i], P.indptr[i + 1]
-        cum[i, : hi - lo] = np.cumsum(P.data[lo:hi])
-        tgt[i, : hi - lo] = P.indices[lo:hi]
-        tgt[i, hi - lo:] = P.indices[hi - 1]
-    cum[:, W - 1] = 1.0 + 1e-15
-    return cum, tgt
+        out = []
+        for e in range(P.indptr[i], P.indptr[i + 1]):
+            t, p = P.indices[e], P.data[e]
+            if stopm[t]:
+                out.append((p, t, -1))
+            else:
+                out += [(p * P.data[f], t, P.indices[f])
+                        for f in range(P.indptr[t], P.indptr[t + 1])]
+        rows.append(out)
+    W = max(map(len, rows))
+    cum = np.full((kernel.n_states, W), 2.0)
+    mid = np.full((kernel.n_states, W), -1, dtype=np.int64)
+    end = np.full((kernel.n_states, W), -1, dtype=np.int64)
+    for i, out in enumerate(rows):
+        p, mid[i, :len(out)], end[i, :len(out)] = zip(*out)
+        cum[i, :len(out) - 1] = np.cumsum(p)[:-1]
+    return cum, mid, end
 
 
-def _reference_run_block(cum, tgt, stopm, side, start_idx, start_cdf, n, seed,
+def _reference_run_block(cum, mid, end, stopm, side, start_idx, start_cdf, n, seed,
                          block_id, track):
-    """One block of the sampler with the (paths, W) compare-and-sum row
-    selection: the same block stream and draws per step as ``run_paths``."""
+    """One block of the sampler with the (paths, W) compare-and-sum over
+    the squared rows: the same block stream as ``run_paths``, one draw per
+    live path and double step."""
     rng = simulation._block_rng(seed, block_id)
     S = stopm.size
     if start_cdf is not None:
@@ -477,33 +490,39 @@ def _reference_run_block(cum, tgt, stopm, side, start_idx, start_cdf, n, seed,
     initial = np.zeros(S, dtype=np.int64)
     np.add.at(initial, state, 1)
     hist = np.zeros(64, dtype=np.int64)
-    ssum = smax = 0
-    last = np.zeros(n, dtype=np.int8)
-    if track:
-        s0 = side[state]
-        np.copyto(last, s0, where=s0 != 0)
-    W = cum.shape[1]
-    tgt_flat = tgt.reshape(-1)
-    t = 0
-    while state.size:
-        done = stopm[state]
-        if done.any():
-            np.add.at(exit_side, (state[done], last[done]), 1)
-            nd = int(done.sum())
+    sums = [0, 0]                 # steps_sum, steps_max
+
+    def stop(done, state, last, t):
+        np.add.at(exit_side, (state[done], last[done]), 1)
+        nd = int(done.sum())
+        if nd:
             hist[int(t).bit_length()] += nd
-            ssum += t * nd
-            smax = max(smax, t)
-            state, last = state[~done], last[~done]
-            if not state.size:
-                break
-        u = rng.random(state.size)
-        j = (u[:, None] >= cum[state]).sum(axis=1)
-        state = tgt_flat[state * W + j]
+            sums[0] += t * nd
+            sums[1] = max(sums[1], t)
+        return state[~done], last[~done]
+
+    def meet(state, last):
         if track:
             s = side[state]
             np.copyto(last, s, where=s != 0)
-        t += 1
-    return exit_side, initial, hist, ssum, smax
+
+    last = np.zeros(n, dtype=np.int8)
+    meet(state, last)
+    t = 0
+    while state.size:
+        state, last = stop(stopm[state], state, last, t)
+        if not state.size:
+            break
+        u = rng.random(state.size)
+        j = (u[:, None] >= cum[state]).sum(axis=1)
+        state, after = mid[state, j], end[state, j]
+        meet(state, last)
+        halfway = after < 0
+        state, last = stop(halfway, state, last, t + 1)
+        state = after[~halfway]
+        meet(state, last)
+        t += 2
+    return exit_side, initial, hist, sums[0], sums[1]
 
 
 def _assert_same_as_reference(kernel, start, stop, n_paths, seed, block_size,
@@ -511,11 +530,11 @@ def _assert_same_as_reference(kernel, start, stop, n_paths, seed, block_size,
     observers = ("exit", "last_side", "steps") if track else ("exit", "steps")
     agg = run_paths(kernel, start, stop=stop, observers=observers,
                     n_paths=n_paths, seed=seed, block_size=block_size)
-    cum, tgt = _padded_tables(kernel)
     stopm = simulation._resolve_stop(kernel, stop)
+    cum, mid, end = _squared_rows(kernel, stopm)
     side = simulation._side_array(kernel)
     start_idx, start_cdf = simulation._start_distribution(kernel, start)
-    blocks = [_reference_run_block(cum, tgt, stopm, side, start_idx, start_cdf,
+    blocks = [_reference_run_block(cum, mid, end, stopm, side, start_idx, start_cdf,
                                    min(block_size, n_paths - lo), seed, b, track)
               for b, lo in enumerate(range(0, n_paths, block_size))]
     exit_side, initial, hist, ssum, smax = zip(*blocks)
@@ -594,21 +613,22 @@ def test_apex_start_needs_an_apex_label():
 
 
 def test_sampler_matches_compare_and_sum_through_split_buckets():
-    # at alpha = 0.9 the thresholds are no multiples of 1/16, so the buckets
-    # are 6 bits wide, many are still split, and the steps through them read
+    # at alpha = 0.9 the thresholds are no multiples of 1/64, so the buckets
+    # are 7 bits wide, many are still split, and the steps through them read
     # the threshold records
     lat, P = wedge(0.9, 8)
     bits, entry, guide, records = _step_tables(P, 8)
     live = ~np.repeat(P.layers >= 8, 3)
-    assert bits == 6
-    assert (guide.reshape(len(live), -1)[live] <= -1 - entry.size).mean() > 0.02
+    assert bits == 7
+    assert (guide.reshape(len(live), -1)[live] <= -1 - 2 * entry.size).mean() > 0.02
     _assert_same_as_reference(P, "apex", 8, 5000, 19, 2048)
 
 
 def _chained_kernel(extra):
     """Two absorbing side states and a state whose row {0.002, 0.002, 0.996}
-    puts two distinct thresholds into its first bucket at 4 and at 6 bits;
-    ``extra`` states with thirds split two more 4-bit cells each."""
+    puts the four distinct thresholds of its squared row into its first
+    bucket at 4 and at 6 bits; ``extra`` states with thirds split four more
+    cells each."""
     layers, y = [1, 1, 1] + [2] * extra, [1, -1, 0] + list(range(extra))
     rows = [{0: 1.0}, {1: 1.0}, {0: 0.002, 1: 0.002, 2: 0.996}]
     rows += [{0: 1 / 3, 1: 1 / 3, 3 + y: 1 / 3} for y in range(extra)]
@@ -620,7 +640,7 @@ def _chained_kernel(extra):
 def test_sampler_matches_compare_and_sum_through_chained_records(extra, bits):
     K = _chained_kernel(extra)
     tables = _step_tables(K)
-    split = -1 - tables[1].size
+    split = -1 - 2 * tables[1].size
     assert tables[0] == bits
     assert (tables[3][:, 2] <= split).any()          # a record names the next
     _assert_same_as_reference(K, (1, 0), None, 2000, 23, 700)
@@ -628,11 +648,12 @@ def test_sampler_matches_compare_and_sum_through_chained_records(extra, bits):
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_step_compares_the_drawn_word_with_each_threshold(extra, monkeypatch):
-    # the first words are drawn one below and at each threshold of the row
-    # {0.002, 0.002, 0.996}; the zero words after them send a path to state 0
+    # the first words are drawn one below and at each threshold of the
+    # squared row of {0.002, 0.002, 0.996}; the zero words after them send a
+    # path to state 0
     K = _chained_kernel(extra)
-    T, _ = _thresholds(K)
-    m = np.array([T[2, 0] - 1, T[2, 0], T[2, 1] - 1, T[2, 1]], dtype=np.uint64)
+    T = _thresholds(K)[0][2, :4]
+    m = np.stack([T - 1, T], axis=1).ravel().astype(np.uint64)
 
     class Words:
         def __init__(self, seed, block_id):
@@ -644,11 +665,13 @@ def test_step_compares_the_drawn_word_with_each_threshold(extra, monkeypatch):
             return out
 
     monkeypatch.setattr(simulation, "_block_rng", Words)
-    agg = run_paths(K, (1, 0), n_paths=4)
-    # one step to state 0, two to state 1, and the path that stayed at
-    # state 2 goes on to state 0
-    assert agg.exit_side[0, Side.UPPER] == 2 and agg.exit_side[1, Side.LOWER] == 2
-    assert (agg.steps_sum, agg.steps_max) == (5, 2)
+    agg = run_paths(K, (1, 0), n_paths=8)
+    # one step to state 0 and two to state 1, two steps to state 0 twice
+    # and to state 1 twice, and the path that stayed at state 2 goes on to
+    # state 0 in a third step
+    assert agg.exit_side[0, Side.UPPER] == 4 and agg.exit_side[1, Side.LOWER] == 4
+    assert (agg.steps_sum, agg.steps_max) == (14, 3)
+    assert agg.steps_hist[:3].tolist() == [0, 3, 5]
 
 
 @settings(max_examples=15, deadline=None)
@@ -679,28 +702,33 @@ def _resolve(tables, a, m):
     """The entry that the guide and the threshold records give a path at
     pairs ``a`` drawing the 53-bit ``m``."""
     bits, entry, guide, records = tables
-    split = -1 - entry.size
-    e = guide[(a << bits) + (m >> (53 - bits))]
+    split = -1 - 2 * entry.size
+    e = guide[(a << bits) + (m >> (53 - bits))].astype(np.int64)
     while (s := e <= split).any():
         rec = records[split - e[s]]
         e[s] = np.where(m[s] >= rec[:, 0], rec[:, 2], rec[:, 1])
     return e
 
 
-def _thresholds(kernel):
-    """Each row's cumulative probabilities but the last, in 2**-53 units, and
-    the padded targets, from the CSR rows."""
-    cum, tgt = _padded_tables(kernel)
-    return np.ceil(cum[:, :-1] * 2.0 ** 53).astype(np.int64), tgt
+def _thresholds(kernel, stop=None):
+    """Each squared row's compared cumulative probabilities in 2**-53 units
+    and its outcomes' states, from ``_squared_rows``."""
+    cum, mid, end = _squared_rows(kernel, simulation._resolve_stop(kernel, stop))
+    return np.ceil(cum[:, :-1] * 2.0 ** 53).astype(np.int64), mid, end
 
 
 def _column_compare(kernel, stop, bits, a, m):
-    """The same entry by counting the row's thresholds at or below m."""
-    T, tgt = _thresholds(kernel)
+    """The same entry by counting the squared row's thresholds at or below
+    m and following the pair's side through both moves."""
+    T, mid, end = _thresholds(kernel, stop)
     side = simulation._side_array(kernel)
-    x = tgt[a // 3, (m[:, None] >= T[a // 3]).sum(axis=1)]
-    pair = 3 * x + np.where(side[x] != 0, side[x], a % 3)
-    return np.where(simulation._resolve_stop(kernel, stop)[x], ~pair, pair << bits)
+    stopm = simulation._resolve_stop(kernel, stop)
+    j = (m[:, None] >= T[a // 3]).sum(axis=1)
+    x, z = mid[a // 3, j], end[a // 3, j]
+    first = 3 * x + np.where(side[x] != 0, side[x], a % 3)
+    pair = 3 * z + np.where(side[z] != 0, side[z], first % 3)
+    return np.where(z < 0, ~(first + 3 * kernel.n_states),
+                    np.where(stopm[z], ~pair, pair << bits))
 
 
 def _named_kernel(name):
@@ -719,7 +747,7 @@ def test_guide_table_is_the_column_compare(name):
     K = _named_kernel(name)
     tables = _step_tables(K)
     bits, entry, guide = tables[:3]
-    T, _ = _thresholds(K)
+    T = _thresholds(K)[0]
     a = np.arange(entry.size)
     # the first and last draw of every bucket, every threshold and the draw
     # just below it
@@ -735,34 +763,56 @@ def test_guide_table_is_the_column_compare(name):
     inside = np.zeros((K.n_states, 2 ** bits), dtype=bool)
     for b in range(2 ** bits):
         inside[:, b] = ((T > edge[b]) & (T < edge[b + 1])).any(axis=1)
-    split = guide.reshape(entry.size, -1) <= -1 - entry.size
+    split = guide.reshape(entry.size, -1) <= -1 - 2 * entry.size
     assert np.array_equal(split, np.repeat(inside, 3, axis=0))
 
 
-@pytest.mark.parametrize("name,bits", [("pi/6", 4), ("pi/4", 4), ("pi/3", 4),
-                                       ("0.9", 6), ("vase", 6)])
+def _split_cells(T, bits):
+    """The number of ``bits``-wide cells with a threshold strictly inside."""
+    edge = np.arange(2 ** bits + 1, dtype=np.int64) << (53 - bits)
+    return sum(((T > edge[b]) & (T < edge[b + 1])).any(axis=1).sum()
+               for b in range(2 ** bits))
+
+
+@pytest.mark.parametrize("name,bits", [("pi/6", 6), ("pi/4", 4), ("pi/3", 6),
+                                       ("0.9", 7), ("vase", 7)])
 def test_bucket_width_follows_the_share_of_split_cells(name, bits):
-    # 6 bits when more than 1 in 32 of the 4-bit cells would be split
+    # 4 bits when at most 1 in 32 of the 4-bit cells would be split, else 6
+    # when at most 1 in 32 of the 6-bit cells would be, else 7
     if name == "vase":
         K = vase_rate_matrix(build_vase_grid(power_shape(2.0), 20, 20)).jump_chain()
     else:
         K = wedge({"pi/6": math.pi / 6, "pi/4": math.pi / 4,
                    "pi/3": math.pi / 3}.get(name, 0.9), 30)[1]
-    T, _ = _thresholds(K)
-    edge = np.arange(17, dtype=np.int64) << 49
-    split4 = sum(((T > edge[b]) & (T < edge[b + 1])).any(axis=1).sum()
-                 for b in range(16))
-    assert (split4 * 32 > 16 * K.n_states) == (bits == 6)
+    T = _thresholds(K)[0]
+    few4, few6 = (32 * _split_cells(T, b) <= K.n_states << b for b in (4, 6))
+    assert bits == (4 if few4 else 6 if few6 else 7)
     assert _step_tables(K)[0] == bits
 
 
-@pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 3])
-def test_special_angle_guide_has_no_split_bucket(alpha):
-    # every cumulative probability is a multiple of 1/8, so each threshold
-    # falls on a bucket edge and no step reads a threshold record
-    bits, entry, guide, records = _step_tables(wedge(alpha, 30)[1])
-    assert bits == 4 and len(records) == 0
-    assert guide.min() >= -entry.size
+@pytest.mark.parametrize("n,bits", [(43690, 7), (43691, 6)])
+def test_a_7_bit_guide_stays_within_2_24_entries(n, bits):
+    # state i moves to i + 1, i + 2 and the absorbing state n - 1 with 1/3
+    # each, so the squared rows put six thresholds strictly inside 6-bit
+    # cells; 3 n 2**7 entries pass 2**24 at n = 43691
+    i = np.arange(n - 3)
+    cols = np.stack([i + 1, i + 2, np.full(n - 3, n - 1)], axis=1).ravel()
+    arrays = (np.concatenate([np.arange(0, 3 * (n - 3) + 1, 3),
+                              3 * (n - 3) + np.arange(2, 5)]),
+              np.concatenate([cols, [n - 2, n - 1, n - 1, n - 1]]),
+              np.concatenate([np.full(3 * (n - 3), 1 / 3), [1 / 3, 2 / 3, 1.0, 1.0]]))
+    K = StochasticKernel(arrays, mode="float")
+    assert _step_tables(K)[0] == bits
+
+
+@pytest.mark.parametrize("alpha,bits", [(math.pi / 4, 4), (math.pi / 3, 6)])
+def test_special_angle_guide_has_no_split_bucket(alpha, bits):
+    # every two-step probability is a multiple of 1/16 at pi/4 and of 1/64
+    # at pi/3, so each threshold falls on a bucket edge and no step reads a
+    # threshold record
+    got, entry, guide, records = _step_tables(wedge(alpha, 30)[1])
+    assert got == bits and len(records) == 0
+    assert guide.min() >= -2 * entry.size
 
 
 def test_integer_threshold_is_the_float_compare():
@@ -770,15 +820,17 @@ def test_integer_threshold_is_the_float_compare():
     cs = [k * 2.0 ** -53 for k in ks]
     cs += [np.nextafter(c, 2.0) for c in cs] + [np.nextafter(c, 0.0) for c in cs]
     cs += [0.12499999999999997, 0.125, 1 / 3]
-    # states 0 and 1 absorb, so a step from state i >= 2 ends on ~0 or ~3
+    # states 0 and 1 absorb, so a double step from state i >= 2 stops on its
+    # first half at pair 0 or 3
     rows = [{0: 1.0}, {1: 1.0}] + [{0: c, 1: 1.0 - c} for c in cs]
     K = kernel_from_rows(rows, "float")
     tables = _step_tables(K)
     top = 2 ** 53 - 1                      # the largest draw m
+    half = 3 * K.n_states
     for i, c in enumerate(cs, start=2):
         base = int(c * 2.0 ** 53)
         m = np.array([0, top] + list(range(max(base - 2, 0), min(base + 3, top + 1))))
-        want = np.where(m * 2.0 ** -53 >= c, ~3, ~0)
+        want = np.where(m * 2.0 ** -53 >= c, ~(3 + half), ~(0 + half))
         assert np.array_equal(_resolve(tables, np.full(m.size, 3 * i), m), want), c
 
 
