@@ -139,9 +139,10 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     T = np.ceil(cum[:, :W - 1] * 2.0 ** 53).astype(np.int64)
     del cum
     live = T < 2 ** 53             # 2**53 (past the row) is beyond every draw
+    inside = lambda bits: np.nonzero(live & (T % (1 << 53 - bits) != 0))   # row-major
 
     def few_split(bits):           # at most 1 in 32 cells holds a threshold
-        i, c = np.nonzero(live & (T % (1 << 53 - bits) != 0))   # row-major
+        i, c = inside(bits)
         cells = np.count_nonzero(np.diff((i << bits) + (T[i, c] >> 53 - bits), prepend=-1))
         return 32 * cells <= n << bits
 
@@ -158,7 +159,7 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     np.left_shift(code0, bits, out=code0, where=going)
     step = np.where(fixed != 0, 0, np.where(going, 1 << bits, -1))
     del fixed, going, halfway
-    i, c = np.nonzero(live & (T % (1 << 53 - bits) != 0))
+    i, c = inside(bits)
     split = -1 - 6 * n
     fits = 3 * n << bits <= 2 ** 31 and 6 * n + 3 * i.size <= 2 ** 31
     dtype = np.int32 if fits else np.int64
@@ -380,7 +381,7 @@ def exact_exit_law(kernel: StochasticKernel, start, stop=None) -> np.ndarray:
     kernel's CSR arrays, not the sampler's tables, so it checks them.
     """
     stopm = _resolve_stop(kernel, stop)
-    side = _side_array(kernel).astype(np.int64)
+    side = _side_array(kernel)
     start_idx, start_cdf = _start_distribution(kernel, start)
     n = kernel.n_states
     indptr, indices, data = _float_arrays(kernel)
