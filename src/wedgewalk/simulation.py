@@ -177,8 +177,9 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
         at += np.arange(t.shape[0])[:, None] * (Q + 1)
         j = np.bincount(at.ravel(), minlength=t.shape[0] * (Q + 1)).reshape(-1, Q + 1)
         o = first[lo:lo + rows, None] + np.cumsum(j[:, :Q], axis=1)
+        c0, st = code0[o], step[o]
         for s in range(3):
-            guide[lo:lo + rows, s] = code0[o] + s * step[o]
+            guide[lo:lo + rows, s] = c0 + s * st
     # ... unless thresholds fall inside it: one record per threshold and pair,
     # chained in order through the bucket
     v, b = T[i, c], T[i, c] >> (53 - bits)
@@ -240,7 +241,7 @@ def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
     return kernel.layers >= int(stop)
 
 
-SAMPLER = "sfc64-x2"   # the block generator, two steps to a word; named in every sampler record
+SAMPLER = "sfc64-x2"   # the generator, two steps a word; named in every sampler record
 
 
 def _block_rng(seed: int, block_id: int) -> np.random.Generator:
