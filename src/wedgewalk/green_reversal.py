@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SolverError, UnreachableStateError
-from .kernels import FLOAT, RATIONAL, StochasticKernel, _float_arrays, _state
+from .kernels import FLOAT, RATIONAL, StochasticKernel, _csr, _float_arrays, _state
 
 
 @dataclass
@@ -106,56 +106,72 @@ def _rational_green(arrays, transient, source_pos):
     return [Fraction(b[i], A[i][lo]) for i in range(n)]
 
 
+def _reach(A, seed) -> np.ndarray:
+    """The states that ``seed`` reaches along the stored pattern of the
+    scipy CSR matrix ``A``; one frontier search, linear in the nonzeros."""
+    reach, new = seed.copy(), np.flatnonzero(seed)
+    while new.size:
+        step = A[new].indices
+        new = np.unique(step[~reach[step]])
+        reach[new] = True
+    return reach
+
+
 def _reaches_absorption(kernel: StochasticKernel, mask) -> bool:
     """Whether every state has a path into ``mask``, which makes I - T
     invertible: g (I - T) = e_src then has one solution."""
-    import scipy.sparse as sp
-
     indptr, indices, _ = kernel.arrays
-    A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(mask),) * 2)
-    reach, grown = None, mask
-    while not np.array_equal(reach, grown):
-        reach, grown = grown, grown | (A @ grown > 0)
-    return bool(reach.all())
+    pattern = _csr((indptr, indices, np.ones(len(indices))), len(mask))
+    return bool(_reach(pattern.T.tocsr(), mask).all())     # mask reached backwards
 
 
 def _lifted_green(kernel: StochasticKernel, mask, transient, source):
-    """The Green vector from the apex (0, 0) of a layered rational kernel
-    whose transient states are whole layers, or None.  It is lifted from the
-    radial chain Q(k, k') = |F_k|^-1 sum over F_k x F_k' of P as g(k, y) =
-    g1(k) / |F_k|, which holds when the uniform fiber link intertwines P
-    with Q, and kept only if it solves g (I - T) = e_src exactly and I - T
-    is invertible."""
-    if kernel.y is None or source != 0:
+    """The Green vector from a ``source`` alone on its layer (the apex
+    (0, 0), or any state of a radial chain) of a layered kernel whose
+    transient states are its lowest whole layers, or None.  It is lifted as
+    g(k, y) = g1(k) / |F_k| from the radial chain Q(k, k') = |F_k|^-1 sum of
+    P over F_k x F_k', with g1 solved down from the top transient layer by
+    the birth-death flow identity g1(k) Q(k, k+1) - g1(k+1) Q(k+1, k) =
+    [k >= source layer], in the kernel's value type.  It is kept only if
+    I - T is invertible and g solves g (I - T) = e_src, exactly in rational
+    mode and to 8 ulp of max g in float mode (the wedge chains show 1)."""
+    if kernel.layers is None:
         return None
     ks, layer, size = np.unique(kernel.layers, return_inverse=True, return_counts=True)
-    t_ks = np.flatnonzero(np.bincount(layer[~mask], minlength=ks.size) == size)
-    if np.count_nonzero(~mask) != size[t_ks].sum():      # a layer is split
+    whole = np.bincount(layer[~mask], minlength=ks.size)
+    m = np.count_nonzero(whole)                         # transient layers 0 .. m-1
+    if size[layer[source]] != 1 or not np.array_equal(whole[:m], size[:m]):
         return None
-    indptr, indices, (nums, dens) = kernel.arrays
-    row = np.repeat(np.arange(len(dens)), np.diff(indptr))
+    rational = kernel.mode == RATIONAL
+    indptr, indices, values = kernel.arrays
+    row = np.repeat(np.arange(len(mask)), np.diff(indptr))
     e = np.flatnonzero(~mask[row])                      # the transient rows' entries
-    d = math.lcm(*set(dens))
-    nums, dens = np.array(nums, dtype=object)[e], np.array(dens, dtype=object)[row[e]]
-    # Q(k, k') sums P over F_k x F_k', over the denominator d |F_k|
-    flows = np.zeros((ks.size, ks.size), dtype=object)
-    np.add.at(flows, (layer[row[e]], layer[indices[e]]), nums * (d // dens))
-    k, k2 = np.nonzero(flows)
-    radial = (np.searchsorted(k, np.arange(ks.size + 1)), k2,
-              (flows[k, k2].tolist(), [d * n for n in size.tolist()]))
-    try:
-        g1 = _rational_green(radial, t_ks.tolist(), int(np.searchsorted(t_ks, layer[source])))
-    except SolverError:
-        return None
-    g = np.zeros(ks.size, dtype=object)
-    g[t_ks] = [v / k for v, k in zip(g1, size[t_ks].tolist())]
-    D = math.lcm(*[v.denominator for v in g[t_ks]]) * d
-    # the certificate in Python ints: D g(j) = D (g T)(j) + D [j = source]
-    Dg = np.array([int(v * D) for v in g.tolist()], dtype=object)[layer]
-    flow = np.zeros(len(Dg), dtype=object)
-    flow[source] = D
-    np.add.at(flow, indices[e], Dg[row[e]] // dens * nums)
-    if (Dg != flow)[transient].any() or not _reaches_absorption(kernel, mask):
+    if rational:                                        # P over the common denominator d
+        d, dens = math.lcm(*set(values[1])), np.array(values[1], dtype=object)
+        p = np.array(values[0], dtype=object)[e] * (d // dens)[row[e]]
+    else:
+        d, p = 1, values[e]
+    # h(k) = g1(k) / |F_k|, and up(k), down(k) sum d P from F_k one layer up, down
+    rise = layer[indices[e]] - layer[row[e]]
+    up, down = np.zeros(ks.size, dtype=p.dtype), np.zeros(ks.size, dtype=p.dtype)
+    np.add.at(up, layer[row[e]][rise == 1], p[rise == 1])
+    np.add.at(down, layer[row[e]][rise == -1], p[rise == -1])
+    s, h = int(layer[source]), [Fraction(0) if rational else 0.0] * ks.size
+    for k in range(m - 1, -1, -1):
+        if up[k] == 0:
+            return None
+        h[k] = (d * (k >= s) + h[k + 1] * down[k + 1]) / up[k]
+    g = np.array(h)
+    if rational:            # the certificate in Python ints, on D g
+        D = math.lcm(*[v.denominator for v in h])
+        x, one, tol = np.array([int(v * D) for v in h], dtype=object)[layer], D, 0
+    else:
+        x, one, tol = g[layer], 1.0, 8 * np.spacing(g.max())
+    flow = np.zeros(len(x), dtype=x.dtype)              # d (x T)(j) + d one [j = source]
+    flow[source] = d * one
+    np.add.at(flow, indices[e], x[row[e]] * p)
+    residual = np.abs(d * x - flow)[transient].max()
+    if not residual <= tol or not _reaches_absorption(kernel, mask):
         return None
     return g[layer[transient]].tolist()
 
@@ -164,11 +180,12 @@ def green_vector(kernel: StochasticKernel, source,
                  absorbing: Optional[np.ndarray] = None) -> GreenVector:
     """Expected visits to every state for the chain started at ``source``.
 
-    Absorbing states default to the kernel's self-loop rows.  Float kernels
-    go through a sparse LU solve.  A rational kernel started at its apex
-    (0, 0), with whole layers transient, takes the vector lifted from its
-    radial chain when that is certified exact; other rational solves are
-    exact fraction-free elimination in the band.
+    Absorbing states default to the kernel's self-loop rows.  A source alone
+    on its layer (the apex (0, 0), or any state of a radial chain), with
+    whole layers transient, takes the vector lifted from the radial chain's
+    birth-death recurrence when that is certified.  Other float solves are
+    one sparse LU; other rational solves are exact fraction-free elimination
+    in the band.
     """
     source = _state(kernel, source)
     mask = (kernel.absorbing_mask() if absorbing is None
@@ -178,11 +195,10 @@ def green_vector(kernel: StochasticKernel, source,
     transient = np.flatnonzero(~mask)
     src_pos = int(np.searchsorted(transient, source))
 
-    if kernel.mode == RATIONAL:
-        g_tr = _lifted_green(kernel, mask, transient, source)
-        if g_tr is None:
-            g_tr = _rational_green(kernel.arrays, transient.tolist(), src_pos)
-    else:
+    g_tr = _lifted_green(kernel, mask, transient, source)
+    if g_tr is None and kernel.mode == RATIONAL:
+        g_tr = _rational_green(kernel.arrays, transient.tolist(), src_pos)
+    elif g_tr is None:
         e = np.zeros(len(transient))
         e[src_pos] = 1.0
         g_tr = _transient_solve(kernel.to_csr()[transient], transient, e,

@@ -377,16 +377,17 @@ def exact_exit_law(kernel: StochasticKernel, start, stop=None) -> np.ndarray:
 
     The walk on pairs (state, last side) is Markov: pair (i, s) moves to
     (t, side of t, or s if t lies on none) with p(i, t).  One sparse solve
-    (I - T)^T x = mu gives the expected visits x to each transient pair from
-    the start law mu, and the stop pairs receive mu plus x R.  It reads the
-    kernel's CSR arrays, not the sampler's tables, so it checks them.
+    (I - T)^T x = mu on the transient pairs that the start law mu reaches
+    gives the expected visits x to each, and the stop pairs receive mu plus
+    x R.  It reads the kernel's CSR arrays, not the sampler's tables.
     """
     stopm = _resolve_stop(kernel, stop)
     side = _side_array(kernel)
     start_idx, start_cdf = _start_distribution(kernel, start)
     n = kernel.n_states
     indptr, indices, data = _float_arrays(kernel)
-    bounds = np.append(0, np.cumsum(np.repeat(np.diff(indptr), 3)))
+    ends = np.repeat(stopm, 3)
+    bounds = np.append(0, np.cumsum(np.repeat(np.diff(indptr), 3) * ~ends))  # stops: no row
     pair = np.repeat(np.arange(3 * n), np.diff(bounds))
     e = indptr[pair // 3] + np.arange(pair.size) - bounds[pair]
     t = indices[e]
@@ -395,8 +396,7 @@ def exact_exit_law(kernel: StochasticKernel, start, stop=None) -> np.ndarray:
         start_cdf = (np.arange(n) >= start_idx).astype(float)
     mu = np.zeros(3 * n)
     mu[3 * np.arange(n) + side] = np.diff(start_cdf, prepend=0.0)
-    ends = np.repeat(stopm, 3)
-    transient = np.flatnonzero(~ends)
+    transient = np.flatnonzero(_green._reach(P2, mu > 0) & ~ends)
     law = np.where(ends, mu, 0.0)
     if transient.size:
         rows = P2[transient]
@@ -514,9 +514,23 @@ def last_side_curve(aggregate: PathAggregate, stop_layer: int,
 
 def discrete_hit_prob(one_dim_chain: StochasticKernel, start: int,
                       lower: int, upper: int) -> float:
-    """P(reach ``lower`` before ``upper``) for a radial chain, by linear solve."""
-    if not 0 <= lower < start < upper:
-        raise ParameterError("need 0 <= lower < start < upper")
+    """P(reach ``lower`` before ``upper``) for a radial chain.  Where each
+    state strictly between them steps only to its neighbours, and up with
+    positive probability, it is the discrete scale-function ratio: rho(k)
+    summed over start <= k < upper, over the same sum from ``lower``, with
+    rho(k) the product of p(i, i-1) / p(i, i+1) over lower < i <= k.  Any
+    other chain takes the solve of ``hit_probability``."""
+    if not 0 <= lower < start < upper < one_dim_chain.n_states:
+        raise ParameterError("need 0 <= lower < start < upper < the chain's states")
+    indptr, indices, data = _float_arrays(one_dim_chain)
+    row = np.repeat(np.arange(one_dim_chain.n_states), np.diff(indptr))
+    step = indices - row
+    up, down = (np.bincount(row[step == s], data[step == s], one_dim_chain.n_states)
+                [lower + 1:upper] for s in (1, -1))
+    if np.all(abs(step[indptr[lower + 1]:indptr[upper]]) <= 1) and up.all():
+        rho = np.cumprod(np.append(1.0, down / up))
+        if np.isfinite(rho.sum()):
+            return float(rho[start - lower:].sum() / rho.sum())
     return _green.hit_probability(one_dim_chain, start, targets=[lower],
                                   blockers=[upper])
 

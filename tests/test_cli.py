@@ -462,6 +462,26 @@ def test_simulate_vase_loads_no_scipy_sparse(tmp_path):
     assert _scipy_sparse_loaded_by(tmp_path, "simulate-vase") == "0 []"
 
 
+def test_radial_solves_load_no_scipy_linalg(tmp_path):
+    # the apex Green vector and the radial hitting probability are
+    # birth-death recurrences; scipy.sparse.linalg would also load scipy.linalg
+    record = str(tmp_path / "record.json")
+    argvs = [["green"], ["green", "--layers", "50"], ["reverse", "--layers", "30"],
+             ["bessel-check"],
+             ["bessel-check", "--beta", "1.5", "--i", "50", "--a", "25", "--b", "200"]]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from wedgewalk.cli import main\n"
+         f"print([main(argv + ['--output', {record!r}]) for argv in {argvs!r}])\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"],
+        capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    codes, loaded = out.stdout.strip().splitlines()[-2:]
+    assert codes == str([0] * len(argvs))
+    assert loaded == "[]"
+
+
 def test_reverse_builds_only_the_planar_kernel(monkeypatch, capsys):
     from wedgewalk import intertwining, kernels
 

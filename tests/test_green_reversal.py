@@ -458,6 +458,56 @@ def test_apex_green_is_lifted_from_the_radial_chain(alpha):
         assert lifted == _reference_rational_green(P.rows, transient, 0)
 
 
+@pytest.mark.parametrize("alpha, N, planar", [
+    (math.pi / 6, 30, True), (math.pi / 6, 60, True), (math.pi / 3, 30, True),
+    (math.pi / 3, 60, True), (math.pi / 6, 50, False), (math.pi / 6, 200, False),
+    (math.pi / 4, 50, False), (math.pi / 4, 200, False)])
+def test_float_lift_is_the_exact_vector_to_rounding(alpha, N, planar):
+    # the recurrence on the float kernel against the exact rational vector;
+    # state 0 is the apex of both chains
+    def kernel(mode):
+        if not planar:
+            return projected_wedge_chain(N, alpha, mode=mode)
+        spec = WedgeSpec(alpha=alpha, layers=N)
+        return wedge_kernel(build_wedge_lattice(spec), spec, mode=mode)
+
+    P = kernel("float")
+    got, want = green_vector(P, 0), green_vector(kernel("rational"), 0)
+    mask = P.absorbing_mask()
+    transient = np.flatnonzero(~mask)
+    assert _lifted_green(P, mask, transient, 0) == [got.visits[s] for s in transient]
+    exact = np.array([float(v) for v in want.visits])
+    assert np.abs(got.as_floats()[transient] / exact[transient] - 1).max() <= 2e-15
+    assert not got.as_floats()[mask].any()
+
+
+def _float_fallback(P, source):
+    mask = P.absorbing_mask()
+    transient = np.flatnonzero(~mask)
+    e = np.zeros(len(transient))
+    e[np.searchsorted(transient, source)] = 1.0
+    x = green_reversal._transient_solve(P.to_csr()[transient], transient, e, transpose=True)
+    return transient, x.tolist()
+
+
+def test_float_lift_is_refused_off_the_intertwining_and_off_the_apex():
+    # an eps-perturbed row leaves the radial chain as it was, and a source
+    # that shares its layer has no radial chain: both take the sparse solve
+    spec = WedgeSpec(alpha=math.pi / 6, layers=8)
+    lat = build_wedge_lattice(spec)
+    P = wedge_kernel(lat, spec, mode="float")
+    mask = P.absorbing_mask()
+    rows = [dict(r) for r in P.rows]
+    rows[lat.index(2, 0)][lat.index(2, 1)] -= 1e-6
+    rows[lat.index(2, 0)][lat.index(2, -1)] += 1e-6
+    Pe = kernel_from_rows(rows, "float", layers=P.layers, y=P.y)
+    for kernel, source in ((Pe, 0), (P, lat.index(1, 1))):
+        transient, want = _float_fallback(kernel, source)
+        assert _lifted_green(kernel, mask, transient, source) is None
+        g = green_vector(kernel, source)
+        assert [g.visits[s] for s in transient] == want
+
+
 def _spy_on_elimination(monkeypatch):
     sizes = []
     real = green_reversal._rational_green
@@ -483,7 +533,7 @@ def test_green_of_a_layered_kernel_that_is_not_intertwined(monkeypatch):
     assert _lifted_green(Pe, mask, transient, 0) is None
     sizes = _spy_on_elimination(monkeypatch)
     g = green_vector(Pe, (0, 0))
-    assert sizes == [8, len(transient)]     # the radial chain, then the plane
+    assert sizes == [len(transient)]        # the radial recurrence eliminates nothing
     want = _reference_rational_green(rows, transient, 0)
     assert [g.visits[s] for s in transient] == want
     assert want[lat.index(2, 1)] != want[lat.index(2, -1)]

@@ -20,11 +20,13 @@ from wedgewalk import (
     discrete_hit_prob,
     exact_exit_law,
     green_vector,
+    hit_probability,
     kolmogorov_critical,
     ks_statistic,
     last_side_curve,
     nagasawa_reverse,
     power_shape,
+    projected_vase_rates,
     projected_wedge_chain,
     run_paths,
     sample_path,
@@ -355,6 +357,35 @@ def test_discrete_hit_prob_far_ceiling():
     assert got == pytest.approx(3 / 5, abs=1e-3)
 
 
+@pytest.mark.parametrize("chain", ["vase", "wedge"])
+def test_discrete_hit_prob_is_the_hitting_solve(chain):
+    # the scale-function ratio against the absorbing solve, on the c10 vase
+    # chain at beta = 1.5 and on the wedge radial chain
+    if chain == "vase":
+        grid = build_vase_grid(power_shape(1.5), 50, 201)
+        Q = projected_vase_rates(grid).jump_chain()
+    else:
+        Q = projected_wedge_chain(250, math.pi / 6, mode="float")
+    for start, lower, upper in ((50, 25, 200), (2, 1, 200), (199, 0, 200)):
+        got = discrete_hit_prob(Q, start, lower, upper)
+        assert got == pytest.approx(hit_probability(Q, start, [lower], [upper]),
+                                    rel=0, abs=1e-13)
+
+
+def test_discrete_hit_prob_off_a_birth_death_chain_is_the_solve():
+    # a jump over a neighbour and a state that cannot step up both leave
+    # the recurrence and take the solve
+    rows = [{0: F(1)}, {0: F(1, 2), 3: F(1, 2)}, {1: F(1, 2), 3: F(1, 2)},
+            {2: F(1, 3), 4: F(2, 3)}, {4: F(1)}]
+    walled = [{0: F(1)}, {0: F(1, 2), 2: F(1, 2)}, {1: F(1, 2), 3: F(1, 2)},
+              {2: F(1)}, {4: F(1)}]
+    for K in (kernel_from_rows(rows, "float"), kernel_from_rows(walled, "float")):
+        assert discrete_hit_prob(K, 2, 0, 4) == hit_probability(K, 2, [0], [4])
+    assert discrete_hit_prob(K, 2, 0, 4) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ParameterError):
+        discrete_hit_prob(K, 2, 0, 5)
+
+
 def test_discrete_vs_bessel():
     Q = projected_wedge_chain(250, math.pi / 6, mode="float")
     got = discrete_hit_prob(Q, 50, 25, 200)
@@ -426,6 +457,19 @@ def test_exact_exit_law_is_sampled_on_the_reversed_chain():
     stop = (rev.kernel.layers == 15) | rev.kernel.absorbing_mask()
     _assert_matches_exact_law(rev.kernel, rev.initial_law, stop, 100000, 59)
     _assert_matches_exact_law(rev.kernel, rev.initial_law, None, 100000, 61)
+
+
+def test_exact_exit_law_of_the_reversed_chain_needs_no_extra_stops():
+    # the kill state is a transient self-loop that no path meets before
+    # layer 15: the solve keeps to the pairs the start law reaches
+    lat, P = wedge(math.pi / 6, 30)
+    rev = nagasawa_reverse(P, green_vector(P, (0, 0)))
+    K, mid = rev.kernel, rev.kernel.layers == 15
+    assert np.array_equal(exact_exit_law(K, rev.initial_law, mid),
+                          exact_exit_law(K, rev.initial_law, mid | K.absorbing_mask()))
+    # every start state already lies at or above layer 15
+    law = exact_exit_law(K, rev.initial_law, 15)
+    assert np.allclose(law.sum(axis=1), rev.initial_law, rtol=0, atol=1e-15)
 
 
 def test_exact_exit_law_of_the_line_walk():
