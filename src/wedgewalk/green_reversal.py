@@ -106,12 +106,13 @@ def _rational_green(arrays, transient, source_pos):
     return [Fraction(b[i], A[i][lo]) for i in range(n)]
 
 
-def _reach(A, seed) -> np.ndarray:
-    """The states that ``seed`` reaches along the stored pattern of the
-    scipy CSR matrix ``A``; one frontier search, linear in the nonzeros."""
+def _reach(indptr, indices, seed) -> np.ndarray:
+    """The states that ``seed`` reaches along a CSR pattern ``(indptr,
+    indices)``; one frontier search, linear in the nonzeros."""
     reach, new = seed.copy(), np.flatnonzero(seed)
     while new.size:
-        step = A[new].indices
+        n = indptr[new + 1] - indptr[new]                # the frontier's row lengths
+        step = indices[np.repeat(indptr[new] + n - np.cumsum(n), n) + np.arange(n.sum())]
         new = np.unique(step[~reach[step]])
         reach[new] = True
     return reach
@@ -120,9 +121,8 @@ def _reach(A, seed) -> np.ndarray:
 def _reaches_absorption(kernel: StochasticKernel, mask) -> bool:
     """Whether every state has a path into ``mask``, which makes I - T
     invertible: g (I - T) = e_src then has one solution."""
-    indptr, indices, _ = kernel.arrays
-    pattern = _csr((indptr, indices, np.ones(len(indices))), len(mask))
-    return bool(_reach(pattern.T.tocsr(), mask).all())     # mask reached backwards
+    back = _csr((*kernel.arrays[:2], np.ones(len(kernel.arrays[1]))), len(mask)).T.tocsr()
+    return bool(_reach(back.indptr, back.indices, mask).all())
 
 
 def _lifted_green(kernel: StochasticKernel, mask, transient, source):

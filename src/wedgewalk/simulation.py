@@ -396,7 +396,7 @@ def exact_exit_law(kernel: StochasticKernel, start, stop=None) -> np.ndarray:
         start_cdf = (np.arange(n) >= start_idx).astype(float)
     mu = np.zeros(3 * n)
     mu[3 * np.arange(n) + side] = np.diff(start_cdf, prepend=0.0)
-    transient = np.flatnonzero(_green._reach(P2, mu > 0) & ~ends)
+    transient = np.flatnonzero(_green._reach(P2.indptr, P2.indices, mu > 0) & ~ends)
     law = np.where(ends, mu, 0.0)
     if transient.size:
         rows = P2[transient]

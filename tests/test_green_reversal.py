@@ -481,15 +481,6 @@ def test_float_lift_is_the_exact_vector_to_rounding(alpha, N, planar):
     assert not got.as_floats()[mask].any()
 
 
-def _float_fallback(P, source):
-    mask = P.absorbing_mask()
-    transient = np.flatnonzero(~mask)
-    e = np.zeros(len(transient))
-    e[np.searchsorted(transient, source)] = 1.0
-    x = green_reversal._transient_solve(P.to_csr()[transient], transient, e, transpose=True)
-    return transient, x.tolist()
-
-
 def test_float_lift_is_refused_off_the_intertwining_and_off_the_apex():
     # an eps-perturbed row leaves the radial chain as it was, and a source
     # that shares its layer has no radial chain: both take the sparse solve
@@ -501,11 +492,14 @@ def test_float_lift_is_refused_off_the_intertwining_and_off_the_apex():
     rows[lat.index(2, 0)][lat.index(2, 1)] -= 1e-6
     rows[lat.index(2, 0)][lat.index(2, -1)] += 1e-6
     Pe = kernel_from_rows(rows, "float", layers=P.layers, y=P.y)
+    transient = np.flatnonzero(~mask)
     for kernel, source in ((Pe, 0), (P, lat.index(1, 1))):
-        transient, want = _float_fallback(kernel, source)
         assert _lifted_green(kernel, mask, transient, source) is None
+        e = (transient == source).astype(float)
+        want = green_reversal._transient_solve(kernel.to_csr()[transient], transient, e,
+                                               transpose=True)
         g = green_vector(kernel, source)
-        assert [g.visits[s] for s in transient] == want
+        assert [g.visits[s] for s in transient] == want.tolist()
 
 
 def _spy_on_elimination(monkeypatch):
