@@ -375,7 +375,7 @@ def test_discrete_hit_prob_is_the_hitting_solve(chain):
 def test_discrete_hit_prob_off_a_birth_death_chain_is_the_solve():
     # a jump over a neighbour and a state that cannot step up both leave
     # the recurrence and take the solve
-    rows = [{0: F(1)}, {0: F(1, 2), 3: F(1, 2)}, {1: F(1, 2), 3: F(1, 2)},
+    rows = [{0: F(1)}, {0: F(1, 4), 2: F(1, 4), 3: F(1, 2)}, {1: F(1, 2), 3: F(1, 2)},
             {2: F(1, 3), 4: F(2, 3)}, {4: F(1)}]
     walled = [{0: F(1)}, {0: F(1, 2), 2: F(1, 2)}, {1: F(1, 2), 3: F(1, 2)},
               {2: F(1)}, {4: F(1)}]
