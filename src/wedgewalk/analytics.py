@@ -16,12 +16,12 @@ import functools
 import math
 from dataclasses import dataclass
 from math import exp, lgamma, pi, sqrt
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, QuadratureError
-from .geometry import build_vase_grid, shape_from_spec
+from .geometry import MAX_LAYERS, build_vase_grid, shape_from_spec
 from .kernels import _layer_rates
 
 
@@ -30,7 +30,6 @@ def log_beta(a: float, b: float) -> float:
 
 
 B_THIRD = exp(log_beta(1.0 / 3.0, 1.0 / 3.0))          # B(1/3, 1/3)
-B_TWO_THIRDS = exp(log_beta(2.0 / 3.0, 2.0 / 3.0))     # B(2/3, 2/3)
 GAMMA_TWO_THIRDS = exp(lgamma(2.0 / 3.0))
 
 
@@ -107,18 +106,18 @@ def watts_closed(s: float) -> float:
     return regularized_beta(2.0 / 3.0, 2.0 / 3.0, s)
 
 
-def hyp2f1_near_one_third(z: float, quad: Quadrature = _QUAD) -> float:
+def hyp2f1_near_one_third(z: float) -> float:
     """2F1(1, 4/3; 5/3; z) for z in [0, 1) via the Euler integral with the
     t -> 1 singularity removed by 1 - t = v^3."""
     if not 0.0 <= z < 1.0:
         raise ParameterError(f"need z in [0,1), got {z}")
     integrand = lambda v: 3.0 * (1.0 - v ** 3) ** (1.0 / 3.0) \
         / (1.0 - z * (1.0 - v ** 3))
-    val = quad.integrate(integrand, 0.0, 1.0)
+    val = _QUAD.integrate(integrand, 0.0, 1.0)
     return val / exp(log_beta(4.0 / 3.0, 1.0 / 3.0))
 
 
-def watts_via_hypergeometric(a: float, quad: Quadrature = _QUAD) -> float:
+def watts_via_hypergeometric(a: float) -> float:
     """(pi sqrt(3) / (3 Gamma(2/3)^3)) (a(1-a))^{2/3} 2F1(1, 4/3; 5/3; a).
 
     Arguments above 1/2 route through the s <-> 1-s symmetry, away from the
@@ -129,12 +128,12 @@ def watts_via_hypergeometric(a: float, quad: Quadrature = _QUAD) -> float:
     if a in (0.0, 1.0):
         return float(a)
     if a > 0.5:
-        return 1.0 - watts_via_hypergeometric(1.0 - a, quad)
+        return 1.0 - watts_via_hypergeometric(1.0 - a)
     pref = pi * sqrt(3.0) / (3.0 * GAMMA_TWO_THIRDS ** 3)
-    return pref * (a * (1.0 - a)) ** (2.0 / 3.0) * hyp2f1_near_one_third(a, quad)
+    return pref * (a * (1.0 - a)) ** (2.0 / 3.0) * hyp2f1_near_one_third(a)
 
 
-def watts_via_integral(a: float, quad: Quadrature = _QUAD) -> float:
+def watts_via_integral(a: float) -> float:
     """The excursion-measure form: the hitting mass of the far reflecting
     side, collapsed to F'(a)^{-1} (sqrt(3)/(2 pi B(1/3,1/3)))
     int_1^inf du / ((u(u-1))^{2/3} (u - a)).
@@ -148,7 +147,7 @@ def watts_via_integral(a: float, quad: Quadrature = _QUAD) -> float:
         raise ParameterError(f"need a in (0,1), got {a}")
     near = lambda v: 3.0 * (1.0 + v ** 3) ** (-2.0 / 3.0) / (1.0 + v ** 3 - a)
     far = lambda w: w ** (1.0 / 3.0) * (1.0 - w) ** (-2.0 / 3.0) / (1.0 - a * w)
-    J = quad.integrate(near, 0.0, 1.0) + quad.integrate(far, 0.0, 0.5)
+    J = _QUAD.integrate(near, 0.0, 1.0) + _QUAD.integrate(far, 0.0, 0.5)
     return (sqrt(3.0) / (2.0 * pi)) * (a * (1.0 - a)) ** (2.0 / 3.0) * J
 
 
@@ -156,23 +155,12 @@ def watts_via_integral(a: float, quad: Quadrature = _QUAD) -> float:
 # the triangle boundary map
 # ---------------------------------------------------------------------------
 
-def sc_map(a: float, quad: Quadrature = _QUAD) -> float:
-    """F(a) = int_0^a u^{-2/3}(1-u)^{-2/3} du / B(1/3,1/3) on [0, 1].
-
-    Real restriction of the half-plane-to-triangle map; fixes 0, 1/2, 1.
-    """
+def sc_map(a: float) -> float:
+    """F(a) = int_0^a u^{-2/3}(1-u)^{-2/3} du / B(1/3,1/3) = I_a(1/3, 1/3), the
+    real restriction of the half-plane-to-triangle map; fixes 0, 1/2, 1."""
     if not 0.0 <= a <= 1.0:
         raise ParameterError(f"need a in [0,1], got {a}")
-    if a in (0.0, 1.0):
-        return float(a)
-    lo_piece = lambda v: 3.0 * (1.0 - v ** 3) ** (-2.0 / 3.0)
-    hi_piece = lambda w: 3.0 * (1.0 - w ** 3) ** (-2.0 / 3.0)
-    m = min(a, 0.5)
-    total = quad.integrate(lo_piece, 0.0, m ** (1.0 / 3.0))
-    if a > 0.5:
-        total += quad.integrate(hi_piece, (1.0 - a) ** (1.0 / 3.0),
-                                0.5 ** (1.0 / 3.0))
-    return total / B_THIRD
+    return regularized_beta(1.0 / 3.0, 1.0 / 3.0, a)
 
 
 def sc_deriv(a: float) -> float:
@@ -207,7 +195,7 @@ def bessel3_hit(x: float, a: float, b: float) -> float:
     return (1.0 / x - 1.0 / b) / (1.0 / a - 1.0 / b)
 
 
-def scale_function(shape, x: float, quad: Quadrature = _QUAD) -> float:
+def scale_function(shape, x: float) -> float:
     """phi(x) = int_1^x du / h(u)^2, vanishing at 1."""
     shape = shape_from_spec(shape)
     if x <= 0:
@@ -216,7 +204,7 @@ def scale_function(shape, x: float, quad: Quadrature = _QUAD) -> float:
         return 0.0
     integrand = lambda u: 1.0 / shape(u) ** 2
     try:
-        return quad.integrate(integrand, 1.0, x)
+        return _QUAD.integrate(integrand, 1.0, x)
     except QuadratureError as exc:
         raise QuadratureError(
             f"scale integral failed on [1, {x}]; divergent near the apex? "
@@ -235,7 +223,10 @@ def generator_residual(shape, f, f_prime, f_second, x: float, resolution: int) -
         raise ParameterError(f"resolution must be at least 1, got {resolution}")
     if not 0 < x < math.inf:
         raise ParameterError("x must be positive and finite")
-    k = round(N * shape(x))
+    level = N * shape(x)
+    if level > MAX_LAYERS:
+        raise ParameterError(f"x = {x} lies beyond layer {MAX_LAYERS} at this resolution")
+    k = round(level)
     if k < 2:
         raise ParameterError("x too close to the apex for this resolution")
     grid = build_vase_grid(shape, N, k + 1)
@@ -295,12 +286,10 @@ def chi_square(counts, expected=None, min_expected: float = 5.0) -> dict:
             "bins": counts.size, "merged_from": merged_from}
 
 
-def ks_statistic(samples, cdf: Optional[Callable[[float], float]] = None) -> float:
-    """One-sample Kolmogorov-Smirnov distance; default null is uniform [0,1]."""
+def ks_statistic(samples) -> float:
+    """One-sample Kolmogorov-Smirnov distance from the uniform law on [0,1]."""
     u = np.sort(np.asarray(samples, dtype=float))
     n = u.size
-    if cdf is not None:
-        u = np.array([cdf(v) for v in u])
     grid = np.arange(1, n + 1) / n
     return float(max((grid - u).max(), (u - (grid - 1.0 / n)).max()))
 
@@ -314,12 +303,12 @@ def kolmogorov_critical(alpha: float, n: int) -> float:
     return float(kolmogi(alpha)) / math.sqrt(n)
 
 
-def ks_test(samples, cdf=None) -> dict:
+def ks_test(samples) -> dict:
     """KS distance and its asymptotic p-value from the Kolmogorov survival
     function."""
     from scipy.special import kolmogorov
 
-    d = ks_statistic(samples, cdf)
+    d = ks_statistic(samples)
     n = len(samples)
     return {"distance": d, "n": n,
             "p_value": float(kolmogorov(d * math.sqrt(n)))}

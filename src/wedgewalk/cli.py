@@ -159,8 +159,12 @@ def cmd_reverse(args) -> int:
     # inner rows' steps to (k - 1, y) and (k + 1, y), at columns s - 2k and
     # s + 2k + 2 in layer-major order, against their closed forms
     s = np.flatnonzero((0 < P.layers) & (P.layers < N) & (abs(P.y) < P.layers))
-    k, R = P.layers[s], rev.kernel.to_csr()
-    down, up = (np.asarray(R[s, s + step]).ravel() for step in (-2 * k, 2 * k + 2))
+    k, n = P.layers[s], rev.kernel.n_states
+    indptr, indices, data = kernels._float_arrays(rev.kernel)
+    # R(s, t) at key s n + t, 0 where no entry is stored (the killed row ends key)
+    key = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    at = [(np.searchsorted(key, s * n + t), s * n + t) for t in (s - 2 * k, s + 2 * k + 2)]
+    down, up = (np.where(key[i] == want, data[i], 0.0) for i, want in at)
     worst = float(max(np.abs(down - s2 / 2 * (N - k + 1) / (N - k)).max(initial=0.0),
                       np.abs(up - s2 / 2 * (N - k - 1) / (N - k)).max(initial=0.0)))
     results = {"table_residual": worst,

@@ -103,6 +103,9 @@ def site_index(k: int, y: int) -> int:
     return k * k + (y + k)
 
 
+MAX_LAYERS = 2 ** 31 - 1           # the largest that the int32 layer arrays hold
+
+
 def _layer_major(layers: int):
     """Layer and transverse int32 arrays ``(k, y)`` of the sites
     0 <= k <= layers, |y| <= k, in ``site_index`` order."""
@@ -155,7 +158,12 @@ class ShapeFunction:
     label: str = "custom"
 
     def __call__(self, x: float) -> float:
-        return self.h(x)
+        try:                        # refused where it overflows or is not finite
+            if math.isfinite(v := self.h(x)):
+                return v
+        except OverflowError:
+            pass
+        raise ParameterError(f"shape {self.label} is not finite at x={x}")
 
     def derivative(self, x: float, eps: float = 1e-6) -> float:
         if self.h_prime is not None:
@@ -312,9 +320,9 @@ def build_vase_grid(shape, resolution: int, layers: int) -> VaseGrid:
     """Root-find the abscissas x_k = h^{-1}(k/N), k = 0..K, and the K
     boundary-segment angles between consecutive layers."""
     shape = shape_from_spec(shape)
+    if not (1 <= resolution < math.inf and 1 <= layers <= MAX_LAYERS):
+        raise ParameterError(f"need finite resolution >= 1 and layers in [1, {MAX_LAYERS}]")
     N, K = int(resolution), int(layers)
-    if N < 1 or K < 1:
-        raise ParameterError("resolution and layers must be positive")
     xs = np.empty(K + 1)
     xs[0] = 0.0
     hint = shape.domain_hint
@@ -322,7 +330,7 @@ def build_vase_grid(shape, resolution: int, layers: int) -> VaseGrid:
         level = k / N
         if hint is not None and shape(hint) < level - 1e-15:
             raise ParameterError(f"shape cannot reach level {level}")
-        xs[k] = bisect_increasing(shape.h, level, lo=xs[k - 1],
+        xs[k] = bisect_increasing(shape, level, lo=xs[k - 1],
                                   hi=hint if hint else None, tol=1e-12)
     gaps = np.diff(xs)
     if np.any(gaps <= 0):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SolverError, UnreachableStateError
-from .kernels import FLOAT, RATIONAL, StochasticKernel, _csr, _float_arrays, _state
+from .kernels import FLOAT, RATIONAL, StochasticKernel, _float_arrays, _state
 
 
 @dataclass
@@ -121,8 +121,10 @@ def _reach(indptr, indices, seed) -> np.ndarray:
 def _reaches_absorption(kernel: StochasticKernel, mask) -> bool:
     """Whether every state has a path into ``mask``, which makes I - T
     invertible: g (I - T) = e_src then has one solution."""
-    back = _csr((*kernel.arrays[:2], np.ones(len(kernel.arrays[1]))), len(mask)).T.tocsr()
-    return bool(_reach(back.indptr, back.indices, mask).all())
+    indptr, indices, _ = kernel.arrays
+    rows = np.repeat(np.arange(len(mask)), np.diff(indptr))
+    back = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=len(mask)))])
+    return bool(_reach(back, rows[np.argsort(indices, kind="stable")], mask).all())
 
 
 def _lifted_green(kernel: StochasticKernel, mask, transient, source):

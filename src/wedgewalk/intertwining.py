@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice
 from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel,
-                      _CSROperator, _csr, _float_arrays)
+                      _CSROperator, _csr, _entry_values, _float_arrays)
 
 _INT64_MAX = 2 ** 63 - 1
 _BLOCK = 16     # link rows evolved together; a few (K+1)^2 x _BLOCK arrays
@@ -67,45 +67,40 @@ class ResidualReport:
                            "pass": self.passed}, sort_keys=True)
 
 
-def _int64_csr(name, data, indices, indptr, shape):
-    import scipy.sparse as sp
-
-    if max(map(abs, data), default=0) > _INT64_MAX:
-        raise ParameterError(f"{name}: exact numerators exceed the int64 range")
-    return sp.csr_matrix((np.array(data, dtype=np.int64), indices, indptr),
-                         shape=shape)
-
-
-def _row_absmax(M) -> list:
-    return abs(M).max(axis=1).toarray().ravel().tolist()
+def _int64_dens(name: str, dens: list) -> list:
+    """``dens``, if each fits in int64.  Checked rows hold numerators in
+    [0, den], and so do their products and, within [-den, den], their
+    differences at the lcm of two row denominators: if the denominators fit,
+    every int64 numerator and partial sum does.  ``name`` labels the error."""
+    if max(dens, default=0) > _INT64_MAX:
+        raise ParameterError(f"{name}: exact row denominators exceed the int64 range")
+    return dens
 
 
 def _exact(name: str, arrays, n_cols: int):
-    """Exact CSR arrays as an exact matrix ``(name, num, den)``: int64
-    CSR numerators over one Python-int denominator per row.  ``name`` labels
-    overflow errors."""
+    """Exact CSR arrays of a checked operator as an exact matrix ``(name,
+    num, den)``: int64 CSR numerators over one Python-int denominator per
+    row."""
     indptr, indices, (nums, den) = arrays
-    return name, _int64_csr(name, nums, indices, indptr, (len(den), n_cols)), den
+    _int64_dens(name, den)
+    return name, _csr((indptr, indices, np.array(nums, dtype=np.int64)), n_cols), den
 
 
 def _exact_matmul(A, B):
     """Exact A @ B as one int64 product.  B's row denominators move into
     A's rows: row k goes over den_A(k) times the lcm of the den_B(j) it
-    meets.  Each output entry is bounded, in Python ints, by its row's sum
-    of |a| times the largest |b| in the B row that a multiplies."""
+    meets."""
     (a_name, NA, a_den), (b_name, NB, b_den) = A, B
     name = f"{a_name}.{b_name}"
-    bounds, cols, vals = NA.indptr.tolist(), NA.indices.tolist(), NA.data.tolist()
-    bmax = _row_absmax(NB)
-    nums, den = [], []
+    bounds, cols = NA.indptr.tolist(), NA.indices.tolist()
+    scale, den = [], []
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         m = math.lcm(*[b_den[j] for j in cols[lo:hi]])
-        row = [a * (m // b_den[j]) for a, j in zip(vals[lo:hi], cols[lo:hi])]
-        if sum(abs(a) * bmax[j] for a, j in zip(row, cols[lo:hi])) > _INT64_MAX:
-            raise ParameterError(f"{name}: exact product exceeds the int64 range")
-        nums += row
+        scale += [m // b_den[j] for j in cols[lo:hi]]
         den.append(a_den[k] * m)
-    return name, _int64_csr(name, nums, NA.indices, NA.indptr, NA.shape) @ NB, den
+    _int64_dens(name, den)
+    NA = _csr((NA.indptr, NA.indices, NA.data * np.array(scale, dtype=np.int64)), NA.shape[1])
+    return name, NA @ NB, den
 
 
 def _exact_maxdiff(A, B) -> Fraction:
@@ -114,16 +109,11 @@ def _exact_maxdiff(A, B) -> Fraction:
     import scipy.sparse as sp
 
     (a_name, NA, a_den), (b_name, NB, b_den) = A, B
-    D = [math.lcm(a, b) for a, b in zip(a_den, b_den)]
-    sa = [d // a for d, a in zip(D, a_den)]
-    sb = [d // b for d, b in zip(D, b_den)]
-    if any(max(x * s + y * t, s, t) > _INT64_MAX for x, s, y, t
-           in zip(_row_absmax(NA), sa, _row_absmax(NB), sb)):
-        raise ParameterError(
-            f"{a_name} - {b_name}: exact difference exceeds the int64 range")
-    R = sp.diags(sa, dtype=np.int64) @ NA - sp.diags(sb, dtype=np.int64) @ NB
-    return max((Fraction(r, d) for r, d in zip(_row_absmax(R), D) if r),
-               default=Fraction(0))
+    D = _int64_dens(f"{a_name} - {b_name}", list(map(math.lcm, a_den, b_den)))
+    R = (sp.diags([d // a for d, a in zip(D, a_den)], dtype=np.int64) @ NA
+         - sp.diags([d // b for d, b in zip(D, b_den)], dtype=np.int64) @ NB)
+    absmax = abs(R).max(axis=1).toarray().ravel().tolist()
+    return max((Fraction(r, d) for r, d in zip(absmax, D) if r), default=Fraction(0))
 
 
 def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
@@ -134,7 +124,7 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
     matrices.  With a rational link and rational kernels the verdict is
     exact: both products and their difference run on int64 numerators over
     per-row denominators, and ``ParameterError`` names the operator whose
-    numbers would leave the int64 range.
+    row denominators would leave the int64 range.
     """
     if not 0 <= tolerance < math.inf:
         raise ParameterError("tolerance must be non-negative and finite")
@@ -238,13 +228,7 @@ def harmonic_residual(one_dim_chain: StochasticKernel) -> float:
     non-absorbing states.  Exact zero in rational mode."""
     Q = one_dim_chain
     keep = [i for i in np.flatnonzero(~Q.absorbing_mask()).tolist() if i > 0]
-    if Q.mode == RATIONAL:
-        n = Q.n_states
-        h = _exact("h", (np.arange(n + 1), np.zeros(n, dtype=np.int64),
-                         ([1] * n, list(range(1, 2 * n, 2)))), 1)
-        Qh = _exact_matmul(_exact("Q", Q.arrays, Q.n_states), h)
-        pick = lambda E: (E[0], E[1][keep], [E[2][i] for i in keep])
-        return float(_exact_maxdiff(pick(Qh), pick(h)))
-    bounds, cols, vals = (a.tolist() for a in Q.arrays)
+    bounds, cols = Q.arrays[0].tolist(), Q.arrays[1].tolist()
+    vals, one = _entry_values(Q), Fraction(1) if Q.mode == RATIONAL else 1.0
     Qh = lambda i: sum(vals[e] / (2 * cols[e] + 1) for e in range(bounds[i], bounds[i + 1]))
-    return max((abs(Qh(i) - 1.0 / (2 * i + 1)) for i in keep), default=0.0)
+    return float(max((abs(Qh(i) - one / (2 * i + 1)) for i in keep), default=0.0))

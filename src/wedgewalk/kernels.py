@@ -53,13 +53,13 @@ def _check_stochastic(arrays, mode: str, what: str = "row"):
         bounds = indptr.tolist()
         total = list(itertools.accumulate(nums, initial=0))
         sums = [total[hi] - total[lo] for lo, hi in zip(bounds, bounds[1:])]
-        if sums != dens or min(nums, default=0) < 0:
+        if sums != dens or min(nums, default=0) < 0 or 0 in dens:
             for i, d in enumerate(dens):
                 if min(nums[bounds[i]:bounds[i + 1]], default=0) < 0:
                     raise ParameterError(f"negative probability in {what} {i}")
-                if sums[i] != d:
+                if sums[i] != d or d == 0:
                     raise ParameterError(
-                        f"{what} {i} sums to {Fraction(sums[i], d)}, not 1")
+                        f"{what} {i} sums to {Fraction(sums[i], d or 1)}, not 1")
         return arrays
     row_of = np.repeat(np.arange(n), np.diff(indptr))
     negative = np.bincount(row_of[values < 0], minlength=n) > 0
@@ -116,8 +116,8 @@ def _entry_values(op) -> list:
 
 
 def _csr(arrays, n_cols: int, diagonal=None):
-    """Float CSR matrix of float CSR arrays; ``diagonal`` (one value per
-    row) is added on the diagonal."""
+    """CSR matrix of CSR arrays (float, or int64 numerators); ``diagonal``
+    (one value per row) is added on the diagonal."""
     import scipy.sparse as sp
 
     indptr, indices, data = arrays

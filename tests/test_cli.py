@@ -194,6 +194,19 @@ def test_domain_error_exit_code(capsys, tmp_path, monkeypatch):
             assert "resolution must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["vase-generator", "--x", "1e200"],
+    ["vase-generator", "--x", "1e9"],
+    ["vase-generator", "--shape", "linear:1e300", "--x", "1e10"],
+    ["verify-intertwining", "--shape", "power:1e308", "--layers", "3"],
+    ["bessel-check", "--beta", "1e308"]], ids=" ".join)
+def test_shape_overflow_and_oversized_grids_exit_2(argv, capsys):
+    # a shape value that overflows, or a layer count past the int32 layer
+    # arrays, is a domain error and not a traceback
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unwritable_output_is_refused_before_the_work(tmp_path, monkeypatch,
                                                       capsys):
     from wedgewalk import cli
@@ -440,12 +453,12 @@ def test_import_loads_no_process_pool():
     assert _loaded_by_import("concurrent", "multiprocessing") == "[]"
 
 
-def _scipy_sparse_loaded_by(tmp_path, command):
+def _scipy_sparse_loaded_by(tmp_path, argv):
     record = str(tmp_path / "record.json")
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys; from wedgewalk.cli import main; "
-         f"rc = main([{command!r}, '--paths', '2000', '--output', {record!r}]); "
+         f"rc = main({argv!r} + ['--output', {record!r}]); "
          "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
@@ -454,12 +467,22 @@ def _scipy_sparse_loaded_by(tmp_path, command):
 
 def test_simulate_wedge_loads_no_scipy_sparse(tmp_path):
     # the sampler builds its tables with numpy alone
-    assert _scipy_sparse_loaded_by(tmp_path, "simulate-wedge") == "0 []"
+    assert _scipy_sparse_loaded_by(
+        tmp_path, ["simulate-wedge", "--paths", "2000"]) == "0 []"
 
 
 def test_simulate_vase_loads_no_scipy_sparse(tmp_path):
     # so do the vase rate matrix and its jump chain
-    assert _scipy_sparse_loaded_by(tmp_path, "simulate-vase") == "0 []"
+    assert _scipy_sparse_loaded_by(
+        tmp_path, ["simulate-vase", "--paths", "2000"]) == "0 []"
+
+
+@pytest.mark.parametrize("argv", [["green"], ["reverse"], ["reverse", "--mode", "rational"]],
+                         ids=" ".join)
+def test_green_and_reverse_load_no_scipy_sparse(argv, tmp_path):
+    # the reachability check transposes the pattern with numpy, and reverse
+    # reads its two table entries from the float CSR arrays
+    assert _scipy_sparse_loaded_by(tmp_path, argv) == "0 []"
 
 
 def test_radial_solves_load_no_scipy_linalg(tmp_path):

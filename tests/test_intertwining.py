@@ -103,27 +103,83 @@ def test_perturbed_kernel_residual_is_the_exact_fraction():
 
 def test_exact_check_refuses_numbers_beyond_int64():
     # one fiber of two sites; the planar kernel's first row has a
-    # denominator above 2^63, so its numerator 2^63 leaves the int64 range
+    # denominator above 2^63, outside the int64 range
     big = 2 ** 63 + 1
     link = link_from_rows(1, 2, [{0: F(1, 2), 1: F(1, 2)}])
     Q = kernel_from_rows([{0: F(1)}], "rational")
     P = kernel_from_rows([{0: F(1, big), 1: F(big - 1, big)}, {1: F(1)}], "rational")
-    with pytest.raises(ParameterError, match=r"^P: exact numerators"):
+    with pytest.raises(ParameterError, match=r"^P: exact row denominators"):
         intertwining_residual(link, P, Q, mode="stochastic")
-    # every numerator fits, but the lcm of two coprime 40-bit denominators
-    # that one link row meets makes the product overflow
+    # every input denominator fits, but the lcm of two coprime 40-bit
+    # denominators that one link row meets makes the product's denominator
+    # overflow
     d1, d2 = 2 ** 40 + 1, 2 ** 40 - 1
     P = kernel_from_rows([{0: F(1, d1), 1: F(d1 - 1, d1)},
                           {0: F(1, d2), 1: F(d2 - 1, d2)}], "rational")
-    with pytest.raises(ParameterError, match=r"^link\.P: exact product"):
+    with pytest.raises(ParameterError, match=r"^link\.P: exact row denominators"):
         intertwining_residual(link, P, Q, mode="stochastic")
-    # both products fit, but bringing Q.link's denominator 2 up to
-    # link.P's 2 (2^62 - 1) scales its row by 2^62 - 1 and the difference
-    # would overflow
+    # link.P's row goes over 2 (2^62 - 1) and Q.link's over 2; their lcm
+    # fits, so the difference is computed exactly
     d = 2 ** 62 - 1
     P = kernel_from_rows([{0: F(1, d), 1: F(d - 1, d)}] * 2, "rational")
-    with pytest.raises(ParameterError, match=r"^link\.P - Q\.link: exact difference"):
-        intertwining_residual(link, P, Q, mode="stochastic")
+    rep = intertwining_residual(link, P, Q, mode="stochastic")
+    assert rep.residual == float(F(1, 2) - F(1, d)) and rep.passed is False
+
+
+@st.composite
+def _rational_rows(draw, n_rows, n_cols):
+    """``n_rows`` random exact probability rows over ``n_cols`` columns,
+    each over a denominator up to 2^62 before reduction; stored entries may
+    be zero."""
+    rows = []
+    for _ in range(n_rows):
+        cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=n_cols,
+                             unique=True))
+        d = draw(st.one_of(st.integers(1, 12), st.integers(1, 2 ** 62)))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=len(cols) - 1,
+                                    max_size=len(cols) - 1)))
+        nums = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+        rows.append({j: F(x, d) for j, x in zip(sorted(cols), nums)})
+    return rows
+
+
+@st.composite
+def _rational_triples(draw):
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return (draw(_rational_rows(n1, n2)), draw(_rational_rows(n2, n2)),
+            draw(_rational_rows(n1, n1)))
+
+
+def _row_den(row):
+    return math.lcm(*[v.denominator for v in row.values()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_triples())
+def test_exact_residual_matches_fractions_or_refuses_only_beyond_int64(triple):
+    # the exact residual equals the one computed on Fraction rows, and the
+    # check refuses exactly where an input row, a product row or a
+    # difference row has a denominator beyond int64
+    link_rows, p_rows, q_rows = triple
+    link = link_from_rows(len(q_rows), len(p_rows), link_rows)
+    P, Q = kernel_from_rows(p_rows, "rational"), kernel_from_rows(q_rows, "rational")
+    times = lambda A, B: [{j: sum(a * B[i].get(j, 0) for i, a in r.items())
+                           for j in range(len(p_rows))} for r in A]
+    LP, QL = times(link_rows, p_rows), times(q_rows, link_rows)
+    want = max(abs(x[j] - y[j]) for x, y in zip(LP, QL) for j in x)
+    # the row denominators the check works with: stored entries count
+    dens = lambda rows: [_row_den(r) for r in rows]
+    over = lambda A, B: [_row_den(r) * math.lcm(*[_row_den(B[i]) for i in r]) for r in A]
+    used = dens(link_rows) + dens(p_rows) + dens(q_rows) + over(link_rows, p_rows) \
+        + over(q_rows, link_rows) + list(map(math.lcm, over(link_rows, p_rows),
+                                             over(q_rows, link_rows)))
+    try:
+        rep = intertwining_residual(link, P, Q, mode="stochastic")
+    except ParameterError:
+        assert max(used) > 2 ** 63 - 1
+        return
+    assert max(used) <= 2 ** 63 - 1
+    assert rep.residual == float(want) and rep.exact_zero == (want == 0)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.7853981, 1.3])

@@ -6,6 +6,7 @@ import pytest
 
 from wedgewalk import (
     ParameterError,
+    StochasticKernel,
     WedgeSpec,
     build_vase_grid,
     build_wedge_lattice,
@@ -238,6 +239,10 @@ def test_rational_validation_is_exact():
         kernel_from_rows([{0: F(3, 2), 1: F(-1, 2)}, {1: F(1)}], "rational")
     with pytest.raises(ParameterError, match="row 1"):
         kernel_from_rows([{0: F(1)}, {}], "rational")
+    # an empty row over the denominator 0 holds no probability either
+    with pytest.raises(ParameterError, match="row 1 sums to 0, not 1"):
+        StochasticKernel((np.array([0, 1, 1]), np.array([0]), ([1], [1, 0])),
+                         mode="rational")
     kernel_from_rows([{0: F(1, 3), 1: F(2, 3)}, {1: 1}], "rational")
 
 
