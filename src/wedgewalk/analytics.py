@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, QuadratureError
-from .geometry import MAX_LAYERS, build_vase_grid, shape_from_spec
+from .geometry import MAX_LAYERS, layer_abscissas, segment_angles, shape_from_spec
 from .kernels import _layer_rates
 
 
@@ -89,12 +89,44 @@ _QUAD = Quadrature()
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) on [0, 1]."""
-    from scipy.special import betainc
-
+    """I_x(a, b) on [0, 1] for finite a, b > 0: the continued fraction of
+    the incomplete beta function (DiDonato & Morris 1992, ACM TOMS 18),
+    evaluated on I_{1-x}(b, a) = 1 - I_x(a, b) from x = (a+1)/(a+b+2) on,
+    where the fraction converges fastest."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ParameterError(f"need finite a, b > 0, got {(a, b)}")
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"x must lie in [0, 1], got {x}")
-    return float(betainc(a, b, x))
+    if x in (0.0, 1.0):
+        return x
+    if x >= (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_fraction(b, a, 1.0 - x)
+    return _beta_fraction(a, b, x)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """x^a (1-x)^b / (a B(a, b)) times 1/(1 + d_1/(1 + d_2/(1 + ...))).  The
+    depth where the fraction settles comes from the modified Lentz method
+    (Press et al. 2007, sec. 5.2); the fraction is then summed backward from
+    that depth, which rounds far less than Lentz's running product."""
+    coefs, tiny, c, e = [], 1e-300, 1.0, 0.0   # d_1, d_2, ...; Lentz's C_j, 1/D_j
+    for j in range(1, 10_000):
+        m = j // 2
+        coefs.append(-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)) if j % 2
+                     else m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)))
+        e = 1.0 + coefs[-1] * e
+        e = 1.0 / (e if abs(e) > tiny else tiny)
+        c = 1.0 + coefs[-1] / c
+        c = c if abs(c) > tiny else tiny
+        if abs(c * e - 1.0) <= 2.3e-16:
+            break
+    else:
+        raise ParameterError(f"incomplete beta fraction unsettled at {(a, b, x)}")
+    tail = 0.0
+    for dj in reversed(coefs):
+        tail = dj / (1.0 + tail)
+    log_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
+    return exp(log_front) / (a * (1.0 + tail))
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +202,28 @@ def sc_deriv(a: float) -> float:
 
 
 def sc_inverse(x: float) -> float:
-    """Monotone inverse of sc_map on [0, 1]; sc_map is I_a(1/3, 1/3), so the
-    inverse is the inverse incomplete beta."""
-    from scipy.special import betaincinv
-
+    """Monotone inverse of sc_map on [0, 1], the inverse incomplete beta of
+    I_a(1/3, 1/3).  It is solved in the nearer tail, by sc_map(1 - a) =
+    1 - sc_map(a), with Newton steps on u = a^(1/3), where sc_map is nearly
+    linear (d sc_map/du = 3 (1-a)^(-2/3) / B(1/3, 1/3)), each step kept
+    inside a bisection bracket that the signs of the residuals shrink."""
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"need x in [0,1], got {x}")
-    return float(betaincinv(1.0 / 3.0, 1.0 / 3.0, x))
+    if x > 0.5:
+        return 1.0 - sc_inverse(1.0 - x)
+    lo, hi = 0.0, 0.5 ** (1.0 / 3.0)
+    u = min(x * B_THIRD / 3.0, hi)             # sc_map(a) ~ 3 a^(1/3) / B near 0
+    for _ in range(100):
+        a = u ** 3
+        if a == 0.0:
+            return 0.0
+        r = sc_map(a) - x
+        lo, hi = (lo, u) if r > 0 else (u, hi)
+        step = r * B_THIRD * (1.0 - a) ** (2.0 / 3.0) / 3.0
+        if abs(step) <= 1e-15 * u:
+            return (u - step) ** 3
+        u = u - step if lo < u - step < hi else 0.5 * (lo + hi)
+    return u ** 3
 
 
 def watts_composed(s: float) -> float:
@@ -229,13 +276,15 @@ def generator_residual(shape, f, f_prime, f_second, x: float, resolution: int) -
     k = round(level)
     if k < 2:
         raise ParameterError("x too close to the apex for this resolution")
-    grid = build_vase_grid(shape, N, k + 1)
-    cot = grid.cot_angles()
-    c, d = _layer_rates(cot, k)
+    # only the three layers that the residual reads: k - 1, k and k + 1
+    xs = layer_abscissas(shape, N, (k - 1, k, k + 1))
+    try:
+        c, d = _layer_rates(1.0 / np.tan(segment_angles(xs, N)), 1)
+    except ParameterError:
+        raise ParameterError(f"degenerate boundary angle near layer {k}") from None
     up = (2 * k + 3) / (2 * k + 1) * c
     dn = (2 * k - 1) / (2 * k + 1) * d
-    xs = grid.abscissas
-    qf = up * (f(xs[k + 1]) - f(xs[k])) + dn * (f(xs[k - 1]) - f(xs[k]))
+    qf = up * (f(xs[2]) - f(xs[1])) + dn * (f(xs[0]) - f(xs[1]))
     limit = shape.derivative(x) / shape(x) * f_prime(x) + 0.5 * f_second(x)
     return abs(N ** 2 * qf - limit)
 
@@ -264,11 +313,73 @@ def _merge_small_bins(counts: np.ndarray, expected: np.ndarray, min_expected: fl
     return np.array(cs), np.array(es)
 
 
-def chi_square(counts, expected=None, min_expected: float = 5.0) -> dict:
-    """Chi-square statistic and upper-tail p-value (regularized upper
-    incomplete gamma).  Under-filled bins are merged with a report."""
-    from scipy.special import gammaincc
+def _stirling_error(x: float) -> float:
+    """log Gamma(x + 1) - log(sqrt(2 pi x) (x/e)^x) for x > 0."""
+    if x <= 15.0:
+        return lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * math.log(2 * pi)
+    s = 1.0 / (x * x)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / x
 
+
+def _deviance(x: float, y: float) -> float:
+    """x log(x/y) + y - x for x, y > 0; by its series in v = (x-y)/(x+y)
+    where x and y are within a factor 3, which loses no digits to the
+    cancellation."""
+    if abs(x - y) >= 0.5 * (x + y):
+        return x * math.log(x / y) + y - x
+    v = (x - y) / (x + y)
+    total, term, j = (x - y) * v, 2.0 * x * v, 1
+    while True:
+        term *= v * v
+        new = total + term / (2 * j + 1)
+        if new == total:
+            return total
+        total, j = new, j + 1
+
+
+def _poisson_term(x: float, y: float) -> float:
+    """e^{-y} y^x / Gamma(x + 1) for x >= 0, y > 0, by Loader's (2000)
+    saddle-point form, which neither underflows early nor loses digits
+    where x and y are large."""
+    if x == 0.0:
+        return exp(-y)
+    return exp(-_stirling_error(x) - _deviance(x, y)) / sqrt(2 * pi * x)
+
+
+def chi_square_sf(stat: float, df: int) -> float:
+    """Upper tail Q(df/2, stat/2) of the chi-square law with integer df.
+    With y = stat/2 and h = df/2 - floor(df/2), it is the finite sum
+    [h > 0] erfc(sqrt y) + sum_{j < floor(df/2)} e^{-y} y^(j+h) / Gamma(j+h+1).
+    The terms are taken from the largest one, at j + h nearest y, outward by
+    their ratios, until they no longer move the sum."""
+    if stat <= 0.0:
+        return 1.0
+    if not stat < math.inf:                   # inf, or nan from an empty expected bin
+        return 0.0 if stat == math.inf else math.nan
+    y, k, h = stat / 2.0, df // 2, (df % 2) / 2.0
+    head = math.erfc(sqrt(y)) if h else 0.0
+    if k == 0:
+        return head
+    top = min(k - 1, max(0, math.floor(y - h)))
+    peak = _poisson_term(top + h, y)
+    total, term = peak, peak
+    for j in range(top, 0, -1):              # down: t(j-1) = t(j) (j+h) / y
+        term *= (j + h) / y
+        if total + term == total:
+            break
+        total += term
+    term = peak
+    for j in range(top + 1, k):               # up: t(j) = t(j-1) y / (j+h)
+        term *= y / (j + h)
+        if total + term == total:
+            break
+        total += term
+    return head + total
+
+
+def chi_square(counts, expected=None, min_expected: float = 5.0) -> dict:
+    """Chi-square statistic and upper-tail p-value (``chi_square_sf``).
+    Under-filled bins are merged with a report."""
     counts = np.asarray(counts, dtype=float)
     n = counts.sum()
     if expected is None:
@@ -281,7 +392,7 @@ def chi_square(counts, expected=None, min_expected: float = 5.0) -> dict:
         raise ParameterError("too few bins after merging")
     stat = float(((counts - expected) ** 2 / expected).sum())
     df = counts.size - 1
-    pvalue = float(gammaincc(df / 2.0, stat / 2.0))
+    pvalue = chi_square_sf(stat, df)
     return {"statistic": stat, "df": df, "p_value": pvalue,
             "bins": counts.size, "merged_from": merged_from}
 

@@ -235,6 +235,9 @@ def cmd_vase_generator(args) -> int:
     for n in args.resolutions:
         table[str(n)] = analytics.generator_residual(shape, f, fp, fpp, args.x, n)
     vals = [table[str(n)] for n in args.resolutions]
+    if 0.0 in vals:
+        raise ParameterError(f"the residual at x = {args.x}, where f = exp(-x) = "
+                             f"{math.exp(-args.x):.3g}, is 0: it forms no convergence ratio")
     ratios = [vals[i + 1] / vals[i] for i in range(len(vals) - 1)]
     ok = all(0.3 <= r <= 0.7 for r in ratios)
     return _emit(args, {"residuals": table, "ratios": ratios}, ok)

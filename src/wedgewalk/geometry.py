@@ -281,6 +281,8 @@ def bisect_increasing(fn: Callable[[float], float], target: float,
             raise ParameterError(f"level {target} not reachable by the shape")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):             # no float between them: as close as it gets
+            break
         if fn(mid) < target:
             lo = mid
         else:
@@ -323,23 +325,33 @@ def build_vase_grid(shape, resolution: int, layers: int) -> VaseGrid:
     if not (1 <= resolution < math.inf and 1 <= layers <= MAX_LAYERS):
         raise ParameterError(f"need finite resolution >= 1 and layers in [1, {MAX_LAYERS}]")
     N, K = int(resolution), int(layers)
-    xs = np.empty(K + 1)
-    xs[0] = 0.0
-    hint = shape.domain_hint
-    for k in range(1, K + 1):
-        level = k / N
+    xs = layer_abscissas(shape, N, range(K + 1))
+    return VaseGrid(shape=shape, resolution=N, layers=K,
+                    abscissas=xs, angles=segment_angles(xs, N))
+
+
+def layer_abscissas(shape: ShapeFunction, resolution: int, layers) -> np.ndarray:
+    """x_k = h^{-1}(k/N) for the increasing layers ``layers``, each bisected
+    up from the one before (from 0 for the first) and checked to reproduce
+    its level to 1e-10, relative to the level past 1."""
+    xs = np.empty(len(layers))
+    lo, hint = 0.0, shape.domain_hint
+    for i, k in enumerate(layers):
+        level = k / resolution
         if hint is not None and shape(hint) < level - 1e-15:
             raise ParameterError(f"shape cannot reach level {level}")
-        xs[k] = bisect_increasing(shape, level, lo=xs[k - 1],
-                                  hi=hint if hint else None, tol=1e-12)
+        if k > 0:
+            lo = bisect_increasing(shape, level, lo=lo, hi=hint if hint else None, tol=1e-12)
+        if abs(shape(lo) - level) > 1e-10 * max(1.0, level):
+            raise ParameterError(f"abscissa solve failed at k={k}")
+        xs[i] = lo
+    return xs
+
+
+def segment_angles(xs: np.ndarray, resolution: int) -> np.ndarray:
+    """Inclinations of the boundary segments between consecutive layers at
+    the abscissas ``xs``: tan(angle) = (1/N) / (x_{k+1} - x_k)."""
     gaps = np.diff(xs)
     if np.any(gaps <= 0):
         raise ParameterError("abscissas not strictly increasing; shape not monotone?")
-    angles = np.arctan((1.0 / N) / gaps)
-    grid = VaseGrid(shape=shape, resolution=N, layers=K,
-                    abscissas=xs, angles=angles)
-    # invariant: levels reproduced to 1e-10
-    for k in range(K + 1):
-        if abs(shape(xs[k]) - k / N) > 1e-10:
-            raise ParameterError(f"abscissa solve failed at k={k}")
-    return grid
+    return np.arctan((1.0 / resolution) / gaps)

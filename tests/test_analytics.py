@@ -25,7 +25,7 @@ from wedgewalk import (
     watts_via_hypergeometric,
     watts_via_integral,
 )
-from wedgewalk.analytics import B_THIRD, log_beta
+from wedgewalk.analytics import B_THIRD, chi_square_sf, log_beta
 
 
 def test_beta_constants_from_log_gamma():
@@ -327,3 +327,83 @@ def test_quadrature_refuses_a_non_finite_or_unresolved_sum():
     # nodes stop an ulp short of 1, where the mass of 1/sqrt(1-x) is 1e-8
     with pytest.raises(QuadratureError, match="error estimate"):
         Quadrature().integrate(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against scipy.special and 40-digit mpmath
+# ---------------------------------------------------------------------------
+
+BETA_GRID = [*np.linspace(0.0, 1.0, 2001).tolist(), 1e-12, 1.0 - 1e-9]
+
+
+@pytest.mark.parametrize("a,b", [(1 / 3, 1 / 3), (2 / 3, 2 / 3), (0.5, 2.5)])
+def test_regularized_beta_against_scipy_and_mpmath(a, b):
+    import mpmath
+    from scipy.special import betainc
+
+    ours = np.array([regularized_beta(a, b, x) for x in BETA_GRID])
+    assert np.abs(ours - betainc(a, b, np.array(BETA_GRID))).max() <= 2e-15
+    with mpmath.workdps(40):
+        for i in [*range(0, 2001, 20), 2001, 2002]:
+            exact = float(mpmath.betainc(a, b, 0, BETA_GRID[i], regularized=True))
+            assert abs(ours[i] - exact) <= 2e-15, BETA_GRID[i]
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
+def test_regularized_beta_refuses_parameters_not_finite_and_positive(a, b):
+    with pytest.raises(ParameterError, match="finite a, b > 0"):
+        regularized_beta(a, b, 0.5)
+
+
+def test_sc_inverse_against_scipy():
+    # bound relative to the nearer end of the argument, where the inverse
+    # is solved; 1 - 1e-9 maps within an ulp of 1
+    from scipy.special import betaincinv
+
+    ps = np.array([*np.linspace(0.0, 1.0, 2001), 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-9])
+    ours = np.array([sc_inverse(p) for p in ps])
+    err = np.abs(ours - betaincinv(1 / 3, 1 / 3, ps))
+    assert np.all(err <= 1e-12 * np.minimum(ps, 1 - ps))
+
+
+def test_watts_composed_against_scipy():
+    from scipy.special import betainc, betaincinv
+
+    s = np.linspace(0.0, 1.0, 2001)
+    want = betainc(2 / 3, 2 / 3, betaincinv(1 / 3, 1 / 3, s))
+    assert np.abs(np.array([watts_composed(x) for x in s]) - want).max() <= 4e-15
+
+
+def _chi_square_tail_exact(stat, df):
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(stat) / 2,
+                                     mpmath.inf, regularized=True))
+
+
+def test_chi_square_tail_against_gammaincc():
+    # gammaincc itself strays by up to 1.7e-12 in the far tail at df = 2000;
+    # where it and the closed form part by more than 1e-12, the closed form
+    # must lie within 1e-12 of 40-digit mpmath and nearer to it
+    from scipy.special import gammaincc
+
+    for df in [*range(1, 81), 199, 600, 2000]:
+        stats = np.linspace(0.0, 3 * df + 50, 301)
+        for stat, want in zip(stats.tolist(), gammaincc(df / 2, stats / 2).tolist()):
+            if want <= 1e-200:
+                continue
+            got = chi_square_sf(stat, df)
+            if abs(got - want) > 1e-12 * want:
+                exact = _chi_square_tail_exact(stat, df)
+                assert abs(got - exact) <= min(1e-12 * exact, abs(want - exact)), (df, stat)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 80, 199, 2000])
+def test_chi_square_tail_against_mpmath(df):
+    for stat in np.linspace(0.0, 3 * df + 50, 13)[1:].tolist():
+        exact = _chi_square_tail_exact(stat, df)
+        if exact > 1e-200:
+            assert chi_square_sf(stat, df) == pytest.approx(exact, rel=1e-12, abs=0)
+    assert chi_square_sf(0.0, df) == 1.0
+    assert chi_square_sf(math.inf, df) == 0.0 and math.isnan(chi_square_sf(math.nan, df))

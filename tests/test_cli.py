@@ -230,21 +230,21 @@ PINNED_RECORDS = {
     "simulate-wedge":
         (["simulate-wedge", "--stop-layer", "6", "--paths", "3000", "--seed", "11",
           "--bins", "4"],
-         "92f3da442d403a193a7c906002e32fab4b10ea33dc110476c4f5985cd79d5235"),
+         "d49226d27e3483d3c1a5af490b24681bb82704a08c6c15a558139cf01ada770a"),
     "simulate-vase":
         (["simulate-vase", "--resolution", "6", "--stop-layer", "6", "--paths",
           "3000", "--seed", "12", "--bins", "4"],
-         "f4f1fa2f7cef95bf2b1d264391df6afd8d22869129a8d1ebd46977f6175eb532"),
+         "dc7e419c2604692a9e5d1bed02a60a724393f58d07df89134165e9e7de175401"),
     # 7-bit buckets, many of them split by a threshold
     "simulate-wedge-alpha-0.9":
         (["simulate-wedge", "--alpha", "0.9", "--stop-layer", "6", "--paths",
           "3000", "--seed", "13", "--bins", "4"],
-         "6d66c0455365503a511b90d82fff76732c243c5d9e7f1ae2f0adaf934404bcce"),
+         "df90bb76ecc7eb6f66ebd25c0c7f51994d20251abe1e3e96965e093445af032a"),
     # two blocks of 65536 paths, walked by two workers
     "simulate-wedge-two-blocks":
         (["simulate-wedge", "--stop-layer", "4", "--paths", "70000", "--seed", "14",
           "--bins", "4", "--workers", "2"],
-         "999ff33fa86bac114efc4f54fd80702a4bfc93169499836f365f08cca771a9da"),
+         "dafad9ea06830f3a1c222f8bc6fb90b029d4f7a380919b8eb4381f2e6ad257ec"),
 }
 
 
@@ -483,6 +483,42 @@ def test_green_and_reverse_load_no_scipy_sparse(argv, tmp_path):
     # the reachability check transposes the pattern with numpy, and reverse
     # reads its two table entries from the float CSR arrays
     assert _scipy_sparse_loaded_by(tmp_path, argv) == "0 []"
+
+
+def test_sampler_curve_and_radial_subcommands_load_no_scipy(tmp_path):
+    # the incomplete beta, its inverse and the chi-square tail are closed
+    # forms on math alone; of the subcommands only verify-intertwining
+    # (scipy.sparse) and strip-check (the Kolmogorov law) load scipy
+    record = str(tmp_path / "record.json")
+    argvs = [["simulate-wedge", "--paths", "2000"], ["simulate-vase", "--paths", "2000"],
+             ["watts", "--grid", "3"], ["green"], ["reverse"],
+             ["reverse", "--mode", "rational"], ["bessel-check"],
+             ["bessel-check", "--beta", "1.5"], ["vase-generator"]]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from wedgewalk.cli import main\n"
+         f"print([main(argv + ['--output', {record!r}]) for argv in {argvs!r}])\n"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    codes, loaded = out.stdout.strip().splitlines()[-2:]
+    assert codes == str([0] * len(argvs))
+    assert loaded == "[]"
+
+
+def test_vase_generator_far_from_the_apex_ends_with_exit_2(tmp_path):
+    # x = 2000 lies at layer 2.56e8 of power:2 at resolution 64: the residual
+    # solves only the three abscissas that it reads, and f = exp(-x) = 0 there
+    # leaves no convergence ratio to form
+    out = subprocess.run(
+        ["timeout", "5", sys.executable, "-m", "wedgewalk", "vase-generator",
+         "--x", "2000", "--resolutions", "64", "128",
+         "--output", str(tmp_path / "record.json")],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr, out.stderr
+    assert "no convergence ratio" in out.stderr
+    assert not (tmp_path / "record.json").exists()
 
 
 def test_radial_solves_load_no_scipy_linalg(tmp_path):

@@ -131,6 +131,12 @@ def test_bisect_increasing():
     assert bisect_increasing(math.sinh, 0.0, lo=0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_bisect_stops_where_no_float_lies_between():
+    # adjacent floats near 1e7 lie 1.9e-9 apart, wider than the tolerance
+    assert bisect_increasing(lambda x: x, 1e7 + 1e-9, tol=1e-12) == pytest.approx(
+        1e7, abs=4e-9)
+
+
 def test_shape_validation():
     s = power_shape(2.0)
     s.validate(np.linspace(0.1, 2.0, 7))
