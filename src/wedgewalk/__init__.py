@@ -37,8 +37,6 @@ from .kernels import (
     projected_wedge_chain,
     vase_rate_matrix,
     wedge_kernel,
-    write_triplets,
-    read_triplets,
 )
 from .intertwining import (
     MarkovLink,
@@ -61,14 +59,12 @@ from .green_reversal import (
 from .simulation import (
     EmpiricalDistribution,
     PathAggregate,
-    PathRecord,
     Side,
     SideCurve,
     discrete_hit_prob,
     exact_exit_law,
     last_side_curve,
     run_paths,
-    sample_path,
     seesaw,
     strip_seesaw_samples,
 )

@@ -48,64 +48,6 @@ class GreenVector:
             w.writerows(zip(k, y, self.as_floats().tolist()))
 
 
-def _rational_green(arrays, transient, source_pos):
-    """Exact solve of (I - T)^T g = e_src, T the exact CSR arrays of a
-    kernel restricted to ``transient``, by fraction-free elimination in
-    natural order, inside the band.
-
-    Each equation is scaled to integers.  Clearing column c from row r sets
-    row_r = piv * row_r - f * row_c and divides out the row's gcd; a
-    backward pass clears the upper band the same way, leaving
-    g_i = b_i / a_ii.  The matrix is a diagonally dominant M-matrix, so no
-    pivoting is needed, and fill-in stays inside the band (about 2N+1 wide
-    for the layer-major wedge chains).
-    """
-    indptr, indices, (nums, dens) = arrays
-    n = len(transient)
-    pos = {s: i for i, s in enumerate(transient)}
-    bounds, cols = indptr.tolist(), indices.tolist()
-    eqs = [[] for _ in range(n)]              # equation i: column i of T
-    for c, s in enumerate(transient):
-        for e in range(bounds[s], bounds[s + 1]):
-            i = pos.get(cols[e])
-            if i is not None:
-                eqs[i].append((c, nums[e], dens[s]))
-    offsets = [c - i for i, eq in enumerate(eqs) for c, _, _ in eq]
-    lo, hi = max(0, -min(offsets, default=0)), max(0, max(offsets, default=0))
-    A, b = [], []                             # row i holds columns i-lo .. i+hi
-    for i, eq in enumerate(eqs):              # equation i of I - T^T, times d
-        d = math.lcm(*[den for _, _, den in eq])
-        A.append([0] * (lo + hi + 1))
-        for c, num, den in eq:
-            A[i][c - i + lo] -= num * (d // den)
-        A[i][lo] += d
-        b.append(d if i == source_pos else 0)
-
-    def clear(r, col):
-        at = col - r + lo                     # column col in row r
-        f, piv = A[r][at], A[col][lo]
-        if f:
-            first = min(at, lo)
-            new = [piv * v for v in A[r][first:]]
-            k = at - first
-            new[k:k + hi + 1] = [v - f * p for v, p
-                                 in zip(new[k:k + hi + 1], A[col][lo:])]
-            br = piv * b[r] - f * b[col]
-            g = math.gcd(*new, br) or 1
-            A[r][first:] = [v // g for v in new]
-            b[r] = br // g
-
-    for col in range(n):
-        if A[col][lo] == 0:
-            raise SolverError("singular system: absorption unreachable?")
-        for r in range(col + 1, min(n, col + lo + 1)):
-            clear(r, col)
-    for col in range(n - 1, 0, -1):
-        for r in range(max(0, col - hi), col):
-            clear(r, col)
-    return [Fraction(b[i], A[i][lo]) for i in range(n)]
-
-
 def _reach(indptr, indices, seed) -> np.ndarray:
     """The states that ``seed`` reaches along a CSR pattern ``(indptr,
     indices)``; one frontier search, linear in the nonzeros."""
@@ -186,8 +128,8 @@ def green_vector(kernel: StochasticKernel, source,
     on its layer (the apex (0, 0), or any state of a radial chain), with
     whole layers transient, takes the vector lifted from the radial chain's
     birth-death recurrence when that is certified.  Other float solves are
-    one sparse LU; other rational solves are exact fraction-free elimination
-    in the band.
+    one sparse LU.  Rational mode has no other solve: where the lift
+    declines, it raises ``ParameterError``.
     """
     source = _state(kernel, source)
     mask = (kernel.absorbing_mask() if absorbing is None
@@ -195,14 +137,15 @@ def green_vector(kernel: StochasticKernel, source,
     if mask[source]:
         raise ParameterError("source must be transient")
     transient = np.flatnonzero(~mask)
-    src_pos = int(np.searchsorted(transient, source))
 
     g_tr = _lifted_green(kernel, mask, transient, source)
     if g_tr is None and kernel.mode == RATIONAL:
-        g_tr = _rational_green(kernel.arrays, transient.tolist(), src_pos)
-    elif g_tr is None:
-        e = np.zeros(len(transient))
-        e[src_pos] = 1.0
+        raise ParameterError(
+            "an exact Green vector needs the radial lift: a source alone on its "
+            "layer, whole transient layers, and a certified fiber-uniform "
+            "solution from which every state reaches absorption; use float mode")
+    if g_tr is None:
+        e = (transient == source).astype(float)
         g_tr = _transient_solve(kernel.to_csr()[transient], transient, e,
                                 transpose=True).tolist()
     visits = np.full(kernel.n_states, Fraction(0) if kernel.mode == RATIONAL else 0.0,

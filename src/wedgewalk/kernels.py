@@ -298,24 +298,6 @@ def projected_wedge_chain(layers: int, alpha: float,
                             mode=mode, layers=np.arange(N + 1, dtype=np.int32))
 
 
-def row_displacement(kernel: StochasticKernel, i: int):
-    """Mean displacement of row i in (cos a, sin a) units: (sum p dk, sum p dy).
-
-    Exact in rational mode.  The wedge embedding puts (k, y) at
-    k cos(a) + i y sin(a), so the physical mean step is (a*cos, b*sin).
-    """
-    if kernel.y is None:
-        raise ParameterError("row_displacement needs a planar kernel")
-    indptr, indices, values = kernel.arrays
-    lo, hi = indptr[i], indptr[i + 1]
-    cols = indices[lo:hi]
-    steps = [(a[cols] - a[i]).tolist() for a in (kernel.layers, kernel.y)]
-    if kernel.mode == RATIONAL:         # numerators over the row's denominator
-        return tuple(Fraction(sum(map(operator.mul, values[0][lo:hi], d)), values[1][i])
-                     for d in steps)
-    return tuple(sum(map(operator.mul, values[lo:hi].tolist(), d)) for d in steps)
-
-
 # ---------------------------------------------------------------------------
 # vase operators
 # ---------------------------------------------------------------------------
@@ -403,37 +385,3 @@ def projected_vase_rates(grid: VaseGrid, apex_rate: float = 1.0 / 6.0) -> RateMa
     cols[0], vals[0] = (1, -1), (3.0 * apex_rate, 0.0)
     return RateMatrix(_slot_arrays(cols, vals), exit_rates=vals[:, 0] + vals[:, 1],
                       layers=k.astype(np.int32))
-
-
-# ---------------------------------------------------------------------------
-# serialization: sparse triplet text
-# ---------------------------------------------------------------------------
-
-def write_triplets(op, path) -> None:
-    """Dump a kernel or rate matrix as text rows of ``from to numerator
-    denominator`` (rational, in lowest terms) or ``from to value`` (float)."""
-    indptr, indices, _ = op.arrays
-    rows = np.repeat(np.arange(op.n_states), np.diff(indptr)).tolist()
-    value = "{0.numerator} {0.denominator}".format if op.mode == RATIONAL else repr
-    with open(path, "w") as fh:
-        kind = "rate-matrix" if isinstance(op, RateMatrix) else "stochastic"
-        fh.write(f"# {kind} {op.mode}\n")
-        fh.writelines(map("{} {} {}\n".format, rows, indices.tolist(),
-                          map(value, _entry_values(op))))
-
-
-def read_triplets(path):
-    """Inverse of :func:`write_triplets`; returns (kind, mode, rows dict)."""
-    with open(path) as fh:
-        header = fh.readline().strip().lstrip("# ").split()
-        kind, mode = header[0], header[1]
-        rows = {}
-        for line in fh:
-            parts = line.split()
-            i, j = int(parts[0]), int(parts[1])
-            if mode == RATIONAL:
-                v = Fraction(int(parts[2]), int(parts[3]))
-            else:
-                v = float(parts[2])
-            rows.setdefault(i, {})[j] = v
-    return kind, mode, rows

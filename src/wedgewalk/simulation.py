@@ -36,16 +36,6 @@ class Side(enum.IntEnum):
     LOWER = 2
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """One observed trajectory: its exit state, the last reflecting side it
-    touched (boundary contact = site with |y| = k >= 1), and its length."""
-
-    exit_state: int
-    last_side: Side
-    steps: int
-
-
 @dataclass
 class EmpiricalDistribution:
     """Counts over labelled bins with full seed provenance."""
@@ -405,37 +395,6 @@ def exact_exit_law(kernel: StochasticKernel, start, stop=None) -> np.ndarray:
     return law.reshape(n, 3)
 
 
-def sample_path(kernel: StochasticKernel, start, stop=None,
-                rng: Optional[np.random.Generator] = None,
-                step_cap: int = 10 ** 8) -> PathRecord:
-    """Simulate a single trajectory one step per draw; the readable
-    reference for the vectorized engine and a source of individual
-    ``PathRecord`` values."""
-    rng = rng or np.random.default_rng()
-    stopm = _resolve_stop(kernel, stop)
-    side = _side_array(kernel)
-    start_idx, start_cdf = _start_distribution(kernel, start)
-    if start_cdf is not None:
-        state = int(np.searchsorted(start_cdf, rng.random(), side="right"))
-    else:
-        state = start_idx
-    indptr, indices, data = _float_arrays(kernel)
-    last = Side(int(side[state]))
-    steps = 0
-    while not stopm[state]:
-        # the first target whose cumulative probability exceeds the draw,
-        # or the last one when rounding leaves the sum below it
-        lo, hi = indptr[state], indptr[state + 1]
-        j = np.searchsorted(np.cumsum(data[lo:hi]), rng.random(), side="right")
-        state = int(indices[lo + min(j, hi - lo - 1)])
-        if side[state]:
-            last = Side(int(side[state]))
-        steps += 1
-        if steps > step_cap:
-            raise SimulationTimeout(f"path exceeded {step_cap} steps")
-    return PathRecord(exit_state=state, last_side=last, steps=steps)
-
-
 # ---------------------------------------------------------------------------
 # last-visited-side curve
 # ---------------------------------------------------------------------------
@@ -464,14 +423,6 @@ class SideCurve:
                       "p_hat": b.p_hat, "stderr": b.stderr, "mean_s": b.mean_s}
                      for b in self.bins],
         }
-
-    def to_csv(self, path) -> None:
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s_lo", "s_hi", "n", "p_hat", "stderr", "mean_s"])
-            for b in self.bins:
-                w.writerow([b.s_lo, b.s_hi, b.n, b.p_hat, b.stderr, b.mean_s])
 
 
 def last_side_curve(aggregate: PathAggregate, stop_layer: int,

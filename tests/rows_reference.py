@@ -1,9 +1,9 @@
 """Operators from dict rows, for the tests.
 
 A dict row maps a column to its value.  The helpers here convert such rows
-to the CSR arrays that ``wedgewalk`` keeps, and write the triplet and Green
-CSV files one entry at a time.  They are the independent side of the checks
-on the array builders, the exact solvers and the file writers.
+to the CSR arrays that ``wedgewalk`` keeps, read a row's mean step, and write
+the Green CSV file one entry at a time.  They are the independent side of
+the checks on the array builders, the exact solvers and the file writer.
 """
 
 import csv
@@ -63,15 +63,13 @@ def layer_sites(N):
     return [(k, y) for k in range(N + 1) for y in range(-k, k + 1)]
 
 
-def write_triplets_reference(op, path) -> None:
-    """``write_triplets`` from the dict ``rows`` view, one entry at a time."""
-    with open(path, "w") as fh:
-        kind = "rate-matrix" if isinstance(op, RateMatrix) else "stochastic"
-        fh.write(f"# {kind} {op.mode}\n")
-        for i, row in enumerate(op.rows):
-            for j, v in sorted(row.items()):
-                fh.write(f"{i} {j} {v.numerator} {v.denominator}\n" if op.mode == "rational"
-                         else f"{i} {j} {float(v)!r}\n")
+def row_displacement(op, i):
+    """Mean step (sum p dk, sum p dy) of row i of a planar operator, from
+    its dict ``rows`` view: exact in rational mode.  The wedge embedding puts
+    (k, y) at k cos(a) + i y sin(a), so the physical mean step is
+    (dk cos(a), dy sin(a))."""
+    return tuple(sum(p * int(a[j] - a[i]) for j, p in op.rows[i].items())
+                 for a in (op.layers, op.y))
 
 
 def green_csv_reference(green, labels, path) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wedgewalk import (
+    GreenVector,
     ParameterError,
     SolverError,
     UnreachableStateError,
@@ -20,15 +21,15 @@ from wedgewalk import (
     wedge_kernel,
 )
 from wedgewalk import green_reversal, kernels
-from wedgewalk.green_reversal import _lifted_green, _rational_green
-from wedgewalk.kernels import row_displacement
+from wedgewalk.green_reversal import _lifted_green
 
-from rows_reference import green_csv_reference, kernel_from_rows, layer_sites
+from rows_reference import green_csv_reference, kernel_from_rows, layer_sites, row_displacement
 
 
 def _reference_rational_green(rows, transient, source_pos):
     """Dense Fraction Gaussian elimination on (I - T)^T g = e_src, natural
-    order: the independent side of the exact-solver cross-check."""
+    order: the exact Green vector where the radial lift declines, and the
+    independent side of the lift's cross-check."""
     n = len(transient)
     pos = {s: i for i, s in enumerate(transient)}
     A = [[F(0)] * n for _ in range(n)]
@@ -55,14 +56,33 @@ def _reference_rational_green(rows, transient, source_pos):
     return x
 
 
-def _green_solves(kernel, source):
-    """The banded solver on the kernel's exact arrays and the dense
-    reference on its dict rows, for one transient system."""
+def _transient(kernel):
     mask = kernel.absorbing_mask()
-    transient = [i for i in range(kernel.n_states) if not mask[i]]
-    system = transient, transient.index(source)
-    return (_rational_green(kernel.arrays, *system),
-            _reference_rational_green(kernel.rows, *system))
+    return [i for i in range(kernel.n_states) if not mask[i]]
+
+
+def _reference_green(kernel, source) -> GreenVector:
+    """The exact Green vector of a rational kernel from ``source``, by the
+    dense reference elimination on its dict rows."""
+    transient = _transient(kernel)
+    visits = [F(0)] * kernel.n_states
+    for s, v in zip(transient, _reference_rational_green(kernel.rows, transient,
+                                                         transient.index(source))):
+        visits[s] = v
+    return GreenVector(source=source, absorbing=kernel.absorbing_mask(), visits=visits,
+                       mode="rational", layers=kernel.layers, y=kernel.y)
+
+
+def _assert_refused_exactly_and_solved_in_float(exact, source):
+    """The lift declines ``source`` of the rational kernel ``exact``: the
+    exact solve is refused, and its float copy's sparse solve meets the
+    dense reference to 1e-12 relative."""
+    with pytest.raises(ParameterError, match="radial lift"):
+        green_vector(exact, source)
+    transient = _transient(exact)
+    got = green_vector(_float_kernel(exact), source).as_floats()[transient]
+    want = np.array([float(v) for v in _reference_green(exact, source).visits])[transient]
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def _scrambled_kernel(n=14, seed=7):
@@ -141,36 +161,22 @@ def test_green_factorization_rational():
                     assert g2.visits[lat.index(k, y)] * (2 * k + 1) == g1.visits[k]
 
 
-@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
-def test_banded_exact_green_matches_dense_elimination(alpha):
-    for N in (2, 5, 8):
-        spec = WedgeSpec(alpha=alpha, layers=N)
-        lat = build_wedge_lattice(spec)
-        P = wedge_kernel(lat, spec)
-        for source in (lat.index(0, 0), lat.index(1, 1)):
-            banded, dense = _green_solves(P, source)
-            assert banded == dense
-        Q = projected_wedge_chain(N, alpha)
-        banded, dense = _green_solves(Q, 0)
-        assert banded == dense
-
-
-def test_exact_green_matches_dense_elimination_without_a_band():
+def test_green_of_a_kernel_without_layers_is_refused_exactly_and_solved_in_float():
+    # rows that reach all over the state space have no radial chain
     P = _scrambled_kernel()
     for source in (0, 5, 11):
-        banded, dense = _green_solves(P, source)
-        assert banded == dense
-    g = green_vector(P, 5)
-    want = green_vector(kernel_from_rows([{j: float(v) for j, v in r.items()}
-                                          for r in P.rows], "float"), 5)
-    assert np.allclose(g.as_floats(), want.as_floats(), rtol=1e-12, atol=0)
+        _assert_refused_exactly_and_solved_in_float(P, source)
 
 
+@pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
 def test_exact_green_zero_pivot_is_a_solver_error():
-    # states 0 and 1 swap forever and never reach the absorbing state 2
+    # states 0 and 1 swap forever and never reach the absorbing state 2: the
+    # exact solve is refused, and the float solve meets the singular system
     P = kernel_from_rows([{1: F(1)}, {0: F(1)}, {2: F(1)}], "rational")
-    with pytest.raises(SolverError):
+    with pytest.raises(ParameterError, match="radial lift"):
         green_vector(P, 0)
+    with pytest.raises(SolverError):
+        green_vector(_float_kernel(P), 0)
 
 
 def test_green_factorization_float():
@@ -278,24 +284,27 @@ def _float_kernel(P):
 
 
 def _reversal_cases():
-    """Wedge kernels from the apex, and the scrambled kernel from two
-    sources with an extra absorbing state that no row reaches."""
+    """Rational kernels with their exact Green vectors, float copies and
+    sources: wedge kernels from the apex, whose vector is lifted, and the
+    scrambled kernel from two sources with an extra absorbing state that no
+    row reaches, whose vector is the dense reference's."""
     for alpha in (math.pi / 6, math.pi / 4, math.pi / 3):
         for N in (8, 30):
             spec = WedgeSpec(alpha=alpha, layers=N)
             lat = build_wedge_lattice(spec)
-            yield wedge_kernel(lat, spec), wedge_kernel(lat, spec, mode="float"), (0, 0)
+            P = wedge_kernel(lat, spec)
+            yield P, green_vector(P, (0, 0)), wedge_kernel(lat, spec, mode="float"), 0
     P = _scrambled_kernel()
     P = kernel_from_rows(P.rows + [{P.n_states: F(1)}], "rational")
     for source in (0, 5):
-        yield P, _float_kernel(P), source
+        yield P, _reference_green(P, source), _float_kernel(P), source
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_reversed_rows_are_the_definition(mode):
-    for exact, approx, source in _reversal_cases():
-        P = exact if mode == "rational" else approx
-        green = green_vector(P, source)
+    for exact, exact_green, approx, source in _reversal_cases():
+        P, green = ((exact, exact_green) if mode == "rational"
+                    else (approx, green_vector(approx, source)))
         rev = nagasawa_reverse(P, green)
         rows, weights = _reversal_by_definition(P, green)
         assert rev.kernel.mode == mode
@@ -309,8 +318,8 @@ def test_reversed_rows_are_the_definition(mode):
 
 def test_reversed_float_arrays_round_the_exact_rows():
     # the unreduced integer rows divide to float(Fraction), correctly rounded
-    for exact, _, source in _reversal_cases():
-        rev = nagasawa_reverse(exact, green_vector(exact, source))
+    for exact, exact_green, _, _ in _reversal_cases():
+        rev = nagasawa_reverse(exact, exact_green)
         assert kernels._float_arrays(rev.kernel)[2].tolist() == \
             [float(v) for row in rev.kernel.rows for _, v in sorted(row.items())]
 
@@ -320,8 +329,13 @@ def test_reversal_of_an_unreached_transient_state_is_refused(mode):
     # state 1 is transient, but the walk from 0 never visits it
     rows = [{2: F(1, 2), 0: F(1, 2)}, {0: F(1)}, {2: F(1)}]
     P = kernel_from_rows(rows, "rational")
-    P = P if mode == "rational" else _float_kernel(P)
-    green = green_vector(P, 0)
+    if mode == "rational":              # no layers, so no lift: the reference
+        with pytest.raises(ParameterError, match="radial lift"):
+            green_vector(P, 0)
+        green = _reference_green(P, 0)
+    else:
+        P = _float_kernel(P)
+        green = green_vector(P, 0)
     assert green.visits[1] == 0
     with pytest.raises(UnreachableStateError, match="state 1 "):
         nagasawa_reverse(P, green)
@@ -451,11 +465,23 @@ def test_apex_green_is_lifted_from_the_radial_chain(alpha):
         lat, P, mask, transient = _wedge_system(alpha, N)
         lifted = _lifted_green(P, mask, transient, lat.index(0, 0))
         assert lifted is not None
-        assert lifted == _rational_green(P.arrays, transient, 0)
         g = green_vector(P, (0, 0))
         assert [g.visits[s] for s in transient] == lifted
         assert "rows" not in vars(P)        # the lift reads the CSR arrays
         assert lifted == _reference_rational_green(P.rows, transient, 0)
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
+def test_apex_green_lifts_at_every_depth(alpha):
+    # every rational Green vector that green and reverse ask for is the
+    # lift's: the apex of the wedge kernel and of its radial chain
+    for N in range(2, 41):
+        spec = WedgeSpec(alpha=alpha, layers=N)
+        for P in (wedge_kernel(build_wedge_lattice(spec), spec),
+                  projected_wedge_chain(N, alpha)):
+            mask = P.absorbing_mask()
+            assert P.mode == "rational"
+            assert _lifted_green(P, mask, np.flatnonzero(~mask), 0) is not None
 
 
 @pytest.mark.parametrize("alpha, N, planar", [
@@ -502,22 +528,11 @@ def test_float_lift_is_refused_off_the_intertwining_and_off_the_apex():
         assert [g.visits[s] for s in transient] == want.tolist()
 
 
-def _spy_on_elimination(monkeypatch):
-    sizes = []
-    real = green_reversal._rational_green
-
-    def spy(arrays, transient, source_pos):
-        sizes.append(len(transient))
-        return real(arrays, transient, source_pos)
-
-    monkeypatch.setattr(green_reversal, "_rational_green", spy)
-    return sizes
-
-
-def test_green_of_a_layered_kernel_that_is_not_intertwined(monkeypatch):
+def test_green_of_a_layered_kernel_that_is_not_intertwined():
     # eps of mass moved between two targets of one row leaves the radial
     # chain as it was, but the planar visits are no longer uniform on the
-    # fibers: the certificate refuses the lift and the elimination solves
+    # fibers: the certificate refuses the lift, so the exact solve is refused
+    # and the float solve takes the sparse LU
     lat, P, mask, transient = _wedge_system(math.pi / 6, 8)
     eps = F(1, 10 ** 6)
     rows = [dict(r) for r in P.rows]
@@ -525,36 +540,35 @@ def test_green_of_a_layered_kernel_that_is_not_intertwined(monkeypatch):
     rows[lat.index(2, 0)][lat.index(2, -1)] += eps
     Pe = kernel_from_rows(rows, P.mode, layers=P.layers, y=P.y)
     assert _lifted_green(Pe, mask, transient, 0) is None
-    sizes = _spy_on_elimination(monkeypatch)
-    g = green_vector(Pe, (0, 0))
-    assert sizes == [len(transient)]        # the radial recurrence eliminates nothing
+    _assert_refused_exactly_and_solved_in_float(Pe, 0)
     want = _reference_rational_green(rows, transient, 0)
-    assert [g.visits[s] for s in transient] == want
     assert want[lat.index(2, 1)] != want[lat.index(2, -1)]
 
 
-def test_green_from_a_non_apex_source_takes_the_elimination(monkeypatch):
+def test_green_from_a_non_apex_source_takes_the_elimination():
+    # (1, 1) shares its layer, so it has no radial chain: only the float
+    # sparse LU solves from it
     lat, P, mask, transient = _wedge_system(math.pi / 4, 6)
     source = lat.index(1, 1)
     assert _lifted_green(P, mask, transient, source) is None
-    sizes = _spy_on_elimination(monkeypatch)
-    g = green_vector(P, source)
-    assert sizes == [len(transient)]
-    want = _reference_rational_green(P.rows, transient, transient.index(source))
-    assert [g.visits[s] for s in transient] == want
+    _assert_refused_exactly_and_solved_in_float(P, source)
 
 
+@pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
 def test_lift_is_refused_when_absorption_is_unreachable(monkeypatch):
     # layer 1 holds a (which feeds the apex and layer 2) and the pair b <-> c,
     # a closed class that never absorbs.  The fiber-uniform lift g = (3, 2,
     # 2, 2) solves g (I - T) = e_src, but so does g + t (0, 0, 1, 1): the
-    # system is singular and stays a SolverError
+    # system is singular, so the exact solve is refused and the float one is
+    # a SolverError
     layers, y = np.array(layer_sites(2)).T
     rows = [{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 4), 1: F(1, 4), 4: F(1, 2)},
             {3: F(1)}, {2: F(1)}] + [{j: F(1)} for j in range(4, 9)]
     P = kernel_from_rows(rows, "rational", layers=layers, y=y)
-    with pytest.raises(SolverError):
+    with pytest.raises(ParameterError, match="radial lift"):
         green_vector(P, (0, 0))
+    with pytest.raises(SolverError):
+        green_vector(_float_kernel(P), (0, 0))
     monkeypatch.setattr(green_reversal, "_reaches_absorption", lambda *a: True)
     mask = P.absorbing_mask()
     assert _lifted_green(P, mask, [0, 1, 2, 3], 0) == [3, 2, 2, 2]

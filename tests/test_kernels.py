@@ -10,20 +10,15 @@ from wedgewalk import (
     WedgeSpec,
     build_vase_grid,
     build_wedge_lattice,
-    green_vector,
     linear_shape,
-    nagasawa_reverse,
     power_shape,
     projected_vase_rates,
     projected_wedge_chain,
-    read_triplets,
     vase_rate_matrix,
     wedge_kernel,
-    write_triplets,
 )
-from wedgewalk.kernels import row_displacement
 
-from rows_reference import kernel_from_rows, layer_sites, row_arrays, write_triplets_reference
+from rows_reference import kernel_from_rows, layer_sites, row_arrays, row_displacement
 
 
 def make_wedge(alpha, layers, mode="auto"):
@@ -193,6 +188,35 @@ def test_wedge_consistency_of_vase_projection():
         assert odds_vase == pytest.approx((2 * k + 3) / (2 * k - 1), rel=1e-9)
 
 
+def _without_holds(P):
+    """P's float CSR matrix with the self-loops of its transient rows removed
+    and those rows renormalised; absorbing rows stay {i: 1}."""
+    import scipy.sparse as sp
+
+    A = P.to_csr()
+    hold = np.where(P.absorbing_mask(), 0.0, A.diagonal())
+    A = A - sp.diags(hold)
+    return sp.diags(1.0 / np.asarray(A.sum(axis=1)).ravel()) @ A
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3, 0.3, 0.9, 1.2])
+def test_cone_vase_jump_chain_is_the_wedge_walk_without_its_holds(alpha):
+    # the linear:tan(alpha) vase cross-checks the two builders; its jump
+    # chain is the wedge walk itself, so it is not an independent check of
+    # the last-side curve C_alpha.  1e-10 covers the abscissa bisection
+    # (3.0e-11 at alpha = 1.2, M = 40)
+    for M in (5, 40):
+        spec = WedgeSpec(alpha=alpha, layers=M)
+        W = wedge_kernel(build_wedge_lattice(spec), spec, mode="float")
+        J = vase_rate_matrix(build_vase_grid(linear_shape(math.tan(alpha)), M, M)).jump_chain()
+        absorbing = W.absorbing_mask()
+        assert np.array_equal(J.absorbing_mask(), absorbing)
+        assert np.array_equal(J.layers, W.layers) and np.array_equal(J.y, W.y)
+        got, want = J.to_csr(), _without_holds(W)
+        assert (got[absorbing] != want[absorbing]).nnz == 0
+        assert abs(got - want).max() <= 1e-10
+
+
 def test_nonconical_vertical_rates_are_skewed():
     grid = build_vase_grid(power_shape(2.0), 16, 16)
     Q = vase_rate_matrix(grid)
@@ -205,29 +229,6 @@ def test_nonconical_vertical_rates_are_skewed():
     plain = vase_rate_matrix(grid, exact_projection=False)
     prow = plain.rows[grid.index(3, 1)]
     assert prow[grid.index(3, 2)] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_triplet_roundtrip(tmp_path):
-    spec, lat, P = make_wedge(math.pi / 4, 3)
-    path = tmp_path / "kernel.txt"
-    write_triplets(P, path)
-    kind, mode, rows = read_triplets(path)
-    assert kind == "stochastic" and mode == "rational"
-    for i, row in enumerate(P.rows):
-        assert rows[i] == row
-
-    Pf = wedge_kernel(lat, spec, mode="float")
-    write_triplets(Pf, path)
-    _, mode, rows = read_triplets(path)
-    assert mode == "float"
-    assert rows[lat.index(1, 0)][lat.index(2, 0)] == Pf.rows[lat.index(1, 0)][lat.index(2, 0)]
-
-    grid = build_vase_grid(power_shape(2.0), 4, 4)
-    Q = vase_rate_matrix(grid)
-    write_triplets(Q, path)
-    kind, _, rows = read_triplets(path)
-    assert kind == "rate-matrix"
-    assert rows[grid.index(1, 0)] == Q.rows[grid.index(1, 0)]
 
 
 def test_rational_validation_is_exact():
@@ -356,31 +357,3 @@ def test_dict_rows_are_built_on_first_access():
     rows = P.rows
     assert P.rows is rows and rows[lat.index(0, 0)] == {
         lat.index(1, y): F(1, 3) for y in (-1, 0, 1)}
-
-
-def _unreduced_entries(op):
-    """The rational entries whose numerator shares a factor with its row's
-    denominator in ``op.arrays``."""
-    indptr, _, (nums, dens) = op.arrays
-    den = np.repeat(np.array(dens, dtype=object), np.diff(indptr)).tolist()
-    return sum(math.gcd(n, d) > 1 for n, d in zip(nums, den))
-
-
-def test_triplet_files_are_the_dict_row_writer(tmp_path):
-    # byte for byte against the writer that loops over the dict rows: where
-    # the arrays hold an unreduced numerator (the radial hold 1/2 is 6 over
-    # 12 at pi/4; reversed rows go over w(x) den(x)), the file still holds
-    # the entry in lowest terms
-    ops = [make_wedge(alpha, 6)[2] for alpha in (math.pi / 6, math.pi / 4, math.pi / 3)]
-    ops += [projected_wedge_chain(6, math.pi / 4),
-            nagasawa_reverse(ops[0], green_vector(ops[0], (0, 0))).kernel]
-    assert _unreduced_entries(ops[3]) and _unreduced_entries(ops[4])
-    ops += [make_wedge(math.pi / 6, 6, mode="float")[2], make_wedge(0.9, 6, mode="float")[2]]
-    grid = build_vase_grid(power_shape(2.0), 6, 6)
-    ops += [vase_rate_matrix(grid), projected_vase_rates(grid),
-            vase_rate_matrix(grid).jump_chain()]
-    for op in ops:
-        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
-        write_triplets(op, got)
-        write_triplets_reference(op, want)
-        assert got.read_bytes() == want.read_bytes()

@@ -29,7 +29,6 @@ from wedgewalk import (
     projected_vase_rates,
     projected_wedge_chain,
     run_paths,
-    sample_path,
     seesaw,
     strip_seesaw_samples,
     vase_rate_matrix,
@@ -131,14 +130,6 @@ def test_a_start_outside_the_kernel_is_a_parameter_error():
         run_paths(P, (5, 0), stop=4, n_paths=10)
 
 
-def test_sample_path_record():
-    lat, P = wedge(math.pi / 6, 5)
-    rec = sample_path(P, "apex", stop=5, rng=np.random.default_rng(0))
-    assert P.layers[rec.exit_state] == 5
-    assert rec.steps >= 5
-    assert rec.last_side in (Side.UPPER, Side.LOWER, Side.UNDEFINED)
-
-
 def test_last_side_curve_symmetry():
     # reflection symmetry pairs sites y and -y, so the conditional upper
     # probabilities of mirrored *sites* sum to one; equal-width bins of the
@@ -165,7 +156,7 @@ def test_last_side_curve_symmetry():
     assert p_mid == pytest.approx(0.5, abs=4 * se_mid)
 
 
-def test_curve_export(tmp_path):
+def test_curve_export():
     lat, P = wedge(math.pi / 6, 8)
     agg = run_paths(P, "apex", stop=8, n_paths=5000, seed=2)
     curve = last_side_curve(agg, 8, bins=4)
@@ -173,9 +164,6 @@ def test_curve_export(tmp_path):
     assert set(rec) == {"undefined_fraction", "bins"}   # the record holds the run's params
     assert len(rec["bins"]) == 4
     assert {"s_lo", "s_hi", "n", "p_hat", "stderr", "mean_s"} <= set(rec["bins"][0])
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    assert len(path.read_text().strip().splitlines()) == 5
 
 
 def test_vase_jump_chain_uniform_hitting():
