@@ -172,27 +172,6 @@ class ShapeFunction:
         e = eps * max(1.0, abs(x))
         return (self.h(x + e) - self.h(x - e)) / (2 * e)
 
-    def validate(self, xs: Sequence[float], rel_tol: float = 1e-6) -> None:
-        """Check h(0)=0, positivity, monotonicity and h' consistency by
-        finite differences at the sampled points."""
-        if abs(self.h(0.0)) > 1e-300:
-            raise ParameterError("shape must satisfy h(0) = 0")
-        prev_x, prev_v = None, None
-        for x in xs:
-            v = self.h(x)
-            if x > 0 and v <= 0:
-                raise ParameterError(f"shape must be positive at x={x}")
-            if prev_x is not None and x > prev_x and v <= prev_v:
-                raise ParameterError("shape must be strictly increasing")
-            prev_x, prev_v = x, v
-            if self.h_prime is not None and x > 0:
-                e = 1e-6 * max(1.0, x)
-                fd = (self.h(x + e) - self.h(x - e)) / (2 * e)
-                hp = self.h_prime(x)
-                if abs(fd - hp) > rel_tol * max(1.0, abs(hp)) * 100:
-                    raise ParameterError(
-                        f"h_prime inconsistent with h at x={x}: {hp} vs fd {fd}")
-
 
 def linear_shape(slope: float) -> ShapeFunction:
     if slope <= 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -267,7 +268,12 @@ def _transient_solve(rows, transient, b, transpose: bool = False) -> np.ndarray:
 
     A = sp.identity(len(transient), format="csc") - rows[:, transient]
     try:
-        x = splinalg.spsolve((A.T if transpose else A).tocsc(), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", splinalg.MatrixRankWarning)
+            x = splinalg.spsolve((A.T if transpose else A).tocsc(), b)
+    except splinalg.MatrixRankWarning as exc:
+        raise SolverError("absorbing-chain solve failed: the system is singular, "
+                          "so some transient state never reaches absorption") from exc
     except Exception as exc:  # pragma: no cover - scipy raises various types
         raise SolverError(f"absorbing-chain solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

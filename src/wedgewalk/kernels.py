@@ -185,9 +185,6 @@ class StochasticKernel(_CSROperator):
         self.mode, self.layers, self.y = mode, layers, y
         self.arrays = self.check(arrays, mode, self.what)
 
-    def is_absorbing(self, i: int) -> bool:
-        return bool(self.absorbing_mask()[i])
-
     def absorbing_mask(self) -> np.ndarray:
         """Rows holding only their own state (no row is empty)."""
         indptr, indices, _ = self.arrays
@@ -212,9 +209,6 @@ class RateMatrix(_CSROperator):
     def to_csr(self):
         """The full generator, diagonal included."""
         return _csr(self.arrays, self.n_states, diagonal=-self.exit_rates)
-
-    def is_absorbing(self, i: int) -> bool:
-        return bool(self.arrays[0][i] == self.arrays[0][i + 1])
 
     def jump_chain(self) -> StochasticKernel:
         """Embedded discrete chain: each row's rates over its exit rate;

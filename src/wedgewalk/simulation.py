@@ -12,7 +12,7 @@ double step draws one raw 64-bit word per live path and gathers the entry
 two steps on from a guide table (Chen & Asau 1974) by the pair and the
 word's top 4, 6 or 7 bits.  One sign test per double step finds the paths
 that stopped, on either half of it, or whose bucket a threshold splits; the
-latter follow exact-integer threshold records.  Step counts, the step cap
+latter scan the row's exact-integer thresholds.  Step counts, the step cap
 and the timeout stay exact in single steps.  Vase chains enter through
 their embedded jump chain, whose hitting statistics coincide with the
 continuous-time chain's.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -97,14 +97,17 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     cumulative probabilities (the last one is never compared, so rounding
     cannot run past the row).  The next entry is ``guide[(a << bits) + (raw
     >> 64 - bits)]`` unless a threshold falls inside the word's bucket; then
-    it is ``split - k`` with ``split = -1 - 2 * entry.size``, naming row k of
-    ``records``: (threshold, entry for m below it, entry for m at or above
-    it), the latter another record when the bucket holds a further
-    threshold.  Buckets are 4 bits wide if at most 1 in 32 of the 4-bit cells
-    would hold a threshold, else 6 if at most 1 in 32 of the 6-bit cells
-    would or the 7-bit guide would pass 2**24 entries, else 7.  ``entry``
-    and ``guide`` are int32 when every guide index and entry fits, else
-    int64.
+    it is ``split - 3 r - s`` with ``split = -1 - 2 * entry.size``, s the
+    pair's side and r the record of the bucket's first outcome.  Each row
+    with such a bucket keeps one record per outcome o, in row order, as a
+    column of the int64 ``records``, shape (3, R): the threshold past o
+    (2**53 for the row's last outcome), o's entry from pair side 0, and what
+    each unit of pair side adds to it.  The step scans on from record r
+    while m reaches the threshold past it.  Buckets are 4 bits wide if at
+    most 1 in 32 of the 4-bit cells would hold a threshold, else 6 if at
+    most 1 in 32 of the 6-bit cells would or the 7-bit guide would pass
+    2**24 entries, else 7.  ``entry`` and ``guide`` are int32 when every
+    guide index and entry fits, else int64.
     """
     indptr, indices, data = _float_arrays(kernel)
     n = kernel.n_states
@@ -124,7 +127,7 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     cum = np.zeros((n, W))
     cum[row, np.arange(row.size) - first[row]] = prob
     del prob, row
-    cum = np.cumsum(cum, axis=1)
+    cum = np.minimum(np.cumsum(cum, axis=1), 1.0, out=cum)   # a row's thresholds never fall
     cum[np.arange(W) >= counts[:, None] - 1] = 1.0
     T = np.ceil(cum[:, :W - 1] * 2.0 ** 53).astype(np.int64)
     del cum
@@ -150,8 +153,16 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
     step = np.where(fixed != 0, 0, np.where(going, 1 << bits, -1))
     del fixed, going, halfway
     i, c = inside(bits)
+    # the rows with a split bucket keep one record per outcome, in row order
+    kept, row_of = np.unique(i, return_inverse=True)
+    size = counts[kept]
+    held = np.arange(W) < size[:, None]
+    o = (first[kept, None] + np.arange(W))[held]
+    past = np.column_stack([T[kept], np.full(kept.size, 2 ** 53)])[held]
+    records = np.stack([past, code0[o], step[o]])
+    del held, o, past
     split = -1 - 6 * n
-    fits = 3 * n << bits <= 2 ** 31 and 6 * n + 3 * i.size <= 2 ** 31
+    fits = 3 * n << bits <= 2 ** 31 and 6 * n + 3 * records.shape[1] <= 2 ** 31
     dtype = np.int32 if fits else np.int64
     code0, step = code0.astype(dtype), step.astype(dtype)
     pairs = np.arange(3 * n, dtype=dtype)
@@ -170,24 +181,13 @@ def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
         c0, st = code0[o], step[o]
         for s in range(3):
             guide[lo:lo + rows, s] = c0 + s * st
-    # ... unless thresholds fall inside it: one record per threshold and pair,
-    # chained in order through the bucket
-    v, b = T[i, c], T[i, c] >> (53 - bits)
-    up = c + 1                     # the outcome at or above v, past equal thresholds
-    while (tie := (up < W - 1) & (T[i, np.minimum(up, W - 2)] == v)).any():
-        up += tie
-    cell = (i << bits) + b
-    code = lambda o: code0[o][:, None] + np.arange(3, dtype=dtype) * step[o][:, None]
-    name = lambda at: split - 3 * at[:, None] - np.arange(3)    # records 3 at .. 3 at + 2
-    records = np.empty((len(v), 3, 3), dtype=np.int64)         # threshold, pair side
-    records[:, :, 0] = v[:, None]
-    records[:, :, 1] = code(first[i] + c)
-    records[:, :, 2] = code(first[i] + up)
-    chained = np.flatnonzero(cell[:-1] == cell[1:])
-    records[chained, :, 2] = name(chained + 1)
-    head = np.flatnonzero(cell != np.append(-1, cell[:-1]))
-    guide[i[head], :, b[head]] = name(head)
-    return bits, entry, guide.reshape(-1), records.reshape(-1, 3)
+    # ... unless a threshold falls inside it: then the cell names the record
+    # of the outcome that the first threshold inside ends
+    b = T[i, c] >> (53 - bits)
+    head = np.flatnonzero(np.diff((i << bits) + b, prepend=-1))
+    r = (np.cumsum(size) - size)[row_of[head]] + c[head]
+    guide[i[head], :, b[head]] = split - 3 * r[:, None] - np.arange(3)
+    return bits, entry, guide.reshape(-1), records
 
 
 def _side_array(kernel: StochasticKernel) -> np.ndarray:
@@ -261,17 +261,20 @@ def _run_block(args):
     # splits, and a stop at or below ``half`` came on the first half
     nxt = entry[3 * state + side[state]]
     split, half = -1 - 2 * entry.size, ~entry.size
+    past, code0, step = records
     exits = [nxt[:0]]
     t = 0
     while True:
         if nxt.size and nxt[nxt.argmin()] < 0:
             neg = (nxt < 0).nonzero()[0]
             e = nxt[neg]
-            if e[e.argmin()] <= split:         # split buckets: read the records
-                m = (raw[neg] >> 11).view(np.int64)
-                while (s := (e <= split).nonzero()[0]).size:
-                    rec = records.take(split - e[s], axis=0)
-                    e[s] = np.where(m[s] >= rec[:, 0], rec[:, 2], rec[:, 1])
+            if e[e.argmin()] <= split:         # split buckets: scan the records
+                k = (e <= split).nonzero()[0]
+                o, s = np.divmod(split - e[k], 3)
+                m = (raw[neg[k]] >> 11).view(np.int64)
+                while (on := m >= past.take(o)).any():
+                    o += on
+                e[k] = code0.take(o) + s * step.take(o)
                 nxt[neg] = e
             # past an odd cap, a stop on the second half comes a step too late
             last = half if 2 * t > step_cap else -1
@@ -296,7 +299,6 @@ def _run_block(args):
 
 
 def run_paths(kernel: StochasticKernel, start, stop=None,
-              observers: Sequence[str] = ("exit", "last_side", "steps"),
               n_paths: int = 1, seed: int = 0, workers: int = 1,
               block_size: int = 65536, step_cap: int = 10 ** 8) -> PathAggregate:
     """Simulate independent trajectories and aggregate exit site, last
@@ -322,8 +324,6 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
     if not stopm.any():
         raise ParameterError("no stop states")
     side = _side_array(kernel)
-    if "last_side" not in observers:
-        side[:] = 0
     tables = padded_kernel(kernel, side, stopm)
     start_idx, start_cdf = _start_distribution(kernel, start)
 

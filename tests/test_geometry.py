@@ -137,15 +137,6 @@ def test_bisect_stops_where_no_float_lies_between():
         1e7, abs=4e-9)
 
 
-def test_shape_validation():
-    s = power_shape(2.0)
-    s.validate(np.linspace(0.1, 2.0, 7))
-    bad = shape_from_spec("power:2")
-    bad.h_prime = lambda x: 1.0   # wrong derivative
-    with pytest.raises(ParameterError):
-        bad.validate([0.5, 1.0])
-
-
 def test_shape_from_spec_table_file(tmp_path):
     path = tmp_path / "shape.csv"
     xs = np.linspace(0, 2, 21)

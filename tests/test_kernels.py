@@ -59,7 +59,7 @@ def test_apex_row_and_absorption():
     row = P.rows[lat.index(0, 0)]
     assert row[lat.index(1, 0)] == r and row[lat.index(1, 1)] == r
     assert row[lat.index(0, 0)] == 1 - 3 * r
-    assert P.is_absorbing(lat.index(4, 1))
+    assert P.absorbing_mask()[lat.index(4, 1)]
     with pytest.raises(ParameterError):
         wedge_kernel(lat, spec, absorb_at=5)
 

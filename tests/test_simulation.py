@@ -507,7 +507,7 @@ def _squared_rows(kernel, stopm):
 
 
 def _reference_run_block(cum, mid, end, stopm, side, start_idx, start_cdf, n, seed,
-                         block_id, track):
+                         block_id):
     """One block of the sampler with the (paths, W) compare-and-sum over
     the squared rows: the same block stream as ``run_paths``, one draw per
     live path and double step."""
@@ -534,9 +534,8 @@ def _reference_run_block(cum, mid, end, stopm, side, start_idx, start_cdf, n, se
         return state[~done], last[~done]
 
     def meet(state, last):
-        if track:
-            s = side[state]
-            np.copyto(last, s, where=s != 0)
+        s = side[state]
+        np.copyto(last, s, where=s != 0)
 
     last = np.zeros(n, dtype=np.int8)
     meet(state, last)
@@ -559,15 +558,14 @@ def _reference_run_block(cum, mid, end, stopm, side, start_idx, start_cdf, n, se
 
 def _assert_same_as_reference(kernel, start, stop, n_paths, seed, block_size,
                               track=True):
-    observers = ("exit", "last_side", "steps") if track else ("exit", "steps")
-    agg = run_paths(kernel, start, stop=stop, observers=observers,
-                    n_paths=n_paths, seed=seed, block_size=block_size)
+    agg = run_paths(kernel, start, stop=stop, n_paths=n_paths, seed=seed,
+                    block_size=block_size)
     stopm = simulation._resolve_stop(kernel, stop)
     cum, mid, end = _squared_rows(kernel, stopm)
     side = simulation._side_array(kernel)
     start_idx, start_cdf = simulation._start_distribution(kernel, start)
     blocks = [_reference_run_block(cum, mid, end, stopm, side, start_idx, start_cdf,
-                                   min(block_size, n_paths - lo), seed, b, track)
+                                   min(block_size, n_paths - lo), seed, b)
               for b, lo in enumerate(range(0, n_paths, block_size))]
     exit_side, initial, hist, ssum, smax = zip(*blocks)
     assert np.array_equal(agg.exit_side, sum(exit_side))
@@ -631,8 +629,7 @@ def test_sampler_matches_compare_and_sum_on_ragged_rows():
     widths = {len(r) for r in K.rows}
     assert widths == set(range(1, 8))
     start = np.full(K.n_states, 1.0 / K.n_states)
-    for track in (True, False):
-        _assert_same_as_reference(K, start, None, 4000, 11, 1500, track=track)
+    _assert_same_as_reference(K, start, None, 4000, 11, 1500)
     _assert_same_as_reference(K, 2, None, 4000, 13, 1500)
 
 
@@ -671,10 +668,11 @@ def _chained_kernel(extra):
 @pytest.mark.parametrize("extra,bits", [(0, 4), (1, 6)])
 def test_sampler_matches_compare_and_sum_through_chained_records(extra, bits):
     K = _chained_kernel(extra)
-    tables = _step_tables(K)
-    split = -1 - 2 * tables[1].size
-    assert tables[0] == bits
-    assert (tables[3][:, 2] <= split).any()          # a record names the next
+    assert _step_tables(K)[0] == bits
+    # some split bucket holds two thresholds or more
+    T = _thresholds(K)[0]
+    i, c = np.nonzero((T < 2 ** 53) & (T % 2 ** (53 - bits) != 0))
+    assert np.bincount((i << bits) + (T[i, c] >> (53 - bits))).max() >= 2
     _assert_same_as_reference(K, (1, 0), None, 2000, 23, 700)
 
 
@@ -709,16 +707,15 @@ def test_step_compares_the_drawn_word_with_each_threshold(extra, monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(alpha=st.floats(0.3, 1.5), hold=st.floats(0.02, 1 / 3),
        M=st.integers(2, 6), n_paths=st.integers(1, 500),
-       block_size=st.integers(50, 500), seed=st.integers(0, 2 ** 32),
-       track=st.booleans())
+       block_size=st.integers(50, 500), seed=st.integers(0, 2 ** 32))
 def test_sampler_matches_compare_and_sum_on_random_wedges(alpha, hold, M, n_paths,
-                                                          block_size, seed, track):
+                                                          block_size, seed):
     spec = WedgeSpec(alpha=alpha, layers=M, apex_hold=hold)
     P = wedge_kernel(build_wedge_lattice(spec), spec, mode="float")
-    # a tracked run also asserts that some path met a side, which a handful
-    # of paths need not do
+    # a run of 100 paths or more also asserts that some path met a side,
+    # which a handful of paths need not do
     _assert_same_as_reference(P, "apex", M, n_paths, seed, block_size,
-                              track=track and n_paths >= 100)
+                              track=n_paths >= 100)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +730,14 @@ def _step_tables(kernel, stop=None):
 def _resolve(tables, a, m):
     """The entry that the guide and the threshold records give a path at
     pairs ``a`` drawing the 53-bit ``m``."""
-    bits, entry, guide, records = tables
+    bits, entry, guide, (past, code0, step) = tables
     split = -1 - 2 * entry.size
     e = guide[(a << bits) + (m >> (53 - bits))].astype(np.int64)
-    while (s := e <= split).any():
-        rec = records[split - e[s]]
-        e[s] = np.where(m[s] >= rec[:, 0], rec[:, 2], rec[:, 1])
+    for k in np.flatnonzero(e <= split):
+        o, s = divmod(split - e[k], 3)
+        while m[k] >= past[o]:
+            o += 1
+        e[k] = code0[o] + s * step[o]
     return e
 
 
@@ -799,6 +798,35 @@ def test_guide_table_is_the_column_compare(name):
     assert np.array_equal(split, np.repeat(inside, 3, axis=0))
 
 
+@pytest.mark.parametrize("name", ["vase", "0.9", "overfull"])
+def test_records_hold_each_outcome_of_the_rows_with_a_split_bucket(name):
+    if name == "vase":
+        K = vase_rate_matrix(build_vase_grid(power_shape(2.0), 20, 20)).jump_chain()
+    elif name == "0.9":
+        K = wedge(0.9, 30)[1]
+    else:
+        # a row summing to 1 + 5e-13, within the kernels' tolerance: its
+        # squared row's sums pass 1 before its last outcome
+        K = kernel_from_rows([{0: 1.0}, {1: 1.0}, {0: 0.3, 1: 0.7 + 4e-13, 2: 1e-13}],
+                             "float")
+    bits, entry, guide, records = _step_tables(K)
+    split = -1 - 2 * entry.size
+    cells = guide.reshape(K.n_states, 3, -1)
+    rows = np.flatnonzero((cells <= split).any(axis=(1, 2)))
+    T, mid = _thresholds(K)[:2]
+    size = (mid[rows] >= 0).sum(axis=1)                   # each row's outcomes
+    assert rows.size and records.dtype == np.int64 and records.shape == (3, size.sum())
+    for i, lo, w in zip(rows, np.cumsum(size) - size, size):
+        past = records[0, lo:lo + w]
+        assert past[-1] == 2 ** 53 and (np.diff(past) >= 0).all()
+        assert np.array_equal(past[:-1], np.minimum(T[i, :w - 1], 2 ** 53))
+        # each split cell of the row names one of the row's records and the
+        # pair's side
+        s, b = np.nonzero(cells[i] <= split)
+        r, at = np.divmod(split - cells[i][s, b], 3)
+        assert np.array_equal(at, s) and (lo <= r).all() and (r < lo + w).all()
+
+
 def _split_cells(T, bits):
     """The number of ``bits``-wide cells with a threshold strictly inside."""
     edge = np.arange(2 ** bits + 1, dtype=np.int64) << (53 - bits)
@@ -843,7 +871,7 @@ def test_special_angle_guide_has_no_split_bucket(alpha):
     # at pi/3, so each threshold falls on a bucket edge of the 4- and the
     # 6-bit buckets and no step reads a threshold record
     bits, entry, guide, records = _step_tables(wedge(alpha, 30)[1])
-    assert bits == (4 if alpha == math.pi / 4 else 6) and len(records) == 0
+    assert bits == (4 if alpha == math.pi / 4 else 6) and records.size == 0
     assert guide.min() >= -2 * entry.size
 
 
