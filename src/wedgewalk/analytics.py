@@ -285,7 +285,7 @@ def generator_residual(shape, f, f_prime, f_second, x: float, resolution: int) -
     up = (2 * k + 3) / (2 * k + 1) * c
     dn = (2 * k - 1) / (2 * k + 1) * d
     qf = up * (f(xs[2]) - f(xs[1])) + dn * (f(xs[0]) - f(xs[1]))
-    limit = shape.derivative(x) / shape(x) * f_prime(x) + 0.5 * f_second(x)
+    limit = shape.h_prime(x) / shape(x) * f_prime(x) + 0.5 * f_second(x)
     return abs(N ** 2 * qf - limit)
 
 
@@ -293,14 +293,14 @@ def generator_residual(shape, f, f_prime, f_second, x: float, resolution: int) -
 # goodness of fit
 # ---------------------------------------------------------------------------
 
-def _merge_small_bins(counts: np.ndarray, expected: np.ndarray, min_expected: float):
-    """Merge adjacent bins until every expected count reaches the floor."""
+def _merge_small_bins(counts: np.ndarray, expected: np.ndarray):
+    """Merge adjacent bins until every expected count reaches 5."""
     cs, es = [], []
     acc_c = acc_e = 0.0
     for c, e in zip(counts, expected):
         acc_c += c
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             cs.append(acc_c)
             es.append(acc_e)
             acc_c = acc_e = 0.0
@@ -377,9 +377,9 @@ def chi_square_sf(stat: float, df: int) -> float:
     return head + total
 
 
-def chi_square(counts, expected=None, min_expected: float = 5.0) -> dict:
+def chi_square(counts, expected=None) -> dict:
     """Chi-square statistic and upper-tail p-value (``chi_square_sf``).
-    Under-filled bins are merged with a report."""
+    Bins expecting fewer than 5 are merged with a report."""
     counts = np.asarray(counts, dtype=float)
     n = counts.sum()
     if expected is None:
@@ -387,7 +387,7 @@ def chi_square(counts, expected=None, min_expected: float = 5.0) -> dict:
     else:
         expected = np.asarray(expected, dtype=float) * n / np.sum(expected)
     merged_from = counts.size
-    counts, expected = _merge_small_bins(counts, expected, min_expected)
+    counts, expected = _merge_small_bins(counts, expected)
     if counts.size < 2:
         raise ParameterError("too few bins after merging")
     stat = float(((counts - expected) ** 2 / expected).sum())

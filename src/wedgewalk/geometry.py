@@ -22,17 +22,12 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Half-angles whose squared sine is rational; these admit exact arithmetic
-# throughout the kernel algebra.
-EXACT_SIN_SQ = {
-    "pi/6": Fraction(1, 4),
-    "pi/4": Fraction(1, 2),
-    "pi/3": Fraction(3, 4),
-}
-_EXACT_RADIANS = {
-    "pi/6": math.pi / 6,
-    "pi/4": math.pi / 4,
-    "pi/3": math.pi / 3,
+# Half-angles whose squared sine is rational, with their radians and sin^2;
+# these admit exact arithmetic throughout the kernel algebra.
+_EXACT = {
+    "pi/6": (math.pi / 6, Fraction(1, 4)),
+    "pi/4": (math.pi / 4, Fraction(1, 2)),
+    "pi/3": (math.pi / 3, Fraction(3, 4)),
 }
 
 
@@ -40,8 +35,8 @@ def parse_angle(token) -> float:
     """Accept literal radians or one of the tokens pi/6, pi/4, pi/3."""
     if isinstance(token, str):
         t = token.strip().replace(" ", "")
-        if t in _EXACT_RADIANS:
-            return _EXACT_RADIANS[t]
+        if t in _EXACT:
+            return _EXACT[t][0]
         try:
             return float(t)
         except ValueError:
@@ -51,9 +46,9 @@ def parse_angle(token) -> float:
 
 def exact_sin_sq(alpha: float) -> Optional[Fraction]:
     """Return sin^2(alpha) as a Fraction when alpha is a special angle."""
-    for name, rad in _EXACT_RADIANS.items():
+    for rad, s2 in _EXACT.values():
         if abs(alpha - rad) < 1e-12:
-            return EXACT_SIN_SQ[name]
+            return s2
     return None
 
 
@@ -153,7 +148,7 @@ class ShapeFunction:
     """A vase profile: h(0)=0, h>0 and strictly increasing on (0, domain]."""
 
     h: Callable[[float], float]
-    h_prime: Optional[Callable[[float], float]] = None
+    h_prime: Callable[[float], float]
     domain_hint: Optional[float] = None
     label: str = "custom"
 
@@ -164,13 +159,6 @@ class ShapeFunction:
         except OverflowError:
             pass
         raise ParameterError(f"shape {self.label} is not finite at x={x}")
-
-    def derivative(self, x: float, eps: float = 1e-6) -> float:
-        if self.h_prime is not None:
-            return self.h_prime(x)
-        # fall back to a central difference; adequate away from the apex
-        e = eps * max(1.0, abs(x))
-        return (self.h(x + e) - self.h(x - e)) / (2 * e)
 
 
 def linear_shape(slope: float) -> ShapeFunction:
@@ -247,18 +235,18 @@ def shape_from_spec(spec) -> ShapeFunction:
 # ---------------------------------------------------------------------------
 
 def bisect_increasing(fn: Callable[[float], float], target: float,
-                      lo: float = 0.0, hi: Optional[float] = None,
-                      tol: float = 1e-12, max_expand: int = 200) -> float:
-    """Solve fn(x) = target for increasing fn by expansion bracketing + bisection."""
+                      lo: float = 0.0, hi: Optional[float] = None) -> float:
+    """Solve fn(x) = target for increasing fn by expansion bracketing (at
+    most 200 doublings) + bisection to 1e-12."""
     if hi is None:
         hi = max(lo, 1e-9)
     n = 0
     while fn(hi) < target:
         hi = 2.0 * hi + 0.1
         n += 1
-        if n > max_expand:
+        if n > 200:
             raise ParameterError(f"level {target} not reachable by the shape")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):             # no float between them: as close as it gets
             break
@@ -320,7 +308,7 @@ def layer_abscissas(shape: ShapeFunction, resolution: int, layers) -> np.ndarray
         if hint is not None and shape(hint) < level - 1e-15:
             raise ParameterError(f"shape cannot reach level {level}")
         if k > 0:
-            lo = bisect_increasing(shape, level, lo=lo, hi=hint if hint else None, tol=1e-12)
+            lo = bisect_increasing(shape, level, lo=lo, hi=hint if hint else None)
         if abs(shape(lo) - level) > 1e-10 * max(1.0, level):
             raise ParameterError(f"abscissa solve failed at k={k}")
         xs[i] = lo

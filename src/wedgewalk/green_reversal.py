@@ -51,23 +51,22 @@ class GreenVector:
 
 def _reach(indptr, indices, seed) -> np.ndarray:
     """The states that ``seed`` reaches along a CSR pattern ``(indptr,
-    indices)``; one frontier search, linear in the nonzeros."""
+    indices)``; one frontier search over the nonzeros.  Each frontier is
+    deduplicated by a sort, not ``np.unique``, which loads ``numpy.ma``."""
     reach, new = seed.copy(), np.flatnonzero(seed)
     while new.size:
         n = indptr[new + 1] - indptr[new]                # the frontier's row lengths
         step = indices[np.repeat(indptr[new] + n - np.cumsum(n), n) + np.arange(n.sum())]
-        new = np.unique(step[~reach[step]])
+        step = np.sort(step[~reach[step]])
+        new = step[np.diff(step, prepend=-1) != 0]
         reach[new] = True
     return reach
 
 
-def _reaches_absorption(kernel: StochasticKernel, mask) -> bool:
-    """Whether every state has a path into ``mask``, which makes I - T
-    invertible: g (I - T) = e_src then has one solution."""
-    indptr, indices, _ = kernel.arrays
-    rows = np.repeat(np.arange(len(mask)), np.diff(indptr))
-    back = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=len(mask)))])
-    return bool(_reach(back, rows[np.argsort(indices, kind="stable")], mask).all())
+def _reach_back(rows, cols, seed) -> np.ndarray:
+    """The states with a path into ``seed`` along the entries ``(rows, cols)``."""
+    back = np.append(0, np.cumsum(np.bincount(cols, minlength=seed.size)))
+    return _reach(back, rows[np.argsort(cols, kind="stable")], seed)
 
 
 def _lifted_green(kernel: StochasticKernel, mask, transient, source):
@@ -116,16 +115,16 @@ def _lifted_green(kernel: StochasticKernel, mask, transient, source):
     flow[source] = d * one
     np.add.at(flow, indices[e], x[row[e]] * p)
     residual = np.abs(d * x - flow)[transient].max()
-    if not residual <= tol or not _reaches_absorption(kernel, mask):
+    # every state reaching absorption makes I - T invertible: g is the solution
+    if not residual <= tol or not _reach_back(row, indices, mask).all():
         return None
     return g[layer[transient]].tolist()
 
 
-def green_vector(kernel: StochasticKernel, source,
-                 absorbing: Optional[np.ndarray] = None) -> GreenVector:
+def green_vector(kernel: StochasticKernel, source) -> GreenVector:
     """Expected visits to every state for the chain started at ``source``.
 
-    Absorbing states default to the kernel's self-loop rows.  A source alone
+    Absorbing states are the kernel's self-loop rows.  A source alone
     on its layer (the apex (0, 0), or any state of a radial chain), with
     whole layers transient, takes the vector lifted from the radial chain's
     birth-death recurrence when that is certified.  Other float solves are
@@ -133,8 +132,7 @@ def green_vector(kernel: StochasticKernel, source,
     declines, it raises ``ParameterError``.
     """
     source = _state(kernel, source)
-    mask = (kernel.absorbing_mask() if absorbing is None
-            else np.asarray(absorbing, dtype=bool))
+    mask = kernel.absorbing_mask()
     if mask[source]:
         raise ParameterError("source must be transient")
     transient = np.flatnonzero(~mask)

@@ -31,11 +31,11 @@ _BLOCK = 16     # link rows evolved together; a few (K+1)^2 x _BLOCK arrays
 class MarkovLink(_CSROperator):
     """Rows: for each radial state k, the uniform law on its fiber."""
 
-    what = "link row"
+    what, mode = "link row", RATIONAL
 
-    def __init__(self, n_source, n_target, *, arrays, mode=RATIONAL):
-        self.n_source, self.n_target, self.mode = n_source, n_target, mode
-        self.arrays = self.check(arrays, mode, self.what)
+    def __init__(self, n_source, n_target, *, arrays):
+        self.n_source, self.n_target = n_source, n_target
+        self.arrays = self.check(arrays, self.mode, self.what)
 
     def to_csr(self):
         return _csr(_float_arrays(self), self.n_target)
@@ -136,7 +136,7 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
             raise ShapeError(
                 f"link {link.n_source}x{link.n_target} does not match operators "
                 f"{one_dim_op.n_states} / {two_dim_op.n_states}")
-        if link.mode == two_dim_op.mode == one_dim_op.mode == RATIONAL:
+        if two_dim_op.mode == one_dim_op.mode == RATIONAL:       # the link is rational
             L = _exact("link", link.arrays, link.n_target)
             P = _exact("P", two_dim_op.arrays, two_dim_op.n_states)
             Q = _exact("Q", one_dim_op.arrays, one_dim_op.n_states)
@@ -162,14 +162,13 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
 
 
 def semigroup_residual(link: MarkovLink, two_dim_rates: RateMatrix,
-                       one_dim_rates: RateMatrix, times: Sequence[float],
-                       tail: float = 1e-14) -> dict:
+                       one_dim_rates: RateMatrix, times: Sequence[float]) -> dict:
     """Check link.exp(tQ) = exp(t Qproj).link by shared-rate uniformization;
     returns {t: max-abs residual}.
 
     Both exponentials are Poisson mixtures, shared by all ``times``, of the
     powers of D = I + Q/lam, lam above every exit rate of either chain, cut
-    where the Poisson mass left drops below ``tail``.  The radial side is a
+    where the Poisson mass left drops below 1e-14.  The radial side is a
     (K+1) x (K+1) mixture times the link; the planar side evolves ``_BLOCK``
     link rows at a time, so memory is linear in the nonzeros.
     """
@@ -183,7 +182,7 @@ def semigroup_residual(link: MarkovLink, two_dim_rates: RateMatrix,
     weights = {}
     for t in times:                 # Poisson(lam t) weights, at most 500000
         w, total, weights[t] = math.exp(-lam * t), 0.0, []
-        while total < 1.0 - tail and len(weights[t]) < 500000:
+        while total < 1.0 - 1e-14 and len(weights[t]) < 500000:
             weights[t].append(w)
             total += w
             w *= lam * t / len(weights[t])

@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -78,15 +77,17 @@ def _pattern_arrays(patterns, kind, layer, mode: str):
     follow one of the ``patterns``.  ``patterns[c]`` lists pattern c's entries
     in column order as ``(a, b, value)``; row s of ``kind[s] == c`` holds
     ``value`` at column ``s + a + b * layer[s]``.  Exact values go over the
-    lcm of their pattern's denominators."""
+    lcm of their pattern's denominators.  A float value may be one number
+    or one value per row."""
     lengths = np.array([len(p) for p in patterns])
     indptr = np.concatenate([[0], np.cumsum(lengths[kind])])
     row = np.repeat(np.arange(len(kind)), lengths[kind])
     code = (np.cumsum(lengths) - lengths)[kind][row] + np.arange(indptr[-1]) - indptr[row]
     a, b, values = zip(*(entry for p in patterns for entry in p))
     indices = row + np.array(a)[code] + np.array(b)[code] * layer[row]
-    if mode == FLOAT:
-        return indptr, indices, np.array(values, dtype=float)[code]
+    if mode == FLOAT:               # (entries,), or (entries, rows) with a per-row value
+        table = np.array(np.broadcast_arrays(*values), dtype=float)
+        return indptr, indices, table[code] if table.ndim == 1 else table[code, row]
     dens = [math.lcm(*[v.denominator for _, _, v in p]) for p in patterns]
     nums = [v.numerator * (d // v.denominator)
             for p, d in zip(patterns, dens) for _, _, v in p]
@@ -238,8 +239,8 @@ def _wedge_values(spec: WedgeSpec, mode: str):
 
 
 def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,
-                 absorb_at: Optional[int] = None, mode: str = "auto") -> StochasticKernel:
-    """One-step kernel of the reflected wedge walk, absorbed at layer M.
+                 mode: str = "auto") -> StochasticKernel:
+    """One-step kernel of the reflected wedge walk, absorbed at layer N.
 
     Inner sites move horizontally with probability sin^2(a)/2 each way and
     vertically with cos^2(a)/2 each way.  A site on the upper boundary moves
@@ -248,9 +249,6 @@ def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,
     The apex spreads mass r to the three sites of layer 1.
     """
     N = spec.layers
-    M = N if absorb_at is None else int(absorb_at)
-    if not 2 <= M <= N:
-        raise ParameterError(f"absorb_at must lie in [2, {N}], got {M}")
     mode, s2, r, one = _wedge_values(spec, mode)
     p, q = s2 / 2, (1 - s2) / 2
     if lattice.n_sites != (N + 1) ** 2:
@@ -265,7 +263,7 @@ def wedge_kernel(lattice: WedgeLattice, spec: WedgeSpec,
                 [(0, 0, q), (1, 0, q), (1, 2, p), (2, 2, p)],    # y = -k
                 [(0, -2, p), (-1, 0, q), (1, 0, q), (2, 2, p)]]  # inner
     layer, y = lattice.layer, lattice.y
-    kind = np.select([layer >= M, layer == 0, y == layer, y == -layer], [0, 1, 2, 3], 4)
+    kind = np.select([layer == N, layer == 0, y == layer, y == -layer], [0, 1, 2, 3], 4)
     return StochasticKernel(_pattern_arrays(patterns, kind, layer, mode), mode=mode,
                             layers=layer, y=y)
 
@@ -317,13 +315,6 @@ def _vase_layer_rates(grid: VaseGrid, apex_rate: float):
     return c, d
 
 
-def _slot_arrays(cols, vals):
-    """Float CSR arrays of rows given as slot tables: ascending columns, -1
-    marking an unused slot, and their values."""
-    used = cols >= 0
-    return np.concatenate([[0], np.cumsum(used.sum(axis=1))]), cols[used], vals[used]
-
-
 def vase_rate_matrix(grid: VaseGrid, apex_rate: float = 1.0 / 6.0,
                      exact_projection: bool = True) -> RateMatrix:
     """Jump rates of the vase chain, absorbed at the top layer K.
@@ -344,7 +335,7 @@ def vase_rate_matrix(grid: VaseGrid, apex_rate: float = 1.0 / 6.0,
     """
     c, d = _vase_layer_rates(grid, apex_rate)
     k, y = grid.layer, grid.y
-    s, inside, c, d = np.arange(k.size), (0 < k) & (k < grid.layers), c[k], d[k]
+    inside, c, d = (0 < k) & (k < grid.layers), c[k], d[k]
     up = down = np.full(k.size, 0.5)
     if exact_projection:            # the skew on the bonds (y, y+1) and (y-1, y)
         skew = lambda yb: (c - d) * (2 * yb + 1) / (2 * (2 * k + 1))
@@ -353,29 +344,28 @@ def vase_rate_matrix(grid: VaseGrid, apex_rate: float = 1.0 / 6.0,
         if low.any():
             raise ParameterError(f"vertical rate negative at layer {k[low][0]}; grid "
                                  "too coarse for this shape near the apex")
-    cols, vals = np.full((k.size, 4), -1), np.zeros((k.size, 4))
-    # each row kind's entries in column order (site_index puts (k, y) at k^2 + y + k)
-    inner = inside & (abs(y) < k)
-    for rows, entries in (
-            (k == 0, [(1, apex_rate), (2, apex_rate), (3, apex_rate)]),
-            (inside & (y == k), [(s - 1, down), (s + 2 * k + 2, c), (s + 2 * k + 3, c)]),
-            (inside & (y == -k), [(s + 1, up), (s + 2 * k + 1, c), (s + 2 * k + 2, c)]),
-            (inner, [(s - 2 * k, d), (s - 1, down), (s + 1, up), (s + 2 * k + 2, c)])):
-        for slot, (col, val) in enumerate(entries):
-            cols[rows, slot] = np.broadcast_to(col, k.shape)[rows]
-            vals[rows, slot] = np.broadcast_to(val, k.shape)[rows]
-    # exit rates summed as the rows are listed: up, down, forward, back
-    exit_rates = np.where(inner, ((up + down) + c) + d,
-                          (vals[:, 0] + vals[:, 1]) + vals[:, 2])
-    return RateMatrix(_slot_arrays(cols, vals), exit_rates=exit_rates, layers=k, y=y)
+    # patterns by row kind in column order, as in wedge_kernel
+    r = apex_rate
+    patterns = [[],                                                # absorbed
+                [(1, 0, r), (2, 0, r), (3, 0, r)],                 # apex
+                [(-1, 0, down), (2, 2, c), (3, 2, c)],             # y = k
+                [(1, 0, up), (1, 2, c), (2, 2, c)],                # y = -k
+                [(0, -2, d), (-1, 0, down), (1, 0, up), (2, 2, c)]]  # inner
+    kind = np.select([k == grid.layers, k == 0, y == k, y == -k], [0, 1, 2, 3], 4)
+    # exit rates summed as listed: up, down, forward, back
+    exit_rates = np.select([kind == 4, kind == 2, kind == 3, kind == 1],
+                           [((up + down) + c) + d, (down + c) + c, (up + c) + c, (r + r) + r])
+    return RateMatrix(_pattern_arrays(patterns, kind, k, FLOAT), exit_rates=exit_rates,
+                      layers=k, y=y)
 
 
 def projected_vase_rates(grid: VaseGrid, apex_rate: float = 1.0 / 6.0) -> RateMatrix:
     """Projected birth-death rates on the abscissas x_0..x_K, top absorbing."""
     c, d = _vase_layer_rates(grid, apex_rate)
     k = np.arange(grid.layers + 1)
-    cols = np.where((0 < k) & (k < grid.layers), [k - 1, k + 1], -1).T
-    vals = np.array([(2 * k - 1) / (2 * k + 1) * d, (2 * k + 3) / (2 * k + 1) * c]).T
-    cols[0], vals[0] = (1, -1), (3.0 * apex_rate, 0.0)
-    return RateMatrix(_slot_arrays(cols, vals), exit_rates=vals[:, 0] + vals[:, 1],
-                      layers=k.astype(np.int32))
+    up, down = (2 * k + 3) / (2 * k + 1) * c, (2 * k - 1) / (2 * k + 1) * d
+    up[0], down[0] = 3.0 * apex_rate, 0.0
+    kind = np.select([k == grid.layers, k == 0], [0, 1], 2)
+    return RateMatrix(_pattern_arrays([[], [(1, 0, up)], [(-1, 0, down), (1, 0, up)]],
+                                      kind, k, FLOAT),
+                      exit_rates=down + up, layers=k.astype(np.int32))

@@ -38,12 +38,10 @@ class Side(enum.IntEnum):
 
 @dataclass
 class EmpiricalDistribution:
-    """Counts over labelled bins with full seed provenance."""
+    """Counts over bins."""
 
-    labels: np.ndarray
     counts: np.ndarray
     total: int
-    seed: int
 
     def __post_init__(self):
         if int(self.counts.sum()) != self.total:
@@ -58,7 +56,6 @@ class PathAggregate:
     layers: Optional[np.ndarray]
     y: Optional[np.ndarray]
     n_paths: int
-    seed: int
     exit_side: np.ndarray        # (n_states, 3): columns Side.{UNDEFINED,UPPER,LOWER}
     initial: np.ndarray          # (n_states,)
     steps_hist: np.ndarray       # (64,) counts by bit-length of the step count
@@ -69,13 +66,12 @@ class PathAggregate:
         return self.exit_side.sum(axis=1)
 
     def exit_distribution(self, layer: int) -> EmpiricalDistribution:
-        """Exit counts at the states of ``layer``, labelled by state index."""
+        """Exit counts at the states of ``layer``, in state order."""
         if self.layers is None:
             raise ParameterError("exit distribution requested but kernel has no layer map")
         sel = np.flatnonzero(self.layers == layer)
         counts = self.exit_counts()[sel]
-        return EmpiricalDistribution(labels=sel, counts=counts, total=int(counts.sum()),
-                                     seed=self.seed)
+        return EmpiricalDistribution(counts=counts, total=int(counts.sum()))
 
 
 def padded_kernel(kernel: StochasticKernel, side: np.ndarray, stop: np.ndarray):
@@ -207,12 +203,6 @@ def _start_distribution(kernel: StochasticKernel, start):
         if p.size != kernel.n_states or not (abs(p.sum() - 1.0) <= 1e-9 and p.min() >= 0):
             raise ParameterError("start distribution invalid")
         return None, np.cumsum(p)
-    if isinstance(start, tuple) and len(start) == 2 and start[0] == "fiber":
-        k = int(start[1])
-        lo, hi = _state(kernel, (k, -k)), _state(kernel, (k, k)) + 1
-        p = np.zeros(kernel.n_states)
-        p[lo:hi] = 1.0 / (2 * k + 1)
-        return None, np.cumsum(p)
     if start == "apex":
         # the apex (0, 0) of a planar chain and state 0 of a radial one
         if kernel.layers is None or kernel.layers[0] != 0:
@@ -229,6 +219,24 @@ def _resolve_stop(kernel: StochasticKernel, stop) -> np.ndarray:
     if kernel.layers is None:
         raise ParameterError("layer stop requested but kernel has no layer map")
     return kernel.layers >= int(stop)
+
+
+def _check_stops_reached(kernel: StochasticKernel, stop, start_idx, start_cdf):
+    """Raises ``ParameterError`` naming a state that a walk can visit but
+    that reaches no ``stop`` state by positive entries: a stored zero, such
+    as an underflowed entry, is no move."""
+    indptr, indices, data = _float_arrays(kernel)
+    n = kernel.n_states
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    keep = (data > 0) & ~stop[row]             # the moves of a walk not yet stopped
+    row, col = row[keep], indices[keep]
+    start = np.zeros(n, dtype=bool)
+    start[start_idx if start_cdf is None else np.diff(start_cdf, prepend=0.0) > 0] = True
+    visited = _green._reach(np.append(0, np.cumsum(np.bincount(row, minlength=n))), col, start)
+    stuck = visited & ~_green._reach_back(row, col, stop)
+    if stuck.any():
+        raise ParameterError(f"state {np.argmax(stuck)} can be visited but reaches no "
+                             "stop state: the walks would never stop")
 
 
 SAMPLER = "sfc64-x2"   # the generator, two steps a word; named in every sampler record
@@ -306,11 +314,11 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
 
     ``stop`` is an absorbing layer index, an explicit boolean mask, or None
     for the kernel's absorbing rows.  ``start`` is a site tuple, a state
-    index, "apex", ("fiber", k) for a uniform fiber draw, or a distribution
-    over states.  If paths are still active after ``step_cap`` steps, every
-    block is still walked to the cap, then ``SimulationTimeout`` is raised
-    with the absorbed paths' aggregate as ``partial`` and the number of
-    active paths as ``active``.
+    index, "apex", or an ndarray law over states.  A run in which some walk
+    could never stop raises ``ParameterError``.  If paths are still active
+    after ``step_cap`` steps, every block is still walked to the cap, then
+    ``SimulationTimeout`` is raised with the absorbed paths' aggregate as
+    ``partial`` and the number of active paths as ``active``.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
@@ -321,11 +329,10 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
     if block_size < 1 or step_cap < 0:
         raise ParameterError("block_size must be >= 1 and step_cap >= 0")
     stopm = _resolve_stop(kernel, stop)
-    if not stopm.any():
-        raise ParameterError("no stop states")
+    start_idx, start_cdf = _start_distribution(kernel, start)
+    _check_stops_reached(kernel, stopm, start_idx, start_cdf)
     side = _side_array(kernel)
     tables = padded_kernel(kernel, side, stopm)
-    start_idx, start_cdf = _start_distribution(kernel, start)
 
     blocks = [(*tables, side, start_idx, start_cdf,
                min(block_size, n_paths - lo), seed, b, step_cap)
@@ -339,7 +346,7 @@ def run_paths(kernel: StochasticKernel, start, stop=None,
         results = [_run_block(a) for a in blocks]
 
     S = kernel.n_states
-    agg = PathAggregate(layers=kernel.layers, y=kernel.y, n_paths=0, seed=seed,
+    agg = PathAggregate(layers=kernel.layers, y=kernel.y, n_paths=0,
                         exit_side=np.zeros((S, 3), dtype=np.int64),
                         initial=np.zeros(S, dtype=np.int64),
                         steps_hist=np.zeros(64, dtype=np.int64),
@@ -413,8 +420,6 @@ class CurveBin:
 class SideCurve:
     bins: list
     undefined_fraction: float
-    stop_layer: int
-    n_bins: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -459,8 +464,7 @@ def last_side_curve(aggregate: PathAggregate, stop_layer: int,
         out.append(CurveBin(j / bins, (j + 1) / bins, n, float(p), se,
                             float(s_weight[j] / n)))
     total = int(aggregate.exit_side.sum())
-    return SideCurve(bins=out, undefined_fraction=undef / max(total, 1),
-                     stop_layer=M, n_bins=bins)
+    return SideCurve(bins=out, undefined_fraction=undef / max(total, 1))
 
 
 def discrete_hit_prob(one_dim_chain: StochasticKernel, start: int,

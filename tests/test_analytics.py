@@ -214,7 +214,7 @@ def test_chi_square_exact_uniform():
 def test_chi_square_merging():
     # expected count 2 per bin forces adjacent merging
     counts = np.array([2, 1, 3, 2, 2, 2, 1, 3, 2, 2])
-    out = chi_square(counts, min_expected=5.0)
+    out = chi_square(counts)
     assert out["bins"] < 10
     assert out["merged_from"] == 10
 

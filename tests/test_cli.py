@@ -417,6 +417,18 @@ def test_vase_rate_check_fits_at_256_layers(tmp_path):
     assert _vase_check_peak_mb(tmp_path, 256) < 130
 
 
+def test_a_run_whose_walks_never_stop_exits_2_at_once(tmp_path):
+    # at alpha = 1e-300 sin^2 underflows, no walk leaves layer 1, and a run
+    # to the 10^8-step cap would take minutes
+    out = subprocess.run(
+        [sys.executable, "-m", "wedgewalk", "simulate-wedge", "--alpha", "1e-300",
+         "--stop-layer", "3", "--paths", "10", "--output", str(tmp_path / "record.json")],
+        capture_output=True, text=True, env=child_env(), timeout=5)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr, out.stderr
+    assert not (tmp_path / "record.json").exists()
+
+
 def test_a_run_too_large_for_memory_exits_2(tmp_path):
     # 9 million sites: the float kernel's arrays alone need more than the
     # 1.5 GB of address space the child gets, so the run ends with an error

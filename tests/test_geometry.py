@@ -133,7 +133,7 @@ def test_bisect_increasing():
 
 def test_bisect_stops_where_no_float_lies_between():
     # adjacent floats near 1e7 lie 1.9e-9 apart, wider than the tolerance
-    assert bisect_increasing(lambda x: x, 1e7 + 1e-9, tol=1e-12) == pytest.approx(
+    assert bisect_increasing(lambda x: x, 1e7 + 1e-9) == pytest.approx(
         1e7, abs=4e-9)
 
 

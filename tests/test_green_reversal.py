@@ -567,6 +567,7 @@ def test_lift_is_refused_when_absorption_is_unreachable(monkeypatch):
         green_vector(P, (0, 0))
     with pytest.raises(SolverError, match="singular"):
         green_vector(_float_kernel(P), (0, 0))
-    monkeypatch.setattr(green_reversal, "_reaches_absorption", lambda *a: True)
+    monkeypatch.setattr(green_reversal, "_reach_back",
+                        lambda rows, cols, seed: np.ones(seed.size, dtype=bool))
     mask = P.absorbing_mask()
     assert _lifted_green(P, mask, [0, 1, 2, 3], 0) == [3, 2, 2, 2]

@@ -60,8 +60,6 @@ def test_apex_row_and_absorption():
     assert row[lat.index(1, 0)] == r and row[lat.index(1, 1)] == r
     assert row[lat.index(0, 0)] == 1 - 3 * r
     assert P.absorbing_mask()[lat.index(4, 1)]
-    with pytest.raises(ParameterError):
-        wedge_kernel(lat, spec, absorb_at=5)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.61, 1.1, 1.4])
@@ -257,7 +255,7 @@ def test_float_validation_keeps_its_tolerance():
         kernel_from_rows([{0: math.nan, 1: 0.5}, {1: 1.0}], "float")
 
 
-def _reference_wedge_rows(lattice, spec, M, mode):
+def _reference_wedge_rows(lattice, spec, mode):
     """The wedge kernel's dict rows, one site at a time: the independent
     side of the check on ``wedge_kernel``'s arrays."""
     if mode == "rational":
@@ -269,7 +267,7 @@ def _reference_wedge_rows(lattice, spec, M, mode):
     idx = lattice.index
     rows = []
     for (k, y) in layer_sites(lattice.spec.layers):
-        if k >= M:
+        if k == spec.layers:
             rows.append({idx(k, y): one})
         elif k == 0:
             row = {idx(1, -1): r, idx(1, 0): r, idx(1, 1): r}
@@ -319,19 +317,17 @@ def assert_same_arrays(got, want, mode):
         assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
 
 
-def _check_builders(alpha, N, mode, absorb_at=None, apex_hold=None):
+def _check_builders(alpha, N, mode, apex_hold=None):
     spec = WedgeSpec(alpha=alpha, layers=N, apex_hold=apex_hold)
     lat = build_wedge_lattice(spec)
-    M = N if absorb_at is None else absorb_at
-    P = wedge_kernel(lat, spec, absorb_at=absorb_at, mode=mode)
-    want = _reference_wedge_rows(lat, spec, M, mode)
+    P = wedge_kernel(lat, spec, mode=mode)
+    want = _reference_wedge_rows(lat, spec, mode)
     assert_same_arrays(P.arrays, row_arrays(want, exact=mode == "rational"), mode)
     assert P.rows == want
-    if absorb_at is None:
-        Q = projected_wedge_chain(N, alpha, apex_hold=apex_hold, mode=mode)
-        want = _reference_radial_rows(spec, mode)
-        assert_same_arrays(Q.arrays, row_arrays(want, exact=mode == "rational"), mode)
-        assert Q.rows == want
+    Q = projected_wedge_chain(N, alpha, apex_hold=apex_hold, mode=mode)
+    want = _reference_radial_rows(spec, mode)
+    assert_same_arrays(Q.arrays, row_arrays(want, exact=mode == "rational"), mode)
+    assert Q.rows == want
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -339,16 +335,15 @@ def _check_builders(alpha, N, mode, absorb_at=None, apex_hold=None):
 def test_builders_match_the_dict_row_reference(alpha, mode):
     for N in (2, 5, 8, 20):
         _check_builders(alpha, N, mode)
-    _check_builders(alpha, 8, mode, absorb_at=5)
     hold = F(1, 5) if mode == "rational" else 0.2         # apex holds 2/5
     _check_builders(alpha, 8, mode, apex_hold=hold)
-    _check_builders(alpha, 8, mode, absorb_at=2, apex_hold=hold)
+    _check_builders(alpha, 2, mode, apex_hold=hold)
 
 
 def test_builders_match_the_dict_row_reference_off_the_special_angles():
     for N in (2, 5, 8, 20):
         _check_builders(0.9, N, "float")
-    _check_builders(0.9, 8, "float", absorb_at=3, apex_hold=0.1)
+    _check_builders(0.9, 3, "float", apex_hold=0.1)
 
 
 def test_dict_rows_are_built_on_first_access():

@@ -45,6 +45,11 @@ def wedge(alpha, m, mode="float"):
     return lat, wedge_kernel(lat, spec, mode=mode)
 
 
+def fiber_law(kernel, k):
+    """The uniform law on the 2k+1 sites of layer k."""
+    return (kernel.layers == k) / (2 * k + 1)
+
+
 def test_worker_layout_invariance():
     lat, P = wedge(math.pi / 6, 10)
     a1 = run_paths(P, "apex", stop=10, n_paths=12000, seed=5, workers=1,
@@ -91,7 +96,7 @@ def test_block_size_changes_stream_but_not_contract():
 
 def test_start_on_stop_layer_exits_immediately():
     lat, P = wedge(math.pi / 4, 6)
-    agg = run_paths(P, ("fiber", 6), stop=6, n_paths=4000, seed=3)
+    agg = run_paths(P, fiber_law(P, 6), stop=6, n_paths=4000, seed=3)
     assert agg.steps_sum == 0 and agg.steps_max == 0
     # exit counts coincide with the initial fiber draw
     assert np.array_equal(agg.exit_counts(), agg.initial)
@@ -121,13 +126,39 @@ def test_exit_symmetry():
 def test_a_start_outside_the_kernel_is_a_parameter_error():
     lat, P = wedge(math.pi / 6, 4)
     Q = projected_wedge_chain(4, math.pi / 6, mode="float")
-    for kernel, start in ((P, (5, 0)), (P, (2, 3)), (P, (-1, 0)), (P, ("fiber", 5)),
-                          (P, ("fiber", -1)), (P, 25), (P, -1), (Q, ("fiber", 2)),
+    for kernel, start in ((P, (5, 0)), (P, (2, 3)), (P, (-1, 0)), (P, 25), (P, -1),
                           (Q, (1, 0))):
         with pytest.raises(ParameterError):
             simulation._start_distribution(kernel, start)
     with pytest.raises(ParameterError):
         run_paths(P, (5, 0), stop=4, n_paths=10)
+
+
+def test_walks_that_can_never_stop_are_refused():
+    # sin^2 underflows to 0: the horizontal entries are stored zeros, so no
+    # walk leaves layer 1, and without the check each would run to the cap
+    # (a small one here, so that a run that is not refused times out fast)
+    lat, P = wedge(1e-300, 3)
+    with pytest.raises(ParameterError, match="never stop"):
+        run_paths(P, "apex", stop=3, n_paths=10, step_cap=10 ** 4)
+    # states 2 and 3 form a closed class with no stop state, met from 0
+    K = kernel_from_rows([{1: 0.5, 2: 0.5}, {4: 1.0}, {3: 1.0}, {2: 1.0}, {4: 1.0}],
+                         "float")
+    with pytest.raises(ParameterError, match="state 2"):
+        run_paths(K, 0, n_paths=10, step_cap=10 ** 4)
+    assert run_paths(K, 1, n_paths=10).n_paths == 10     # from 1 it is never met
+    with pytest.raises(ParameterError):     # no stop state at all
+        run_paths(K, 0, stop=np.zeros(5, dtype=bool), n_paths=10, step_cap=10 ** 4)
+
+
+def test_a_state_that_no_walk_visits_need_not_reach_a_stop():
+    # the reversed walk stopped at layer 4: its kill state cannot reach
+    # layer 4, but every walk meets layer 4 before it
+    lat, P = wedge(math.pi / 6, 8)
+    rev = nagasawa_reverse(P, green_vector(P, (0, 0)))
+    mid = rev.kernel.layers == 4
+    agg = run_paths(rev.kernel, rev.initial_law, stop=mid, n_paths=2000, seed=5)
+    assert agg.exit_counts()[mid].sum() == 2000
 
 
 def test_last_side_curve_symmetry():
@@ -404,7 +435,7 @@ def test_empirical_distribution_validation():
     from wedgewalk import EmpiricalDistribution
 
     with pytest.raises(ParameterError):
-        EmpiricalDistribution(labels=[1, 2], counts=np.array([3, 4]), total=8, seed=0)
+        EmpiricalDistribution(counts=np.array([3, 4]), total=8)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +626,7 @@ def test_sampler_matches_compare_and_sum_on_the_reversed_chain():
 
 def test_sampler_matches_compare_and_sum_from_a_fiber():
     lat, P = wedge(math.pi / 4, 8)
-    _assert_same_as_reference(P, ("fiber", 3), 8, 3000, 9, 1024)
+    _assert_same_as_reference(P, fiber_law(P, 3), 8, 3000, 9, 1024)
 
 
 def _ragged_kernel():
