@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice
-from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel,
-                      _CSROperator, _csr, _entry_values, _float_arrays)
+from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel, _CSROperator,
+                      _csr, _entry_values, _float_arrays, _rows, _sum)
 
 _INT64_MAX = 2 ** 63 - 1
 _BLOCK = 16     # link rows evolved together; a few (K+1)^2 x _BLOCK arrays
@@ -77,43 +77,51 @@ def _int64_dens(name: str, dens: list) -> list:
     return dens
 
 
-def _exact(name: str, arrays, n_cols: int):
-    """Exact CSR arrays of a checked operator as an exact matrix ``(name,
-    num, den)``: int64 CSR numerators over one Python-int denominator per
-    row."""
+def _matmul(A, B):
+    """CSR arrays of A @ B: each entry of A meets the entries of B's row at
+    its column, and each sum runs over A's columns in ascending order."""
+    (ap, aj, av), (bp, bj, bv) = A, B
+    count = np.diff(bp)[aj]
+    e = np.repeat(np.arange(aj.size), count)
+    f = np.arange(e.size) - np.repeat(np.cumsum(count) - count - bp[aj], count)
+    return _sum((np.append(0, np.cumsum(count))[ap], bj[f], av[e] * bv[f]))
+
+
+def _exact(name: str, arrays):
+    """A checked operator's exact CSR arrays as ``(name, arrays, den)``: int64
+    numerators over one Python-int denominator per row."""
     indptr, indices, (nums, den) = arrays
     _int64_dens(name, den)
-    return name, _csr((indptr, indices, np.array(nums, dtype=np.int64)), n_cols), den
+    return name, (indptr, indices, np.array(nums, dtype=np.int64)), den
 
 
 def _exact_matmul(A, B):
     """Exact A @ B as one int64 product.  B's row denominators move into
     A's rows: row k goes over den_A(k) times the lcm of the den_B(j) it
     meets."""
-    (a_name, NA, a_den), (b_name, NB, b_den) = A, B
+    (a_name, (indptr, indices, nums), a_den), (b_name, NB, b_den) = A, B
     name = f"{a_name}.{b_name}"
-    bounds, cols = NA.indptr.tolist(), NA.indices.tolist()
+    bounds, cols = indptr.tolist(), indices.tolist()
     scale, den = [], []
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         m = math.lcm(*[b_den[j] for j in cols[lo:hi]])
         scale += [m // b_den[j] for j in cols[lo:hi]]
         den.append(a_den[k] * m)
     _int64_dens(name, den)
-    NA = _csr((NA.indptr, NA.indices, NA.data * np.array(scale, dtype=np.int64)), NA.shape[1])
-    return name, NA @ NB, den
+    return name, _matmul((indptr, indices, nums * np.array(scale, dtype=np.int64)), NB), den
 
 
 def _exact_maxdiff(A, B) -> Fraction:
     """Exact max-abs entry of A - B: each pair of rows is cross-multiplied
     to the lcm of their denominators and subtracted in int64."""
-    import scipy.sparse as sp
-
     (a_name, NA, a_den), (b_name, NB, b_den) = A, B
     D = _int64_dens(f"{a_name} - {b_name}", list(map(math.lcm, a_den, b_den)))
-    R = (sp.diags([d // a for d, a in zip(D, a_den)], dtype=np.int64) @ NA
-         - sp.diags([d // b for d, b in zip(D, b_den)], dtype=np.int64) @ NB)
-    absmax = abs(R).max(axis=1).toarray().ravel().tolist()
-    return max((Fraction(r, d) for r, d in zip(absmax, D) if r), default=Fraction(0))
+    scaled = lambda M, den, sign: M[:2] + (M[2] * np.array(
+        [sign * (d // a) for d, a in zip(D, den)], dtype=np.int64)[_rows(M[0])],)
+    indptr, _, R = _sum(scaled(NA, a_den, 1), scaled(NB, b_den, -1))
+    absmax = np.zeros(len(D), dtype=np.int64)
+    np.maximum.at(absmax, _rows(indptr), np.abs(R))
+    return max((Fraction(r, d) for r, d in zip(absmax.tolist(), D) if r), default=Fraction(0))
 
 
 def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
@@ -129,33 +137,27 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
     if not 0 <= tolerance < math.inf:
         raise ParameterError("tolerance must be non-negative and finite")
     if mode == "stochastic":
-        if not isinstance(two_dim_op, StochasticKernel) or \
-           not isinstance(one_dim_op, StochasticKernel):
-            raise ShapeError("stochastic mode expects StochasticKernel operands")
-        if link.n_target != two_dim_op.n_states or link.n_source != one_dim_op.n_states:
-            raise ShapeError(
-                f"link {link.n_source}x{link.n_target} does not match operators "
-                f"{one_dim_op.n_states} / {two_dim_op.n_states}")
-        if two_dim_op.mode == one_dim_op.mode == RATIONAL:       # the link is rational
-            L = _exact("link", link.arrays, link.n_target)
-            P = _exact("P", two_dim_op.arrays, two_dim_op.n_states)
-            Q = _exact("Q", one_dim_op.arrays, one_dim_op.n_states)
-            d = _exact_maxdiff(_exact_matmul(L, P), _exact_matmul(Q, L))
-            return ResidualReport(identity="link.P = Q.link", mode=RATIONAL,
-                                  size=two_dim_op.n_states, residual=float(d),
-                                  passed=(d == 0), exact_zero=(d == 0))
-        identity = "link.P = Q.link"
+        kind, identity, arrays = StochasticKernel, "link.P = Q.link", _float_arrays
     elif mode == "rates":
-        if not isinstance(two_dim_op, RateMatrix) or not isinstance(one_dim_op, RateMatrix):
-            raise ShapeError("rates mode expects RateMatrix operands")
-        if link.n_target != two_dim_op.n_states or link.n_source != one_dim_op.n_states:
-            raise ShapeError("link shape does not match rate matrices")
-        identity = "link.Q = Qproj.link"
+        kind, identity, arrays = RateMatrix, "link.Q = Qproj.link", RateMatrix.generator
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    L = link.to_csr()
-    R = L @ two_dim_op.to_csr() - one_dim_op.to_csr() @ L
-    resid = float(abs(R).max())
+    if not isinstance(two_dim_op, kind) or not isinstance(one_dim_op, kind):
+        raise ShapeError(f"{mode} mode expects {kind.__name__} operands")
+    if link.n_target != two_dim_op.n_states or link.n_source != one_dim_op.n_states:
+        raise ShapeError(f"link {link.n_source}x{link.n_target} does not match operators "
+                         f"{one_dim_op.n_states} / {two_dim_op.n_states}")
+    if two_dim_op.mode == one_dim_op.mode == RATIONAL:      # the link always is
+        L = _exact("link", link.arrays)
+        P, Q = _exact("P", two_dim_op.arrays), _exact("Q", one_dim_op.arrays)
+        d = _exact_maxdiff(_exact_matmul(L, P), _exact_matmul(Q, L))
+        return ResidualReport(identity=identity, mode=RATIONAL,
+                              size=two_dim_op.n_states, residual=float(d),
+                              passed=(d == 0), exact_zero=(d == 0))
+    indptr, indices, data = _float_arrays(link)             # link.P + Q.(-link)
+    R = _sum(_matmul((indptr, indices, data), arrays(two_dim_op)),
+             _matmul(arrays(one_dim_op), (indptr, indices, -data)))[2]
+    resid = float(np.abs(R).max(initial=0.0))
     return ResidualReport(identity=identity, mode=FLOAT,
                           size=two_dim_op.n_states, residual=resid,
                           passed=resid <= tolerance)

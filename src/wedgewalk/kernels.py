@@ -116,17 +116,31 @@ def _entry_values(op) -> list:
     return list(map(Fraction, values[0], dens))
 
 
-def _csr(arrays, n_cols: int, diagonal=None):
-    """CSR matrix of CSR arrays (float, or int64 numerators); ``diagonal``
-    (one value per row) is added on the diagonal."""
+def _rows(indptr):
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _sum(*terms):
+    """CSR arrays of the sum of the CSR arrays ``terms``, all with the same
+    rows.  The entries at one place are summed in the order given: exactly in
+    int64, and in float in the order of scipy's sparse product (not pairwise,
+    as ``np.add.reduceat`` sums)."""
+    row, col, vals = map(np.concatenate, zip(*[(_rows(p), j, v) for p, j, v in terms]))
+    width = int(col.max(initial=0)) + 1
+    order = np.argsort(row * width + col, kind="stable")     # sorted runs merge in linear time
+    key = (row * width + col)[order]
+    new = np.diff(key, prepend=-1) != 0
+    data = np.zeros(np.count_nonzero(new), dtype=vals.dtype)
+    np.add.at(data, np.cumsum(new) - 1, vals[order])
+    return np.searchsorted(key[new], np.arange(len(terms[0][0])) * width), key[new] % width, data
+
+
+def _csr(arrays, n_cols: int):
+    """scipy CSR matrix of float CSR arrays."""
     import scipy.sparse as sp
 
     indptr, indices, data = arrays
-    A = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols))
-    if diagonal is not None:
-        A = A + sp.diags(np.asarray(diagonal, dtype=float), format="csr")
-        A.sort_indices()
-    return A
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols))
 
 
 def _check_rates(arrays, mode=FLOAT, what: str = "row"):
@@ -206,10 +220,19 @@ class RateMatrix(_CSROperator):
         self.layers, self.y = layers, y
         self.arrays = self.check(arrays, self.mode, self.what)
         self.exit_rates = np.asarray(exit_rates, dtype=float)
+        if self.exit_rates.shape != (self.n_states,):
+            raise ParameterError(f"{self.n_states} states need one exit rate each, "
+                                 f"not an array of shape {self.exit_rates.shape}")
+
+    def generator(self):
+        """CSR arrays of the full generator, the diagonal ``-exit_rates``
+        included."""
+        n = self.n_states
+        return _sum(self.arrays, (np.arange(n + 1), np.arange(n), -self.exit_rates))
 
     def to_csr(self):
-        """The full generator, diagonal included."""
-        return _csr(self.arrays, self.n_states, diagonal=-self.exit_rates)
+        """The full generator as a scipy matrix."""
+        return _csr(self.generator(), self.n_states)
 
     def jump_chain(self) -> StochasticKernel:
         """Embedded discrete chain: each row's rates over its exit rate;

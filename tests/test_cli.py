@@ -144,6 +144,32 @@ def test_vase_generator_command(capsys):
     assert all(0.3 <= r <= 0.7 for r in out["results"]["ratios"])
 
 
+@pytest.mark.parametrize("argv, code", [
+    # on a cone the first-order term fades with x: ratio 0.252, second order
+    (["--shape", "linear:1", "--x", "300", "--resolutions", "64", "128"], 0),
+    # ratios 37.6 and 0.535: the residual grows from 64 to 128
+    (["--shape", "power:1.5", "--x", "0.7", "--resolutions", "64", "128", "256"], 1),
+], ids=["linear:1 x=300", "power:1.5 x=0.7"])
+def test_vase_generator_passes_convergence_of_first_order_or_faster(argv, code, capsys):
+    assert run_cli(["vase-generator"] + argv) == code
+    out = json.loads(capsys.readouterr().out)
+    assert set(out["results"]) == {"residuals", "ratios"}
+    assert out["pass"] is (code == 0)
+
+
+def test_vase_generator_ratio_bound_is_0_7(monkeypatch, capsys):
+    from wedgewalk import analytics
+
+    for residuals, code in (([1.0, 0.7, 1e-300], 0), ([1.0, 0.7000001], 1),
+                            ([1.0, 0.5, 0.5], 1)):
+        by_n = dict(zip((16, 32, 64), residuals))
+        monkeypatch.setattr(analytics, "generator_residual",
+                            lambda shape, f, fp, fpp, x, n: by_n[n])
+        argv = ["vase-generator", "--resolutions"] + [str(n) for n in by_n]
+        assert run_cli(argv) == code
+        assert json.loads(capsys.readouterr().out)["pass"] is (code == 0)
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -499,13 +525,19 @@ def test_green_and_reverse_load_no_scipy_sparse(argv, tmp_path):
 
 def test_sampler_curve_and_radial_subcommands_load_no_scipy(tmp_path):
     # the incomplete beta, its inverse and the chi-square tail are closed
-    # forms on math alone; of the subcommands only verify-intertwining
-    # (scipy.sparse) and strip-check (the Kolmogorov law) load scipy
+    # forms on math alone, and the intertwining residual multiplies the
+    # operators' CSR arrays with numpy; only the vase rate check (--shape,
+    # its semigroup check), strip-check (the Kolmogorov law), table: shapes
+    # and the fallback solves load scipy
     record = str(tmp_path / "record.json")
     argvs = [["simulate-wedge", "--paths", "2000"], ["simulate-vase", "--paths", "2000"],
              ["watts", "--grid", "3"], ["green"], ["reverse"],
              ["reverse", "--mode", "rational"], ["bessel-check"],
              ["bessel-check", "--beta", "1.5"], ["vase-generator"]]
+    argvs += [["verify-intertwining", "--alpha", alpha, "--mode", "rational", "--layers", "30"]
+              for alpha in ("pi/6", "pi/4", "pi/3")]
+    argvs += [["verify-intertwining", "--mode", "float", "--layers", "30"],
+              ["verify-intertwining", "--alpha", "0.9", "--layers", "30"]]
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys; from wedgewalk.cli import main\n"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wedgewalk import (
     ParameterError,
@@ -71,8 +71,8 @@ def test_wedge_identity_powers():
     from wedgewalk.intertwining import _exact, _exact_matmul, _exact_maxdiff
 
     lat, P, Q, link = wedge_ops(math.pi / 4, 8)
-    Pr, Qr = _exact("P", P.arrays, P.n_states), _exact("Q", Q.arrays, Q.n_states)
-    LP = QL = _exact("link", link.arrays, link.n_target)
+    Pr, Qr = _exact("P", P.arrays), _exact("Q", Q.arrays)
+    LP = QL = _exact("link", link.arrays)
     for n in range(1, 4):
         LP = _exact_matmul(LP, Pr)
         QL = _exact_matmul(Qr, QL)
@@ -92,9 +92,9 @@ def test_perturbed_kernel_residual_is_the_exact_fraction():
     row[lat.index(2, 1)] -= eps
     row[lat.index(2, -1)] += eps
     Pe = kernel_from_rows(rows, P.mode)
-    L = _exact("link", link.arrays, link.n_target)
-    d = _exact_maxdiff(_exact_matmul(L, _exact("P", Pe.arrays, Pe.n_states)),
-                       _exact_matmul(_exact("Q", Q.arrays, Q.n_states), L))
+    L = _exact("link", link.arrays)
+    d = _exact_maxdiff(_exact_matmul(L, _exact("P", Pe.arrays)),
+                       _exact_matmul(_exact("Q", Q.arrays), L))
     assert d == F(1, 5000000)
     rep = intertwining_residual(link, Pe, Q, mode="stochastic")
     assert rep.residual == float(F(1, 5000000))
@@ -180,6 +180,73 @@ def test_exact_residual_matches_fractions_or_refuses_only_beyond_int64(triple):
         return
     assert max(used) <= 2 ** 63 - 1
     assert rep.residual == float(want) and rep.exact_zero == (want == 0)
+
+
+@st.composite
+def _csr_operands(draw):
+    """Two CSR operands A (m x n) and B (n x w) and a third C of A's shape,
+    int64 or float, as the operators keep them: columns ascending in each
+    row.  Rows may be empty, so may a whole operand, and the column count w
+    may exceed every stored index."""
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    values = (st.integers(-2 ** 20, 2 ** 20) if dtype is np.int64 else
+              st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+    def operand(n_rows, n_cols, max_col):
+        cols = [sorted(draw(st.sets(st.integers(0, max_col), max_size=max_col + 1)))
+                for _ in range(n_rows)]
+        data = draw(st.lists(values, min_size=sum(map(len, cols)),
+                             max_size=sum(map(len, cols))))
+        return (np.array([0] + [len(c) for c in cols], dtype=np.int64).cumsum(),
+                np.array([j for c in cols for j in c], dtype=np.int64),
+                np.array(data, dtype=dtype)), n_cols
+
+    m, n, w = draw(st.integers(0, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    used = draw(st.integers(0, w - 1))
+    return operand(m, n, n - 1), operand(n, w, used), operand(m, w, used)
+
+
+def _dense(arrays, n_cols):
+    import scipy.sparse as sp
+
+    indptr, indices, data = arrays
+    assert indptr[0] == 0 and indptr[-1] == indices.size == data.size
+    for lo, hi in zip(indptr[:-1], indptr[1:]):         # coalesced: columns ascend
+        assert np.all(np.diff(indices[lo:hi]) > 0)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols)).toarray()
+
+
+def _negated(arrays):
+    return arrays[0], arrays[1], -arrays[2]
+
+
+def _arrays(indptr, indices, data):
+    return np.array(indptr), np.array(indices, dtype=np.int64), np.array(data, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csr_operands())
+# A without entries; B with an empty row and columns past its one index
+@example(((_arrays([0, 0, 0], [], []), 2), (_arrays([0, 1, 1], [1], [2.5]), 4),
+          (_arrays([0, 0, 0], [], []), 4)))
+@example(((_arrays([0, 2, 2], [0, 1], [0.1, 0.7]), 2), (_arrays([0, 1, 1], [0], [1.0]), 9),
+          (_arrays([0, 1, 1], [8], [-3.0]), 9)))
+def test_numpy_csr_product_and_difference_are_scipys(operands):
+    # the residual's numpy helpers give scipy.sparse's product and
+    # difference: equal in int64 and the same bits in float, since each sum
+    # runs in scipy's order
+    import scipy.sparse as sp
+
+    from wedgewalk.intertwining import _matmul
+    from wedgewalk.kernels import _sum
+
+    (A, n), (B, w), (C, _) = operands
+    sA, sB, sC = (sp.csr_matrix((x[2], x[1], x[0]), shape=shape)
+                  for x, shape in ((A, (len(A[0]) - 1, n)), (B, (n, w)), (C, (len(C[0]) - 1, w))))
+    for got, want in ((_matmul(A, B), sA @ sB), (_sum(C, _negated(_matmul(A, B))), sC - sA @ sB),
+                      (_sum(_matmul(A, B), _negated(C)), sA @ sB - sC)):
+        got = _dense(got, w)
+        assert got.dtype == A[2].dtype and np.array_equal(got, want.toarray())
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.7853981, 1.3])
@@ -485,6 +552,9 @@ def test_rate_rows_go_through_one_rate_check():
             RateMatrix(row_arrays(rows), exit_rates=[0.0, 0.0])
     Q = rates_from_rows([{1: 0.25}, {}])
     assert Q.exit_rates.tolist() == [0.25, 0.0] and Q.exit_rates[1] == 0
+    for exits in ([0.25], [0.25, 0.0, 1.0], [[0.25, 0.0]]):
+        with pytest.raises(ParameterError, match="^2 states need one exit rate each"):
+            RateMatrix(Q.arrays, exit_rates=exits)
     assert Q.jump_chain().rows == [{1: 1.0}, {1: 1.0}]
 
 
