@@ -22,10 +22,11 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice
 from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel, _CSROperator,
-                      _csr, _entry_values, _float_arrays, _rows, _sum)
+                      _entry_values, _float_arrays, _rows, _sum)
 
 _INT64_MAX = 2 ** 63 - 1
 _BLOCK = 16     # link rows evolved together; a few (K+1)^2 x _BLOCK arrays
+_ROWS = 2048    # rows per chunk of an ELL product, which bounds its scratch
 
 
 class MarkovLink(_CSROperator):
@@ -36,9 +37,6 @@ class MarkovLink(_CSROperator):
     def __init__(self, n_source, n_target, *, arrays):
         self.n_source, self.n_target = n_source, n_target
         self.arrays = self.check(arrays, self.mode, self.what)
-
-    def to_csr(self):
-        return _csr(_float_arrays(self), self.n_target)
 
 
 def build_link(space) -> MarkovLink:
@@ -163,6 +161,31 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
                           passed=resid <= tolerance)
 
 
+def _ell(arrays, n: int, transpose: bool = False):
+    """ELL table of CSR arrays, or of their transpose: (width, n) arrays of
+    each row's columns, ascending, and values, padded with 0 at column 0."""
+    indptr, cols, vals = arrays
+    rows, cols = (cols, _rows(indptr)) if transpose else (_rows(indptr), cols)
+    order = np.argsort(rows, kind="stable")         # keeps each row's columns ascending
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    C, V = np.zeros((2, slot.max(initial=0) + 1, n))
+    C[slot, rows], V[slot, rows] = cols, vals
+    return C.astype(np.intp), V
+
+
+def _ell_matmul(ell, x, y, lo: int, hi: int):
+    """y[lo:hi] = (D @ x)[lo:hi] for D's ELL table, summed in scipy's order:
+    from slot 0 on, each product rounded before it is added."""
+    (C, V), scratch = ell, np.empty((_ROWS, x.shape[1]))
+    for a in range(lo, hi, _ROWS):
+        rows, tmp = slice(a, min(a + _ROWS, hi)), scratch[:hi - a]
+        out = np.take(x, C[0, rows], axis=0, out=y[rows], mode="clip")
+        out *= V[0, rows, None]
+        for c, v in zip(C[1:, rows], V[1:, rows]):
+            out += np.multiply(np.take(x, c, axis=0, out=tmp, mode="clip"), v[:, None], out=tmp)
+
+
 def semigroup_residual(link: MarkovLink, two_dim_rates: RateMatrix,
                        one_dim_rates: RateMatrix, times: Sequence[float]) -> dict:
     """Check link.exp(tQ) = exp(t Qproj).link by shared-rate uniformization;
@@ -172,45 +195,59 @@ def semigroup_residual(link: MarkovLink, two_dim_rates: RateMatrix,
     powers of D = I + Q/lam, lam above every exit rate of either chain, cut
     where the Poisson mass left drops below 1e-14.  The radial side is a
     (K+1) x (K+1) mixture times the link; the planar side evolves ``_BLOCK``
-    link rows at a time, so memory is linear in the nonzeros.
+    link rows at a time, each power only on the layers it reaches, so memory
+    is linear in the nonzeros.
     """
-    import scipy.sparse as sp
-
     n1, n2 = one_dim_rates.n_states, two_dim_rates.n_states
     lam = 1.01 * max(two_dim_rates.exit_rates.max(initial=0.0),
                      one_dim_rates.exit_rates.max(initial=0.0), 1e-12)
-    D2t = (sp.identity(n2, format="csr") + two_dim_rates.to_csr() / lam).T.tocsr()
-    D1 = sp.identity(n1, format="csr") + one_dim_rates.to_csr() / lam
     weights = {}
     for t in times:                 # Poisson(lam t) weights, at most 500000
         w, total, weights[t] = math.exp(-lam * t), 0.0, []
-        while total < 1.0 - 1e-14 and len(weights[t]) < 500000:
+        while total < 1.0 - 1e-14 and w > 0.0 and len(weights[t]) < 500000:
             weights[t].append(w)
             total += w
             w *= lam * t / len(weights[t])
+        if total < 1.0 - 1e-14:
+            raise ParameterError(f"semigroup check: the Poisson weights at lam*t = "
+                                 f"{lam * t:.6g} do not reach 1 - 1e-14")
 
-    def mix(term, D):               # {t: sum_n w_n(t) D^n term}, and a spare block
-        acc = {t: np.zeros_like(term) for t in weights}
-        spare = np.empty_like(term)
+    def mix(term, D, window):       # {t: sum_n w_n(t) D^n term}
+        acc = dict(zip(weights, np.zeros((len(weights),) + term.shape)))
+        spare = np.zeros_like(term)
         for n in range(max(map(len, weights.values()), default=0)):
-            if n:                   # the spare is freed for the product, and
-                spare = None        # the previous power becomes the spare
-                term, spare = D @ term, term
+            lo, hi = window(n)      # both blocks stay 0 outside the growing window
+            if n:                   # the previous power becomes the spare
+                _ell_matmul(D, term, spare, lo, hi)
+                term, spare = spare, term
             for t, w in weights.items():
                 if n < len(w):
-                    acc[t] += np.multiply(w[n], term, out=spare)
-        return acc, spare
+                    acc[t][lo:hi] += np.multiply(w[n], term[lo:hi], out=spare[lo:hi])
+        return acc
 
-    S1 = mix(np.identity(n1), D1)[0]
-    Lt = link.to_csr().T.tocsr()
+    def uniformized(rates):         # I + Q (1/lam), as scipy forms I + Q / lam
+        indptr, cols, vals = rates.generator()
+        return indptr, cols, vals * (1.0 / lam) + (_rows(indptr) == cols)
+
+    S1 = mix(np.identity(n1), _ell(uniformized(one_dim_rates), n1), lambda n: (0, n1))
+    indptr, sites, v = L = _float_arrays(link)
+    D2t, Lt = _ell(uniformized(two_dim_rates), n2, True), _ell(L, n2, True)
+    layers = np.zeros(n2, np.int32) if two_dim_rates.layers is None else two_dim_rates.layers
+    r = int(np.abs(layers[D2t[0]] - layers)[D2t[1] != 0].max(initial=0))  # D's largest jump
     out = dict.fromkeys(weights, 0.0)
     for lo in range(0, n1, _BLOCK):
-        # (L e^{tQ2})^T and (e^{tQ1} L)^T on the block's link rows
-        planar, spare = mix(Lt[:, lo:lo + _BLOCK].toarray(), D2t)
-        for t in planar:
-            planar[t] -= Lt @ S1[t][lo:lo + _BLOCK].T
-            out[t] = float(np.maximum(out[t], np.abs(planar[t], out=spare).max()))  # NaN stays
-        del planar, spare           # before the next block's blocks exist
+        hi = min(lo + _BLOCK, n1)
+        e = slice(indptr[lo], indptr[hi])
+        a, b = layers[sites[e]].min(), layers[sites[e]].max()
+        term = np.zeros((n2, hi - lo))  # (L e^{tQ2})^T on the block's link rows
+        term[sites[e], _rows(indptr[lo:hi + 1])] = v[e]
+        # after n powers the block is 0 outside the layers a - n r .. b + n r
+        planar = mix(term, D2t, lambda n: np.searchsorted(layers, [a - n * r, b + n * r + 1]))
+        for t in planar:            # minus (e^{tQ1} L)^T, in the spare term
+            _ell_matmul(Lt, S1[t][lo:hi].T, term, 0, n2)
+            np.subtract(planar[t], term, out=term)
+            out[t] = float(np.maximum(out[t], np.abs(term, out=term).max()))  # NaN stays
+        del planar, term            # before the next block's blocks exist
     return out
 
 

@@ -230,10 +230,6 @@ class RateMatrix(_CSROperator):
         n = self.n_states
         return _sum(self.arrays, (np.arange(n + 1), np.arange(n), -self.exit_rates))
 
-    def to_csr(self):
-        """The full generator as a scipy matrix."""
-        return _csr(self.generator(), self.n_states)
-
     def jump_chain(self) -> StochasticKernel:
         """Embedded discrete chain: each row's rates over its exit rate;
         zero-rate rows become absorbing."""

@@ -439,7 +439,8 @@ def test_vase_rate_check_memory_scales_with_nonzeros(tmp_path):
 
 def test_vase_rate_check_fits_at_256_layers(tmp_path):
     # 66,049 states; the dense semigroup arrays alone would take 1 GB, and the
-    # streamed check peaked at 108 MB as a whole process (Python 3.11, numpy 2.4)
+    # streamed check on numpy peaked at 95 MB as a whole process (99 MB with
+    # scipy.sparse; Python 3.11, numpy 2.4)
     assert _vase_check_peak_mb(tmp_path, 256) < 130
 
 
@@ -452,6 +453,19 @@ def test_a_run_whose_walks_never_stop_exits_2_at_once(tmp_path):
         capture_output=True, text=True, env=child_env(), timeout=5)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr, out.stderr
+    assert not (tmp_path / "record.json").exists()
+
+
+def test_a_semigroup_check_whose_weights_underflow_exits_2_at_once(tmp_path):
+    # lam = 10101 at linear:100, so exp(-lam t) underflows to 0: the check
+    # used to sum 500,000 zero weights and pass with residuals 0.0
+    out = subprocess.run(
+        [sys.executable, "-m", "wedgewalk", "verify-intertwining", "--shape", "linear:100",
+         "--layers", "4", "--resolution", "4", "--output", str(tmp_path / "record.json")],
+        capture_output=True, text=True, env=child_env(), timeout=5)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr, out.stderr
+    assert "lam*t = 1010.1 " in out.stderr
     assert not (tmp_path / "record.json").exists()
 
 
@@ -525,10 +539,9 @@ def test_green_and_reverse_load_no_scipy_sparse(argv, tmp_path):
 
 def test_sampler_curve_and_radial_subcommands_load_no_scipy(tmp_path):
     # the incomplete beta, its inverse and the chi-square tail are closed
-    # forms on math alone, and the intertwining residual multiplies the
-    # operators' CSR arrays with numpy; only the vase rate check (--shape,
-    # its semigroup check), strip-check (the Kolmogorov law), table: shapes
-    # and the fallback solves load scipy
+    # forms on math alone, and the intertwining residual and the semigroup
+    # check multiply the operators' CSR arrays with numpy; only strip-check
+    # (the Kolmogorov law), table: shapes and the fallback solves load scipy
     record = str(tmp_path / "record.json")
     argvs = [["simulate-wedge", "--paths", "2000"], ["simulate-vase", "--paths", "2000"],
              ["watts", "--grid", "3"], ["green"], ["reverse"],
@@ -537,7 +550,8 @@ def test_sampler_curve_and_radial_subcommands_load_no_scipy(tmp_path):
     argvs += [["verify-intertwining", "--alpha", alpha, "--mode", "rational", "--layers", "30"]
               for alpha in ("pi/6", "pi/4", "pi/3")]
     argvs += [["verify-intertwining", "--mode", "float", "--layers", "30"],
-              ["verify-intertwining", "--alpha", "0.9", "--layers", "30"]]
+              ["verify-intertwining", "--alpha", "0.9", "--layers", "30"],
+              ["verify-intertwining", "--shape", "power:2", "--layers", "20", "--resolution", "20"]]
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys; from wedgewalk.cli import main\n"

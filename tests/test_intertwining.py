@@ -25,7 +25,7 @@ from wedgewalk import (
     wedge_kernel,
 )
 from wedgewalk.geometry import site_index
-from wedgewalk.kernels import _layer_rates
+from wedgewalk.kernels import _csr, _float_arrays, _layer_rates
 
 from rows_reference import (kernel_from_rows, layer_sites, link_from_rows, rates_from_rows,
                             row_arrays)
@@ -55,7 +55,8 @@ def test_link_arrays_match_the_dict_row_reference():
         (ip, ix, exact), (wip, wix, wexact) = link.arrays, row_arrays(want, exact=True)
         assert np.array_equal(ip, wip) and np.array_equal(ix, wix) and exact == wexact
         # the float form divides the exact arrays; the dict view is not built
-        assert np.array_equal(link.to_csr().toarray(), dense_rows(want, link.n_target))
+        assert np.array_equal(_csr(_float_arrays(link), link.n_target).toarray(),
+                              dense_rows(want, link.n_target))
         assert "rows" not in vars(link)
 
 
@@ -272,8 +273,8 @@ def test_vase_identity_defect_of_plain_rates():
     link = build_link(grid)
     Q2 = vase_rate_matrix(grid, exact_projection=False)
     Q1 = projected_vase_rates(grid)
-    L = link.to_csr()
-    R = (L @ Q2.to_csr() - Q1.to_csr() @ L).toarray()
+    L = _csr(_float_arrays(link), link.n_target)
+    R = (L @ _csr(Q2.generator(), Q2.n_states) - _csr(Q1.generator(), Q1.n_states) @ L).toarray()
     cot = grid.cot_angles()
     for k in range(1, 8):
         c, d = _layer_rates(cot, k)
@@ -405,7 +406,8 @@ def dense_rows(rows, n_cols):
 def test_wedge_csr_and_residual_random_angle(alpha, n):
     lat, P, Q, link = wedge_ops(alpha, n, mode="float")
     for op, n_cols in ((P, P.n_states), (Q, Q.n_states), (link, link.n_target)):
-        assert np.array_equal(op.to_csr().toarray(), dense_rows(op.rows, n_cols))
+        assert np.array_equal(_csr(_float_arrays(op), n_cols).toarray(),
+                              dense_rows(op.rows, n_cols))
     rep = intertwining_residual(link, P, Q, mode="stochastic")
     assert rep.residual <= 1e-12
 
@@ -568,7 +570,7 @@ def test_vase_csr_generator_and_residuals_random_power(beta, K):
     for Q, rows in ((Q2, _reference_vase_rows(grid)), (Q1, _reference_projected_rows(grid))):
         expected = dense_rows(rows, Q.n_states)
         np.fill_diagonal(expected, [-sum(r.values()) for r in rows])
-        G = Q.to_csr().toarray()
+        G = _csr(Q.generator(), Q.n_states).toarray()
         assert np.array_equal(G, expected)
         assert np.abs(G.sum(axis=1)).max() <= 1e-12
     rep = intertwining_residual(link, Q2, Q1, mode="rates")
@@ -602,9 +604,9 @@ def _reference_semigroup(link, Q2, Q1, times, tail=1e-14):
     import scipy.sparse as sp
 
     lam = 1.01 * max(Q2.exit_rates.max(), Q1.exit_rates.max(), 1e-12)
-    D2 = sp.identity(Q2.n_states, format="csr") + Q2.to_csr() / lam
-    D1 = sp.identity(Q1.n_states, format="csr") + Q1.to_csr() / lam
-    L = link.to_csr().toarray()
+    D2 = sp.identity(Q2.n_states, format="csr") + _csr(Q2.generator(), Q2.n_states) / lam
+    D1 = sp.identity(Q1.n_states, format="csr") + _csr(Q1.generator(), Q1.n_states) / lam
+    L = _csr(_float_arrays(link), link.n_target).toarray()
     out = {}
     for t in times:
         w, total, n = math.exp(-lam * t), 0.0, 0
@@ -632,3 +634,112 @@ def test_blocked_semigroup_check_still_sees_the_plain_rates_defect():
     assert list(got) == times and min(want.values()) > 1e-4
     for t in times:
         assert got[t] == pytest.approx(want[t], rel=1e-12)
+
+
+def _scipy_semigroup(link, Q2, Q1, times):
+    """The blocked uniformization on scipy.sparse: the same Poisson weights,
+    blocks of link rows and radial mixture, with scipy's sparse x dense
+    products.  The reference for the bits of ``semigroup_residual``."""
+    import scipy.sparse as sp
+
+    n1, n2 = Q1.n_states, Q2.n_states
+    lam = 1.01 * max(Q2.exit_rates.max(initial=0.0), Q1.exit_rates.max(initial=0.0), 1e-12)
+    D2t = (sp.identity(n2, format="csr") + _csr(Q2.generator(), n2) / lam).T.tocsr()
+    D1 = sp.identity(n1, format="csr") + _csr(Q1.generator(), n1) / lam
+    weights = {}
+    for t in times:
+        w, total, weights[t] = math.exp(-lam * t), 0.0, []
+        while total < 1.0 - 1e-14 and len(weights[t]) < 500000:
+            weights[t].append(w)
+            total += w
+            w *= lam * t / len(weights[t])
+
+    def mix(term, D):
+        acc = {t: np.zeros_like(term) for t in weights}
+        for n in range(max(map(len, weights.values()), default=0)):
+            if n:
+                term = D @ term
+            for t, w in weights.items():
+                if n < len(w):
+                    acc[t] += w[n] * term
+        return acc
+
+    S1 = mix(np.identity(n1), D1)
+    Lt = _csr(_float_arrays(link), n2).T.tocsr()
+    out = dict.fromkeys(weights, 0.0)
+    for lo in range(0, n1, 16):
+        planar = mix(Lt[:, lo:lo + 16].toarray(), D2t)
+        for t in planar:
+            planar[t] -= Lt @ S1[t][lo:lo + 16].T
+            out[t] = float(np.maximum(out[t], np.abs(planar[t]).max()))
+    return out
+
+
+@pytest.mark.parametrize("shape, K", [("power:2", 3), ("power:2", 12), ("power:2", 20),
+                                      ("power:2", 64), ("power:1.5", 20), ("linear:0.7", 20)])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "plain"])
+def test_semigroup_residual_is_the_scipy_products_to_the_bit(shape, K, exact):
+    # D = I + Q (1/lam) as scipy forms it, products summed in scipy's
+    # order, and the powers of each block of link rows computed only on the
+    # layers they reach; a planar operator without layers is one layer
+    grid = build_vase_grid(shape, K, K)
+    link = build_link(grid)
+    Q2, Q1 = vase_rate_matrix(grid, exact_projection=exact), projected_vase_rates(grid)
+    got = semigroup_residual(link, Q2, Q1, times=[0.1, 1.0])
+    assert got == _scipy_semigroup(link, Q2, Q1, times=[0.1, 1.0])
+    if K <= 20:
+        flat = RateMatrix(Q2.arrays, exit_rates=Q2.exit_rates)
+        assert semigroup_residual(link, flat, Q1, times=[0.1, 1.0]) == got
+
+
+@st.composite
+def _ell_operands(draw):
+    """Off-diagonal rate rows on 1-12 states, ragged, some empty (their rows
+    of the generator and of I + Q/lam hold only the diagonal) and some rates
+    0, a dense operand 1-17 columns wide, a row window and rows per chunk."""
+    from hypothesis.extra.numpy import arrays
+
+    n = draw(st.integers(1, 12))
+    rates = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), rates, max_size=n)) for _ in range(n)]
+    rows = [{j: v for j, v in r.items() if j != i} for i, r in enumerate(rows)]
+    x = draw(arrays(np.float64, (n, draw(st.integers(1, 17))), elements=st.floats(-1e3, 1e3)))
+    lo = draw(st.integers(0, n))
+    return rows, x, lo, draw(st.integers(lo, n)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ell_operands())
+def test_ell_product_is_scipys_sparse_product(operands):
+    # the ELL table of CSR arrays or of their transpose times a dense block
+    # is scipy's csr product to the bit in each row of the window, whatever
+    # the rows per chunk; rows outside the window are left as they were.
+    # The arrays are a generator, stored zeros included, and I + Q/lam as
+    # scipy forms it
+    import scipy.sparse as sp
+    from unittest import mock
+
+    from wedgewalk import intertwining
+    from wedgewalk.intertwining import _ell, _ell_matmul
+
+    rows, x, lo, hi, chunk = operands
+    Q = rates_from_rows(rows)
+    n, lam = Q.n_states, 1.01 * max(Q.exit_rates.max(), 1e-12)
+    D = sp.identity(n, format="csr") + _csr(Q.generator(), n) / lam
+    for arrays in (Q.generator(), (D.indptr, D.indices, D.data)):
+        A = _csr(arrays, n)
+        for transpose, want in ((False, A @ x), (True, A.T.tocsr() @ x)):
+            y = np.full_like(x, 7.0)
+            with mock.patch.object(intertwining, "_ROWS", chunk):
+                _ell_matmul(_ell(arrays, n, transpose), x, y, lo, hi)
+            assert np.array_equal(y[lo:hi], want[lo:hi])
+            assert (np.delete(y, np.s_[lo:hi], axis=0) == 7.0).all()
+
+
+def test_semigroup_check_refuses_weights_that_cannot_reach_one():
+    # lam = 10101 at linear:100, so exp(-lam t) underflows at t = 0.1 and no
+    # Poisson weight is left to sum
+    grid = build_vase_grid(linear_shape(100.0), 4, 4)
+    link, Q2, Q1 = build_link(grid), vase_rate_matrix(grid), projected_vase_rates(grid)
+    with pytest.raises(ParameterError, match=r"^semigroup check: .*lam\*t = 1010\.1 "):
+        semigroup_residual(link, Q2, Q1, times=[0.1, 1.0])
