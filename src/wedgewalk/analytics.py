@@ -16,6 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import exp, lgamma, pi, sqrt
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -33,16 +34,20 @@ B_THIRD = exp(log_beta(1.0 / 3.0, 1.0 / 3.0))          # B(1/3, 1/3)
 GAMMA_TWO_THIRDS = exp(lgamma(2.0 / 3.0))
 
 
-@functools.cache
-def _tanh_sinh_level(h: float):
-    """The parts of the tanh-sinh nodes new at step h that no panel changes:
-    t < 0, e = exp(-pi sinh|t|), 1 + e, cosh t and (1 + e)^2."""
+@functools.lru_cache(maxsize=256)
+def _panel_level(edges: tuple, h: float):
+    """The nodes new at step h on the panels between ``edges`` and their
+    weights, as tuples of floats shared by every later call: each node is
+    placed by its distance d from the nearer endpoint (the left one where
+    t < 0) and dropped where it rounds onto it."""
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     t = np.arange(h - 4.0, 4.0, 2 * h)
     e = np.exp(-pi * np.sinh(abs(t)))
-    parts = (t < 0, e, 1 + e, np.cosh(t), (1 + e) ** 2)
-    for a in parts:
-        a.flags.writeable = False         # shared by every later call
-    return parts
+    d = (hi - lo) * e / (1 + e)
+    x = np.where(t < 0, lo + d, hi - d)
+    keep = (x != lo) & (x != hi)
+    w = pi * (hi - lo) * np.cosh(t) * e / (1 + e) ** 2
+    return tuple(x[keep].tolist()), tuple(w[keep].tolist())
 
 
 @dataclass
@@ -53,7 +58,10 @@ class Quadrature:
     their distance from the nearer endpoint and dropped where they round onto
     it, so no endpoint is evaluated.  Each level halves the step in t and keeps
     the earlier nodes, until two levels agree within max(tolerance/10,
-    1e-12 |I|) and within ``tolerance``, or else ``QuadratureError``."""
+    1e-12 |I|) and within ``tolerance``, or else ``QuadratureError``.  A
+    level's nodes and weights are built once per interval and shared by every
+    later call over it; the integrand is called one node at a time and the
+    products are summed in node order."""
 
     tolerance: float = 1e-10
     node_budget: int = 600      # integrand evaluations per call: one panel to step 1/64
@@ -62,20 +70,14 @@ class Quadrature:
                   points=None) -> float:
         if a > b:
             return -self.integrate(fn, b, a, points)
-        edges = sorted({a, b, *(p for p in points or () if a < p < b)})
-        lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+        edges = tuple(sorted({a, b, *(p for p in points or () if a < p < b)}))
         total, err, used, h = 0.0, math.inf, 0, 4.0
         while err > max(self.tolerance / 10, 1e-12 * abs(total)) or err > self.tolerance:
-            left, e, e1, cosh_t, e1_sq = _tanh_sinh_level(h)
-            d = (hi - lo) * e / e1                # distance to the nearer endpoint
-            x = np.where(left, lo + d, hi - d)
-            keep = (x != lo) & (x != hi)
-            used += np.count_nonzero(keep)
+            x, w = _panel_level(edges, h)
+            used += len(x)
             if used > self.node_budget:
                 break
-            w = pi * (hi - lo) * cosh_t * e / e1_sq
-            new = total / 2 + h * sum(wi * fn(xi) for xi, wi
-                                      in zip(x[keep].tolist(), w[keep].tolist()))
+            new = total / 2 + h * sum(map(mul, w, map(fn, x)))
             if not math.isfinite(new):
                 raise QuadratureError(f"non-finite sum {new}")
             err, total, h = (abs(new - total) if h < 1 else math.inf), new, h / 2
@@ -259,7 +261,8 @@ def scale_function(shape, x: float) -> float:
 
 
 def generator_residual(shape, f, f_prime, f_second, x: float, resolution: int) -> float:
-    """|N^2 (Qproj f)(x_k) - ((h'/h) f' + f''/2)(x)| at the grid layer nearest x.
+    """|N^2 (Qproj f)(x_k) - ((h'/h) f' + f''/2)(x_k)|, the consistency error
+    of the projected generator at the abscissa x_k of the grid layer nearest x.
 
     First-order in 1/N for smooth f; the residual at a constant f is exactly
     zero because projected rate rows sum to zero.
@@ -278,6 +281,7 @@ def generator_residual(shape, f, f_prime, f_second, x: float, resolution: int) -
         raise ParameterError("x too close to the apex for this resolution")
     # only the three layers that the residual reads: k - 1, k and k + 1
     xs = layer_abscissas(shape, N, (k - 1, k, k + 1))
+    x = float(xs[1])                      # the limit is taken where Qproj acts
     try:
         c, d = _layer_rates(1.0 / np.tan(segment_angles(xs, N)), 1)
     except ParameterError:

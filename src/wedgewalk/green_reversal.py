@@ -174,7 +174,8 @@ def fit_green_constant(green: GreenVector, layers: int) -> dict:
     N = layers
     ratios = np.array([float(green.visits[y]) / float(green_closed_form_1d(N, y))
                        for y in range(1, N)])
-    const = float(np.median(ratios))
+    s, m = np.sort(ratios), len(ratios) // 2    # np.median would import numpy.ma
+    const = float(s[-1] if np.isnan(s[-1]) else s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
     spread = float(np.abs(ratios / const - 1.0).max())
     return {"constant": const, "relative_spread": spread, "ratios": ratios}
 

@@ -192,6 +192,18 @@ def test_generator_residual_halves():
     assert 0.3 <= r64 / r32 <= 0.7
 
 
+@pytest.mark.parametrize("x", [0.5, 0.7])
+def test_generator_residual_converges_at_first_order_off_the_grid(x):
+    # x sits between layers of power:1.5 at every resolution; scored at the
+    # layer's abscissa, each residual halves with the step
+    shape = power_shape(1.5)
+    f = lambda x: math.exp(-x)
+    res = [generator_residual(shape, f, lambda x: -f(x), f, x, n)
+           for n in (64, 128, 256, 512, 1024)]
+    ratios = [b / a for a, b in zip(res, res[1:])]
+    assert all(0.45 <= r <= 0.55 for r in ratios), ratios
+
+
 def test_generator_residual_constant_function():
     shape = power_shape(2.0)
     zero = lambda x: 0.0
@@ -307,16 +319,70 @@ def test_quadrature_never_evaluates_an_endpoint():
 
 
 def test_quadrature_node_tables_are_built_once_per_level():
-    from wedgewalk.analytics import _tanh_sinh_level
+    from wedgewalk.analytics import _panel_level
 
     q = Quadrature()
     for fn, a, b in ((lambda x: math.log(x * (1.0 - x)), 0.0, 1.0),
                      (math.exp, -1.0, 2.0)):
         first = q.integrate(fn, a, b)
-        built = _tanh_sinh_level.cache_info().misses
+        built = _panel_level.cache_info().misses
         assert [q.integrate(fn, a, b) for _ in range(3)] == [first] * 3
-        assert _tanh_sinh_level.cache_info().misses == built
-    assert not _tanh_sinh_level(1.0)[1].flags.writeable
+        assert _panel_level.cache_info().misses == built
+    # bounded, and every caller shares immutable tables
+    assert _panel_level.cache_info().maxsize == 256
+    assert all(type(part) is tuple for part in _panel_level((0.0, 1.0), 1.0))
+
+
+def _integrate_building_every_level(self, fn, a, b, points=None):
+    """Quadrature.integrate with each level's nodes and weights built afresh
+    on every call from numpy arrays: the reference for the shared tables."""
+    if a > b:
+        return -_integrate_building_every_level(self, fn, b, a, points)
+    edges = sorted({a, b, *(p for p in points or () if a < p < b)})
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    total, err, used, h = 0.0, math.inf, 0, 4.0
+    while err > max(self.tolerance / 10, 1e-12 * abs(total)) or err > self.tolerance:
+        t = np.arange(h - 4.0, 4.0, 2 * h)
+        e = np.exp(-math.pi * np.sinh(abs(t)))
+        left, e1, cosh_t, e1_sq = t < 0, 1 + e, np.cosh(t), (1 + e) ** 2
+        d = (hi - lo) * e / e1
+        x = np.where(left, lo + d, hi - d)
+        keep = (x != lo) & (x != hi)
+        used += np.count_nonzero(keep)
+        if used > self.node_budget:
+            break
+        w = math.pi * (hi - lo) * cosh_t * e / e1_sq
+        new = total / 2 + h * sum(wi * fn(xi) for xi, wi
+                                  in zip(x[keep].tolist(), w[keep].tolist()))
+        if not math.isfinite(new):
+            raise QuadratureError(f"non-finite sum {new}")
+        err, total, h = (abs(new - total) if h < 1 else math.inf), new, h / 2
+    if err > self.tolerance:
+        raise QuadratureError(f"error estimate {err} above tolerance {self.tolerance}")
+    return total
+
+
+def test_shared_node_tables_give_the_per_call_values_to_the_bit(monkeypatch):
+    from wedgewalk import build_vase_grid
+    from wedgewalk.analytics import hyp2f1_near_one_third
+
+    grid = [i / 100 for i in range(1, 100)]     # the grid of `watts --grid 99`
+    shape = power_shape(1.5)
+    # the abscissas that `bessel-check --beta 1.5` integrates to
+    xs = build_vase_grid(shape, 50, 201).abscissas[[50, 25, 200]]
+    q = Quadrature()
+
+    def values():
+        return ([watts_via_hypergeometric(a) for a in grid],
+                [watts_via_integral(a) for a in grid],
+                [hyp2f1_near_one_third(a) for a in grid],
+                [scale_function(shape, x) for x in xs],
+                q.integrate(lambda x: math.log(1.0 - x), 1.0, 0.0),
+                q.integrate(abs, 2.0, -1.0, points=[0.0, 1.5]))
+
+    shared = values()
+    monkeypatch.setattr(Quadrature, "integrate", _integrate_building_every_level)
+    assert values() == shared
 
 
 def test_quadrature_refuses_a_non_finite_or_unresolved_sum():

@@ -145,6 +145,20 @@ def test_green_ratio_constant_and_prefactor():
     assert abs(fit["constant"] * (1 - s2) - 1.0) > 0.5
 
 
+@pytest.mark.parametrize("layers", [2, 3, 8, 9, 50, 51])
+@pytest.mark.parametrize("nan_at", [None, 1, -1])
+def test_fitted_constant_is_numpys_median_to_the_bit(layers, nan_at):
+    # odd and even counts of ratios (layers - 1 of them), with and without a NaN
+    visits = [0.0, *np.random.default_rng(layers).random(layers - 1)]
+    if nan_at is not None:
+        visits[nan_at] = math.nan
+    g = GreenVector(source=0, absorbing=np.zeros(layers + 1, bool), visits=visits + [0.0])
+    fit = fit_green_constant(g, layers)
+    want = np.median(fit["ratios"])
+    assert (math.isnan(fit["constant"]) and math.isnan(want)) if nan_at is not None \
+        else fit["constant"].hex() == float(want).hex()
+
+
 def test_green_factorization_rational():
     # planar visits are constant across each fiber and equal the radial
     # visits split uniformly: g2(k, y) (2k+1) = g1(k), exactly
