@@ -11,6 +11,7 @@ them reproduces the results bit-exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,8 +25,8 @@ from .errors import ParameterError, WedgewalkError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-# Parsed names that are not run parameters: the dispatch and the output paths.
-_NOT_PARAMS = {"command", "fn", "output", "csv"}
+# Parsed names that are not run parameters: the command and the output paths.
+_NOT_PARAMS = {"command", "output", "csv"}
 
 
 def _params(args) -> dict:
@@ -243,6 +244,7 @@ def cmd_vase_generator(args) -> int:
     return _emit(args, {"residuals": table, "ratios": ratios}, ok)
 
 
+@functools.cache                # built once per process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wedgewalk",
@@ -251,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fn):
-        sp.add_argument("--output", help="write the JSON record here")
-        sp.set_defaults(fn=fn)
-
     sp = sub.add_parser("verify-intertwining", help="projection identity residuals")
     sp.add_argument("--alpha", default="pi/4")
     sp.add_argument("--layers", type=int, default=50)
@@ -262,41 +260,36 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shape", help="vase shape spec (switches to the rate check)")
     sp.add_argument("--resolution", type=int)
     sp.add_argument("--tolerance", type=float, default=1e-12)
-    common(sp, cmd_verify_intertwining)
 
-    def sampling(sp, stop_layer, fn):
+    def sampling(sp, stop_layer):
         sp.add_argument("--stop-layer", type=int, default=stop_layer)
         sp.add_argument("--paths", type=int, default=100000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--bins", type=int, default=20)
         sp.add_argument("--workers", type=int, default=1)
-        common(sp, fn)
 
     sp = sub.add_parser("simulate-wedge", help="hitting law and last-side curve")
     sp.add_argument("--alpha", default="pi/6")
-    sampling(sp, 30, cmd_simulate_wedge)
+    sampling(sp, 30)
 
     sp = sub.add_parser("simulate-vase", help="vase hitting law")
     sp.add_argument("--shape", default="power:2")
     sp.add_argument("--resolution", type=int, default=20)
-    sampling(sp, 20, cmd_simulate_vase)
+    sampling(sp, 20)
 
     sp = sub.add_parser("green", help="solved Green vector vs closed form")
     sp.add_argument("--alpha", default="pi/6")
     sp.add_argument("--layers", type=int, default=50)
     sp.add_argument("--csv", help="also dump the vector as CSV")
-    common(sp, cmd_green)
 
     sp = sub.add_parser("reverse", help="time-reversed kernel consistency")
     sp.add_argument("--alpha", default="pi/6")
     sp.add_argument("--layers", type=int, default=30)
     sp.add_argument("--mode", default="float", choices=["auto", "rational", "float"])
-    common(sp, cmd_reverse)
 
     sp = sub.add_parser("watts", help="three-way curve identity + CSV export")
     sp.add_argument("--grid", type=int, default=9)
     sp.add_argument("--csv")
-    common(sp, cmd_watts)
 
     sp = sub.add_parser("bessel-check", help="discrete vs continuum hitting")
     sp.add_argument("--i", type=int, default=50)
@@ -304,29 +297,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, default=200)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--resolution", type=int, default=50)
-    common(sp, cmd_bessel_check)
 
     sp = sub.add_parser("strip-check", help="seesaw fold uniformity")
     sp.add_argument("--t", type=float, nargs="+", default=[0.25, 1.0, 4.0])
     sp.add_argument("--samples", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, cmd_strip_check)
 
     sp = sub.add_parser("vase-generator", help="projected-generator residual table")
     sp.add_argument("--shape", default="power:2")
     sp.add_argument("--x", type=float, default=1.0)
     sp.add_argument("--resolutions", type=int, nargs="+", default=[64, 128, 256])
-    common(sp, cmd_vase_generator)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--output", help="write the JSON record here")
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.output = _output_path(args)
-        return args.fn(args)
+        # the command's function is looked up at each call, so a patched one runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (WedgewalkError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR

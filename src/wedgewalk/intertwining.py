@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,11 +23,12 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice
 from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel, _CSROperator,
-                      _entry_values, _float_arrays, _rows, _sum)
+                      _coalesce, _entry_values, _float_arrays, _rows)
 
 _INT64_MAX = 2 ** 63 - 1
 _BLOCK = 16     # link rows evolved together; a few (K+1)^2 x _BLOCK arrays
 _ROWS = 2048    # rows per chunk of an ELL product, which bounds its scratch
+_ENTRIES = 8192  # product terms per block of radial rows in the intertwining residual
 
 
 class MarkovLink(_CSROperator):
@@ -75,51 +77,87 @@ def _int64_dens(name: str, dens: list) -> list:
     return dens
 
 
-def _matmul(A, B):
-    """CSR arrays of A @ B: each entry of A meets the entries of B's row at
-    its column, and each sum runs over A's columns in ascending order."""
+def _terms(A, B):
+    """Rows, columns and values of the terms of A @ B, uncoalesced: each
+    entry of A, in A's order, meets the entries of B's row at its column."""
     (ap, aj, av), (bp, bj, bv) = A, B
-    count = np.diff(bp)[aj]
+    count = bp[aj + 1] - bp[aj]
     e = np.repeat(np.arange(aj.size), count)
     f = np.arange(e.size) - np.repeat(np.cumsum(count) - count - bp[aj], count)
-    return _sum((np.append(0, np.cumsum(count))[ap], bj[f], av[e] * bv[f]))
+    return _rows(ap)[e], bj[f], av[e] * bv[f]
 
 
-def _exact(name: str, arrays):
-    """A checked operator's exact CSR arrays as ``(name, arrays, den)``: int64
-    numerators over one Python-int denominator per row."""
-    indptr, indices, (nums, den) = arrays
+def _product_sum(AB, CE):
+    """Rows, columns and values of A.B + C.E, row-major.  As in scipy's
+    sparse product and sum, each product's entry sums its terms over A's (C's)
+    columns in ascending order, and then the two products are added."""
+    (r1, c1, v1), (r2, c2, v2) = _terms(*AB), _terms(*CE)
+    width = int(max(c1.max(initial=0), c2.max(initial=0))) + 1
+    key, part = _coalesce(np.concatenate([(r1 * width + c1) * 2, (r2 * width + c2) * 2 + 1]),
+                          np.concatenate([v1, v2]))
+    key, R = _coalesce(key >> 1, part, presorted=True)
+    return key // width, key % width, R
+
+
+def _exact(name: str, op):
+    """An exact operator's CSR arrays on int64 numerators, and its row
+    denominators, checked before the numerators are converted."""
+    indptr, indices, (nums, den) = op.arrays
     _int64_dens(name, den)
-    return name, (indptr, indices, np.array(nums, dtype=np.int64)), den
+    return (indptr, indices, np.array(nums, dtype=np.int64)), den
 
 
-def _exact_matmul(A, B):
-    """Exact A @ B as one int64 product.  B's row denominators move into
-    A's rows: row k goes over den_A(k) times the lcm of the den_B(j) it
-    meets."""
-    (a_name, (indptr, indices, nums), a_den), (b_name, NB, b_den) = A, B
-    name = f"{a_name}.{b_name}"
-    bounds, cols = indptr.tolist(), indices.tolist()
-    scale, den = [], []
-    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        m = math.lcm(*[b_den[j] for j in cols[lo:hi]])
-        scale += [m // b_den[j] for j in cols[lo:hi]]
-        den.append(a_den[k] * m)
-    _int64_dens(name, den)
-    return name, _matmul((indptr, indices, nums * np.array(scale, dtype=np.int64)), NB), den
+def _exact_product(name: str, A, a_den, b_den):
+    """Row k of the exact product A.B goes over a_den(k) times the lcm m of
+    the b_den(j) that its columns meet: A's numerators scaled by m / b_den(j),
+    and the row denominators."""
+    bounds, cols = A[0].tolist(), A[1].tolist()
+    m = [math.lcm(*[b_den[j] for j in cols[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+    den = _int64_dens(name, list(map(operator.mul, a_den, m)))
+    scale = np.array(m, dtype=np.int64)[_rows(A[0])] // np.array(b_den, dtype=np.int64)[A[1]]
+    return A[:2] + (A[2] * scale,), den
 
 
-def _exact_maxdiff(A, B) -> Fraction:
-    """Exact max-abs entry of A - B: each pair of rows is cross-multiplied
-    to the lcm of their denominators and subtracted in int64."""
-    (a_name, NA, a_den), (b_name, NB, b_den) = A, B
-    D = _int64_dens(f"{a_name} - {b_name}", list(map(math.lcm, a_den, b_den)))
-    scaled = lambda M, den, sign: M[:2] + (M[2] * np.array(
-        [sign * (d // a) for d, a in zip(D, den)], dtype=np.int64)[_rows(M[0])],)
-    indptr, _, R = _sum(scaled(NA, a_den, 1), scaled(NB, b_den, -1))
-    absmax = np.zeros(len(D), dtype=np.int64)
-    np.maximum.at(absmax, _rows(indptr), np.abs(R))
-    return max((Fraction(r, d) for r, d in zip(absmax.tolist(), D) if r), default=Fraction(0))
+def _exact_factors(link, P, Q):
+    """link.P - Q.link as A.B + C.E on int64 numerators, with row k of both
+    products brought to the lcm D(k) of their denominators: row k of the
+    link (of Q) is scaled for its product and by +D(k) (-D(k)) over the
+    product's row denominator.  Returns the two pairs and D."""
+    (L, Ld), (P, Pd), (Q, Qd) = _exact("link", link), _exact("P", P), _exact("Q", Q)
+    (A, d1), (C, d2) = _exact_product("link.P", L, Ld, Pd), _exact_product("Q.link", Q, Qd, Ld)
+    D = _int64_dens("link.P - Q.link", list(map(math.lcm, d1, d2)))
+    to_D = lambda A, den, sign: A[:2] + (A[2] * np.array(
+        [sign * (a // b) for a, b in zip(D, den)], dtype=np.int64)[_rows(A[0])],)
+    return ((to_D(A, d1, 1), P), (to_D(C, d2, -1), L)), D
+
+
+def _row_absmax(AB, CE):
+    """Each row's max-abs entry of A.B + C.E, where A and C have the same
+    rows, computed over blocks of consecutive rows whose terms (the entries
+    of A and C times the widths of the rows of B and E they meet) number at
+    most ``_ENTRIES``; a wider row is a block alone."""
+    cum = sum(np.append(0, np.cumsum(np.diff(B[0])[A[1]]))[A[0]] for A, B in (AB, CE))
+    absmax = np.zeros(len(cum) - 1, dtype=AB[0][2].dtype)
+    lo = 0
+    while lo < absmax.size:
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] + _ENTRIES, "right")) - 1)
+        rows = lambda M: (M[0][lo:hi + 1] - M[0][lo], *(x[M[0][lo]:M[0][hi]] for x in M[1:]))
+        row, _, R = _product_sum(*[(rows(A), B) for A, B in (AB, CE)])
+        np.maximum.at(absmax[lo:hi], row, np.abs(R))
+        lo = hi
+    return absmax
+
+
+def _residual(link, two_dim_op, one_dim_op, arrays):
+    """Max-abs entry of link.two_dim_op - one_dim_op.link: the exact Fraction
+    when both operators are rational, else a float from their ``arrays``."""
+    if two_dim_op.mode == one_dim_op.mode == RATIONAL:      # the link always is
+        factors, D = _exact_factors(link, two_dim_op, one_dim_op)
+        absmax = _row_absmax(*factors).tolist()
+        return max((Fraction(r, d) for r, d in zip(absmax, D) if r), default=Fraction(0))
+    indptr, indices, data = L = _float_arrays(link)
+    return float(_row_absmax((L, arrays(two_dim_op)),
+                             (arrays(one_dim_op), (indptr, indices, -data))).max(initial=0.0))
 
 
 def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
@@ -130,7 +168,10 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
     matrices.  With a rational link and rational kernels the verdict is
     exact: both products and their difference run on int64 numerators over
     per-row denominators, and ``ParameterError`` names the operator whose
-    row denominators would leave the int64 range.
+    row denominators would leave the int64 range.  The products are formed
+    over blocks of consecutive radial rows with at most ``_ENTRIES`` terms
+    (a wider row is a block alone): beside a few arrays with one entry per
+    link entry, the scratch is one block's, about 0.6 MB at ``_ENTRIES``.
     """
     if not 0 <= tolerance < math.inf:
         raise ParameterError("tolerance must be non-negative and finite")
@@ -145,20 +186,12 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
     if link.n_target != two_dim_op.n_states or link.n_source != one_dim_op.n_states:
         raise ShapeError(f"link {link.n_source}x{link.n_target} does not match operators "
                          f"{one_dim_op.n_states} / {two_dim_op.n_states}")
-    if two_dim_op.mode == one_dim_op.mode == RATIONAL:      # the link always is
-        L = _exact("link", link.arrays)
-        P, Q = _exact("P", two_dim_op.arrays), _exact("Q", one_dim_op.arrays)
-        d = _exact_maxdiff(_exact_matmul(L, P), _exact_matmul(Q, L))
-        return ResidualReport(identity=identity, mode=RATIONAL,
-                              size=two_dim_op.n_states, residual=float(d),
-                              passed=(d == 0), exact_zero=(d == 0))
-    indptr, indices, data = _float_arrays(link)             # link.P + Q.(-link)
-    R = _sum(_matmul((indptr, indices, data), arrays(two_dim_op)),
-             _matmul(arrays(one_dim_op), (indptr, indices, -data)))[2]
-    resid = float(np.abs(R).max(initial=0.0))
-    return ResidualReport(identity=identity, mode=FLOAT,
-                          size=two_dim_op.n_states, residual=resid,
-                          passed=resid <= tolerance)
+    d = _residual(link, two_dim_op, one_dim_op, arrays)
+    exact = isinstance(d, Fraction)
+    return ResidualReport(identity=identity, mode=RATIONAL if exact else FLOAT,
+                          size=two_dim_op.n_states, residual=float(d),
+                          passed=d == 0 if exact else d <= tolerance,
+                          exact_zero=d == 0 if exact else None)
 
 
 def _ell(arrays, n: int, transpose: bool = False):

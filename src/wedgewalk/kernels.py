@@ -15,7 +15,6 @@ lattice; a triangular mesh would play the same role at pi/6.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -50,8 +49,9 @@ def _check_stochastic(arrays, mode: str, what: str = "row"):
     if mode == RATIONAL:
         nums, dens = values
         bounds = indptr.tolist()
-        total = list(itertools.accumulate(nums, initial=0))
-        sums = [total[hi] - total[lo] for lo, hi in zip(bounds, bounds[1:])]
+        # a row's sum; reduceat would give an empty row its next entry
+        sums = np.where(np.diff(indptr) > 0, np.add.reduceat(
+            np.array(nums + [0], dtype=object), indptr[:-1]), 0).tolist()
         if sums != dens or min(nums, default=0) < 0 or 0 in dens:
             for i, d in enumerate(dens):
                 if min(nums[bounds[i]:bounds[i + 1]], default=0) < 0:
@@ -120,19 +120,17 @@ def _rows(indptr):
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _sum(*terms):
-    """CSR arrays of the sum of the CSR arrays ``terms``, all with the same
-    rows.  The entries at one place are summed in the order given: exactly in
-    int64, and in float in the order of scipy's sparse product (not pairwise,
-    as ``np.add.reduceat`` sums)."""
-    row, col, vals = map(np.concatenate, zip(*[(_rows(p), j, v) for p, j, v in terms]))
-    width = int(col.max(initial=0)) + 1
-    order = np.argsort(row * width + col, kind="stable")     # sorted runs merge in linear time
-    key = (row * width + col)[order]
+def _coalesce(key, vals, presorted=False):
+    """The distinct ``key``s, ascending, and the sum of each one's ``vals``:
+    exactly in int64, and in float in the order given (not pairwise, as
+    ``np.add.reduceat`` sums).  ``presorted`` says that ``key`` ascends."""
+    if not presorted:
+        order = np.argsort(key, kind="stable")      # sorted runs merge in linear time
+        key, vals = key[order], vals[order]
     new = np.diff(key, prepend=-1) != 0
     data = np.zeros(np.count_nonzero(new), dtype=vals.dtype)
-    np.add.at(data, np.cumsum(new) - 1, vals[order])
-    return np.searchsorted(key[new], np.arange(len(terms[0][0])) * width), key[new] % width, data
+    np.add.at(data, np.cumsum(new) - 1, vals)
+    return key[new], data
 
 
 def _csr(arrays, n_cols: int):
@@ -227,8 +225,10 @@ class RateMatrix(_CSROperator):
     def generator(self):
         """CSR arrays of the full generator, the diagonal ``-exit_rates``
         included."""
-        n = self.n_states
-        return _sum(self.arrays, (np.arange(n + 1), np.arange(n), -self.exit_rates))
+        (indptr, cols, rates), n = self.arrays, self.n_states
+        key = np.concatenate([_rows(indptr) * n + cols, np.arange(n) * (n + 1)])
+        key, data = _coalesce(key, np.concatenate([rates, -self.exit_rates]))
+        return np.searchsorted(key, np.arange(n + 1) * n), key % n, data
 
     def jump_chain(self) -> StochasticKernel:
         """Embedded discrete chain: each row's rates over its exit rate;

@@ -417,20 +417,25 @@ _REPORT_PEAK = ("import sys; from wedgewalk.cli import main; code = main(sys.arg
                 "sys.exit(code)")
 
 
-def _vase_check_peak_mb(tmp_path, K):
-    """Peak RSS, in MB, of a child process running the vase rate and
-    semigroup checks at resolution = layers = K.  Its address space is capped
-    at 4 GB, so that a regression fails here instead of being OOM-killed."""
+def _peak_mb(tmp_path, argv):
+    """Peak RSS, in MB, of a child process running the CLI on ``argv``.  Its
+    address space is capped at 4 GB, so that a regression fails here instead
+    of being OOM-killed."""
     import resource
 
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
     out = subprocess.run(
-        [sys.executable, "-c", _REPORT_PEAK, "verify-intertwining",
-         "--shape", "power:2", "--resolution", str(K), "--layers", str(K),
-         "--output", str(tmp_path / "record.json")],
+        [sys.executable, "-c", _REPORT_PEAK, *argv, "--output", str(tmp_path / "record.json")],
         capture_output=True, text=True, env=child_env(), preexec_fn=cap)
     assert out.returncode == 0, out.stderr
     return int(out.stdout.split()[-2]) / 1024       # VmHWM is in kB
+
+
+def _vase_check_peak_mb(tmp_path, K):
+    """Peak RSS, in MB, of the vase rate and semigroup checks at resolution =
+    layers = K."""
+    return _peak_mb(tmp_path, ["verify-intertwining", "--shape", "power:2",
+                               "--resolution", str(K), "--layers", str(K)])
 
 
 def test_vase_rate_check_memory_scales_with_nonzeros(tmp_path):
@@ -444,6 +449,14 @@ def test_vase_rate_check_fits_at_256_layers(tmp_path):
     # streamed check on numpy peaked at 95 MB as a whole process (99 MB with
     # scipy.sparse; Python 3.11, numpy 2.4)
     assert _vase_check_peak_mb(tmp_path, 256) < 130
+
+
+def test_wedge_float_check_at_1000_layers_is_set_by_the_kernel(tmp_path):
+    # 1,002,001 sites.  The residual expanded both products over all rows at
+    # once: 674 MB as a whole process.  Blocks of radial rows leave the peak
+    # to the kernel build, 212 MB (Python 3.11, numpy 2.4)
+    argv = ["verify-intertwining", "--alpha", "pi/6", "--mode", "float", "--layers", "1000"]
+    assert _peak_mb(tmp_path, argv) < 300
 
 
 def test_a_run_whose_walks_never_stop_exits_2_at_once(tmp_path):

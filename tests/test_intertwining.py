@@ -67,64 +67,119 @@ def test_wedge_identity_exact(alpha):
     assert rep.exact_zero and rep.residual == 0.0
 
 
+def _times(A, B):
+    """Product of two lists of dict rows, Fractions kept exact."""
+    out = []
+    for row in A:
+        acc = {}
+        for i, a in row.items():
+            for j, b in B[i].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(dict(sorted(acc.items())))
+    return out
+
+
 def test_wedge_identity_powers():
-    # one-step exactness propagates; assert n = 2 and 3 directly
-    from wedgewalk.intertwining import _exact, _exact_matmul, _exact_maxdiff
-
+    # one-step exactness propagates; assert n = 2 and 3 directly, on the
+    # powers of both kernels formed as Fraction rows
     lat, P, Q, link = wedge_ops(math.pi / 4, 8)
-    Pr, Qr = _exact("P", P.arrays), _exact("Q", Q.arrays)
-    LP = QL = _exact("link", link.arrays)
-    for n in range(1, 4):
-        LP = _exact_matmul(LP, Pr)
-        QL = _exact_matmul(Qr, QL)
-        if n >= 2:
-            assert _exact_maxdiff(LP, QL) == 0
+    Pn, Qn = P.rows, Q.rows
+    for n in range(2, 4):
+        Pn, Qn = _times(Pn, P.rows), _times(Qn, Q.rows)
+        rep = intertwining_residual(link, kernel_from_rows(Pn, "rational"),
+                                    kernel_from_rows(Qn, "rational"), mode="stochastic")
+        assert rep.exact_zero and rep.residual == 0.0
 
 
-def test_perturbed_kernel_residual_is_the_exact_fraction():
+def _perturbed_wedge_kernel():
     # moving eps of mass between two targets of one row at layer 2 shifts
     # link.P by eps/5 in that fiber's row and leaves Q.link alone
-    from wedgewalk.intertwining import _exact, _exact_matmul, _exact_maxdiff
-
     N, eps = 100, F(1, 10 ** 6)
     lat, P, Q, link = wedge_ops(math.pi / 6, N)
     rows = [dict(r) for r in P.rows]
     row = rows[lat.index(2, 0)]
     row[lat.index(2, 1)] -= eps
     row[lat.index(2, -1)] += eps
-    Pe = kernel_from_rows(rows, P.mode)
-    L = _exact("link", link.arrays)
-    d = _exact_maxdiff(_exact_matmul(L, _exact("P", Pe.arrays)),
-                       _exact_matmul(_exact("Q", Q.arrays), L))
-    assert d == F(1, 5000000)
+    return link, kernel_from_rows(rows, P.mode), Q
+
+
+def test_perturbed_kernel_residual_is_the_exact_fraction():
+    from wedgewalk.intertwining import _residual
+
+    link, Pe, Q = _perturbed_wedge_kernel()
+    assert _residual(link, Pe, Q, None) == F(1, 5000000)
     rep = intertwining_residual(link, Pe, Q, mode="stochastic")
     assert rep.residual == float(F(1, 5000000))
     assert rep.exact_zero is False and rep.passed is False
 
 
-def test_exact_check_refuses_numbers_beyond_int64():
+def _int64_cases():
+    """Exact checks at the edge of int64, each with the start of its
+    ``ParameterError`` text or, where the numbers fit, its residual."""
     # one fiber of two sites; the planar kernel's first row has a
     # denominator above 2^63, outside the int64 range
     big = 2 ** 63 + 1
     link = link_from_rows(1, 2, [{0: F(1, 2), 1: F(1, 2)}])
     Q = kernel_from_rows([{0: F(1)}], "rational")
     P = kernel_from_rows([{0: F(1, big), 1: F(big - 1, big)}, {1: F(1)}], "rational")
-    with pytest.raises(ParameterError, match=r"^P: exact row denominators"):
-        intertwining_residual(link, P, Q, mode="stochastic")
+    yield link, P, Q, r"^P: exact row denominators"
     # every input denominator fits, but the lcm of two coprime 40-bit
     # denominators that one link row meets makes the product's denominator
     # overflow
     d1, d2 = 2 ** 40 + 1, 2 ** 40 - 1
     P = kernel_from_rows([{0: F(1, d1), 1: F(d1 - 1, d1)},
                           {0: F(1, d2), 1: F(d2 - 1, d2)}], "rational")
-    with pytest.raises(ParameterError, match=r"^link\.P: exact row denominators"):
-        intertwining_residual(link, P, Q, mode="stochastic")
+    yield link, P, Q, r"^link\.P: exact row denominators"
     # link.P's row goes over 2 (2^62 - 1) and Q.link's over 2; their lcm
     # fits, so the difference is computed exactly
     d = 2 ** 62 - 1
     P = kernel_from_rows([{0: F(1, d), 1: F(d - 1, d)}] * 2, "rational")
-    rep = intertwining_residual(link, P, Q, mode="stochastic")
-    assert rep.residual == float(F(1, 2) - F(1, d)) and rep.passed is False
+    yield link, P, Q, float(F(1, 2) - F(1, d))
+    # both products fit, over the prime 2^61 - 1 and over 2 (2^61 + 1), but
+    # the lcm of the two in radial row 0 does not
+    p, q = 2 ** 61 - 1, 2 ** 61 + 1
+    link = link_from_rows(2, 3, [{0: F(1)}, {1: F(1, 2), 2: F(1, 2)}])
+    Q = kernel_from_rows([{0: F(1, q), 1: F(q - 1, q)}, {1: F(1)}], "rational")
+    P = kernel_from_rows([{0: F(1, p), 1: F(p - 1, p)}, {1: F(1)}, {2: F(1)}], "rational")
+    yield link, P, Q, r"^link\.P - Q\.link: exact row denominators"
+
+
+def test_exact_check_refuses_numbers_beyond_int64():
+    for link, P, Q, want in _int64_cases():
+        if isinstance(want, str):
+            with pytest.raises(ParameterError, match=want):
+                intertwining_residual(link, P, Q, mode="stochastic")
+            continue
+        rep = intertwining_residual(link, P, Q, mode="stochastic")
+        assert rep.residual == want and rep.passed is False
+
+
+@pytest.mark.parametrize("bound", [1, 100, 10 ** 9])
+def test_residual_blocks_change_no_report(bound, monkeypatch):
+    # one radial row per block, a few rows, or the whole product in one
+    # block gives the default blocks' report: floats to the bit, the exact
+    # residual as the same Fraction, and the same refusals
+    from wedgewalk import intertwining
+
+    lat, P, Q, link = wedge_ops(math.pi / 6, 40, mode="float")
+    grid = build_vase_grid("power:2", 16, 16)
+    cases = [(link, P, Q, "stochastic"),
+             (build_link(grid), vase_rate_matrix(grid), projected_vase_rates(grid), "rates")]
+    want = [intertwining_residual(*case) for case in cases]
+    exact = _perturbed_wedge_kernel()
+    monkeypatch.setattr(intertwining, "_ENTRIES", bound)
+    for case, rep in zip(cases, want):
+        got = intertwining_residual(*case)
+        assert got == rep and got.residual.hex() == rep.residual.hex()
+    assert intertwining._residual(*exact, None) == F(1, 5000000)
+    test_exact_check_refuses_numbers_beyond_int64()
+    # every row's max, where the plain rates leave a defect in most rows, is
+    # the one of scipy's products, so no block drops or repeats a row
+    L, G2 = _float_arrays(build_link(grid)), vase_rate_matrix(grid, exact_projection=False)
+    G2, G1, n1, n2 = G2.generator(), projected_vase_rates(grid).generator(), 17, 17 ** 2
+    got = intertwining._row_absmax((L, G2), (G1, _negated(L)))
+    R = _csr(L, n2) @ _csr(G2, n2) - _csr(G1, n1) @ _csr(L, n2)
+    assert np.count_nonzero(got) > 10 and np.array_equal(got, abs(R).max(axis=1).toarray().ravel())
 
 
 @st.composite
@@ -233,20 +288,26 @@ def _arrays(indptr, indices, data):
 @example(((_arrays([0, 2, 2], [0, 1], [0.1, 0.7]), 2), (_arrays([0, 1, 1], [0], [1.0]), 9),
           (_arrays([0, 1, 1], [8], [-3.0]), 9)))
 def test_numpy_csr_product_and_difference_are_scipys(operands):
-    # the residual's numpy helpers give scipy.sparse's product and
-    # difference: equal in int64 and the same bits in float, since each sum
-    # runs in scipy's order
+    # the residual's numpy helper gives scipy.sparse's products and their
+    # sum: equal in int64 and the same bits in float, since each sum runs in
+    # scipy's order; C times the identity is C, so C + A.B and C - A.B are
+    # checked too
     import scipy.sparse as sp
 
-    from wedgewalk.intertwining import _matmul
-    from wedgewalk.kernels import _sum
+    from wedgewalk.intertwining import _product_sum
 
     (A, n), (B, w), (C, _) = operands
+    m = len(A[0]) - 1
     sA, sB, sC = (sp.csr_matrix((x[2], x[1], x[0]), shape=shape)
-                  for x, shape in ((A, (len(A[0]) - 1, n)), (B, (n, w)), (C, (len(C[0]) - 1, w))))
-    for got, want in ((_matmul(A, B), sA @ sB), (_sum(C, _negated(_matmul(A, B))), sC - sA @ sB),
-                      (_sum(_matmul(A, B), _negated(C)), sA @ sB - sC)):
-        got = _dense(got, w)
+                  for x, shape in ((A, (m, n)), (B, (n, w)), (C, (m, w))))
+    eye = (np.arange(w + 1), np.arange(w), np.ones(w, dtype=A[2].dtype))
+    for (AB, CE), want in ((((A, B), (C, eye)), sA @ sB + sC),
+                           (((C, eye), (_negated(A), B)), sC - sA @ sB),
+                           (((A, B), (_negated(C), eye)), sA @ sB - sC),
+                           (((A, B), (A, B)), sA @ sB + sA @ sB)):
+        rows, cols, vals = _product_sum(AB, CE)
+        assert np.all(np.diff(rows * w + cols) > 0)      # coalesced, row-major
+        got = _dense((np.searchsorted(rows, np.arange(m + 1)), cols, vals), w)
         assert got.dtype == A[2].dtype and np.array_equal(got, want.toarray())
 
 
@@ -258,7 +319,7 @@ def test_wedge_identity_float(alpha):
 
 
 def test_vase_identity_float():
-    grid = build_vase_grid(power_shape(2.0), 16, 16)
+    grid = build_vase_grid("power:2", 16, 16)
     link = build_link(grid)
     rep = intertwining_residual(link, vase_rate_matrix(grid),
                                 projected_vase_rates(grid), mode="rates")

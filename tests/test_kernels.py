@@ -245,6 +245,24 @@ def test_rational_validation_is_exact():
     kernel_from_rows([{0: F(1, 3), 1: F(2, 3)}, {1: 1}], "rational")
 
 
+def test_rational_row_sums_give_an_empty_row_zero():
+    # an empty row between two rows that sum to 1 sums to 0, not to the
+    # next row's first numerator
+    with pytest.raises(ParameterError, match="^row 1 sums to 0, not 1$"):
+        StochasticKernel((np.array([0, 1, 1, 2]), np.array([0, 0]), ([1, 1], [1, 1, 1])),
+                         mode="rational")
+    # so does an empty last row
+    with pytest.raises(ParameterError, match="^row 1 sums to 0, not 1$"):
+        StochasticKernel((np.array([0, 1, 1]), np.array([0]), ([1], [1, 1])), mode="rational")
+    # a negative numerator in a row that sums to its denominator
+    with pytest.raises(ParameterError, match="^negative probability in row 1$"):
+        StochasticKernel((np.array([0, 1, 3]), np.array([0, 0, 1]), ([1, -1, 2], [1, 1])),
+                         mode="rational")
+    K = StochasticKernel((np.array([0, 2, 3]), np.array([0, 1, 1]), ([1, 2, 5], [3, 5])),
+                         mode="rational")
+    assert K.rows == [{0: F(1, 3), 1: F(2, 3)}, {1: F(1)}]
+
+
 def test_float_validation_keeps_its_tolerance():
     kernel_from_rows([{0: 0.5, 1: 0.5 + 5e-13}, {1: 1.0}], "float")
     with pytest.raises(ParameterError, match="row 0"):
