@@ -91,8 +91,8 @@ def _lifted_green(kernel: StochasticKernel, mask, transient, source):
     row = np.repeat(np.arange(len(mask)), np.diff(indptr))
     e = np.flatnonzero(~mask[row])                      # the transient rows' entries
     if rational:                                        # P over the common denominator d
-        d, dens = math.lcm(*set(values[1])), np.array(values[1], dtype=object)
-        p = np.array(values[0], dtype=object)[e] * (d // dens)[row[e]]
+        d, dens = math.lcm(*set(values[1].tolist())), values[1].astype(object)
+        p = values[0].astype(object)[e] * (d // dens)[row[e]]
     else:
         d, p = 1, values[e]
     # h(k) = g1(k) / |F_k|, and up(k), down(k) sum d P from F_k one layer up, down
@@ -214,7 +214,7 @@ def nagasawa_reverse(kernel: StochasticKernel, green: GreenVector) -> ReversedCh
             raise UnreachableStateError(f"state {x} has zero visit count")
     rational = kernel.mode == RATIONAL and green.mode == RATIONAL
     indptr, indices, values = kernel.arrays if rational else _float_arrays(kernel)
-    nums, dens = values if rational else (values.tolist(), [1] * n)
+    nums, dens = [v.tolist() for v in values] if rational else (values.tolist(), [1] * n)
     if rational:
         D = math.lcm(*{v.denominator for v in g}) * math.lcm(*set(dens))
         weight = [v.numerator * (D // (v.denominator * d)) for v, d in zip(g, dens)]
@@ -240,13 +240,19 @@ def nagasawa_reverse(kernel: StochasticKernel, green: GreenVector) -> ReversedCh
     kill = (den[source] if rational else 1.0) - sum(flow[bounds[source]:bounds[source + 1]])
     row_of = np.concatenate([x_of, [source], ones])
     order = np.argsort(row_of, kind="stable")       # the kill entry ends the source row
-    entries = np.array(flow + [kill] + [1] * len(ones), dtype=object)[order].tolist()
+    entries = np.array(flow + [kill] + [1] * len(ones), dtype=object)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=n + 1))])
+    if rational:            # each row divided by the gcd of its numerators and denominator
+        den = np.array(den + [1], dtype=object)
+        common = np.gcd(np.gcd.reduceat(entries, indptr[:-1]), den)
+        entries, den = entries // np.repeat(common, np.diff(indptr)), den // common
+        if den.max() > 2 ** 63 - 1:                 # numerators lie in [0, den]
+            raise ParameterError("reversed kernel: exact row denominators exceed the int64 range")
     # the killed state n sits on layer -1
     append = lambda a, v: None if a is None else np.append(a, v).astype(np.int32)
     rev = StochasticKernel(
-        (np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=n + 1))]),
-         np.concatenate([y_of, [n], ones])[order],
-         (entries, den + [1]) if rational else np.array(entries, dtype=float)),
+        (indptr, np.concatenate([y_of, [n], ones])[order],
+         (entries, den) if rational else entries.astype(float)),
         mode=RATIONAL if rational else FLOAT,
         layers=append(kernel.layers, -1), y=append(kernel.y, 0))
     init = np.array([float(v) for v in initial] + [0.0])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,9 +22,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .geometry import VaseGrid, WedgeLattice
 from .kernels import (FLOAT, RATIONAL, RateMatrix, StochasticKernel, _CSROperator,
-                      _coalesce, _entry_values, _float_arrays, _rows)
+                      _coalesce, _float_arrays, _row_lcm, _rows)
 
-_INT64_MAX = 2 ** 63 - 1
 _BLOCK = 16     # link rows evolved together; a few (K+1)^2 x _BLOCK arrays
 _ROWS = 2048    # rows per chunk of an ELL product, which bounds its scratch
 _ENTRIES = 8192  # product terms per block of radial rows in the intertwining residual
@@ -45,11 +43,10 @@ def build_link(space) -> MarkovLink:
     """Uniform fiber link for a wedge lattice, a vase grid, or a layer count."""
     K = int(space.layer[-1]) if isinstance(space, (WedgeLattice, VaseGrid)) else int(space)
     # layer k's fiber is the sites k^2 .. k^2 + 2k in layer-major order
-    indptr = np.arange(K + 2, dtype=np.int64) ** 2
-    nums = [1] * (K + 1) ** 2
-    dens = list(range(1, 2 * K + 2, 2))
-    return MarkovLink(n_source=K + 1, n_target=(K + 1) ** 2,
-                      arrays=(indptr, np.arange(len(nums), dtype=np.int64), (nums, dens)))
+    n = (K + 1) ** 2
+    return MarkovLink(n_source=K + 1, n_target=n, arrays=(
+        np.arange(K + 2, dtype=np.int64) ** 2, np.arange(n, dtype=np.int64),
+        (np.ones(n, dtype=np.int64), np.arange(1, 2 * K + 2, 2, dtype=np.int64))))
 
 
 @dataclass
@@ -65,16 +62,6 @@ class ResidualReport:
         return json.dumps({"identity": self.identity, "mode": self.mode,
                            "size": self.size, "residual": self.residual,
                            "pass": self.passed}, sort_keys=True)
-
-
-def _int64_dens(name: str, dens: list) -> list:
-    """``dens``, if each fits in int64.  Checked rows hold numerators in
-    [0, den], and so do their products and, within [-den, den], their
-    differences at the lcm of two row denominators: if the denominators fit,
-    every int64 numerator and partial sum does.  ``name`` labels the error."""
-    if max(dens, default=0) > _INT64_MAX:
-        raise ParameterError(f"{name}: exact row denominators exceed the int64 range")
-    return dens
 
 
 def _terms(A, B):
@@ -99,23 +86,13 @@ def _product_sum(AB, CE):
     return key // width, key % width, R
 
 
-def _exact(name: str, op):
-    """An exact operator's CSR arrays on int64 numerators, and its row
-    denominators, checked before the numerators are converted."""
-    indptr, indices, (nums, den) = op.arrays
-    _int64_dens(name, den)
-    return (indptr, indices, np.array(nums, dtype=np.int64)), den
-
-
 def _exact_product(name: str, A, a_den, b_den):
-    """Row k of the exact product A.B goes over a_den(k) times the lcm m of
-    the b_den(j) that its columns meet: A's numerators scaled by m / b_den(j),
-    and the row denominators."""
-    bounds, cols = A[0].tolist(), A[1].tolist()
-    m = [math.lcm(*[b_den[j] for j in cols[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
-    den = _int64_dens(name, list(map(operator.mul, a_den, m)))
-    scale = np.array(m, dtype=np.int64)[_rows(A[0])] // np.array(b_den, dtype=np.int64)[A[1]]
-    return A[:2] + (A[2] * scale,), den
+    """Row k of the exact product A.B goes over a_den(k) times the lcm of the
+    b_den(j) that its columns meet: A's numerators scaled for it, and the row
+    denominators.  Rows (and differences) hold numerators in [0, den] ([-den,
+    den]), so checked denominators keep every int64 sum in range."""
+    den = _row_lcm(b_den[A[1]], A[0], name, a_den)     # a checked row is never empty
+    return A[:2] + (A[2] * ((den // a_den)[_rows(A[0])] // b_den[A[1]]),), den
 
 
 def _exact_factors(link, P, Q):
@@ -123,11 +100,15 @@ def _exact_factors(link, P, Q):
     products brought to the lcm D(k) of their denominators: row k of the
     link (of Q) is scaled for its product and by +D(k) (-D(k)) over the
     product's row denominator.  Returns the two pairs and D."""
-    (L, Ld), (P, Pd), (Q, Qd) = _exact("link", link), _exact("P", P), _exact("Q", Q)
+    for name, op in (("link", link), ("P", P), ("Q", Q)):
+        if op.arrays[2][1].dtype == object:         # a number beyond int64, as a Python int
+            raise ParameterError(f"{name}: exact row denominators exceed the int64 range")
+    (L, Ld), (P, Pd), (Q, Qd) = [(op.arrays[:2] + (op.arrays[2][0],), op.arrays[2][1])
+                                 for op in (link, P, Q)]
     (A, d1), (C, d2) = _exact_product("link.P", L, Ld, Pd), _exact_product("Q.link", Q, Qd, Ld)
-    D = _int64_dens("link.P - Q.link", list(map(math.lcm, d1, d2)))
-    to_D = lambda A, den, sign: A[:2] + (A[2] * np.array(
-        [sign * (a // b) for a, b in zip(D, den)], dtype=np.int64)[_rows(A[0])],)
+    D = _row_lcm(np.column_stack((d1, d2)).ravel(), 2 * np.arange(d1.size + 1),
+                 "link.P - Q.link")
+    to_D = lambda A, den, sign: A[:2] + (A[2] * (sign * (D // den))[_rows(A[0])],)
     return ((to_D(A, d1, 1), P), (to_D(C, d2, -1), L)), D
 
 
@@ -153,7 +134,7 @@ def _residual(link, two_dim_op, one_dim_op, arrays):
     when both operators are rational, else a float from their ``arrays``."""
     if two_dim_op.mode == one_dim_op.mode == RATIONAL:      # the link always is
         factors, D = _exact_factors(link, two_dim_op, one_dim_op)
-        absmax = _row_absmax(*factors).tolist()
+        absmax, D = _row_absmax(*factors).tolist(), D.tolist()
         return max((Fraction(r, d) for r, d in zip(absmax, D) if r), default=Fraction(0))
     indptr, indices, data = L = _float_arrays(link)
     return float(_row_absmax((L, arrays(two_dim_op)),
@@ -167,11 +148,11 @@ def intertwining_residual(link: MarkovLink, two_dim_op, one_dim_op,
     ``mode`` is "stochastic" for one-step kernels or "rates" for rate
     matrices.  With a rational link and rational kernels the verdict is
     exact: both products and their difference run on int64 numerators over
-    per-row denominators, and ``ParameterError`` names the operator whose
-    row denominators would leave the int64 range.  The products are formed
-    over blocks of consecutive radial rows with at most ``_ENTRIES`` terms
-    (a wider row is a block alone): beside a few arrays with one entry per
-    link entry, the scratch is one block's, about 0.6 MB at ``_ENTRIES``.
+    per-row denominators, and ``ParameterError`` names the operator, product
+    or difference whose row denominators would leave int64.  The products are
+    formed over blocks of consecutive radial rows with at most ``_ENTRIES``
+    terms (a wider row is a block alone): beside a few arrays with one entry
+    per link entry, the scratch is one block's, about 0.6 MB at ``_ENTRIES``.
     """
     if not 0 <= tolerance < math.inf:
         raise ParameterError("tolerance must be non-negative and finite")
@@ -296,10 +277,21 @@ def filter_sample(link: MarkovLink, state: int, rng: np.random.Generator):
 
 def harmonic_residual(one_dim_chain: StochasticKernel) -> float:
     """Residual of i -> 1/(2i+1) under the radial chain, over non-apex
-    non-absorbing states.  Exact zero in rational mode."""
+    non-absorbing states.  Exact in rational mode: row i over the lcm T(i) of 2i+1 and its
+    terms' reduced denominators, in int64 (``ParameterError`` if T leaves it) or Python ints."""
     Q = one_dim_chain
     keep = [i for i in np.flatnonzero(~Q.absorbing_mask()).tolist() if i > 0]
-    bounds, cols = Q.arrays[0].tolist(), Q.arrays[1].tolist()
-    vals, one = _entry_values(Q), Fraction(1) if Q.mode == RATIONAL else 1.0
+    indptr, cols, values = Q.arrays
+    if Q.mode == RATIONAL:          # each kept term P(i, j) / h(j) = num / (den h) in lowest terms
+        e, h = np.flatnonzero(np.isin(_rows(indptr), keep)), 2 * np.array(keep, dtype=int) + 1
+        ptr = np.append(0, np.cumsum(np.diff(indptr)[keep]))    # the kept rows' CSR bounds
+        g = np.gcd(nums := values[0][e], den := values[1][keep][_rows(ptr)])
+        g2 = np.gcd(nums // g, hj := 2 * cols[e] + 1)   # term denominators d = den hj / (g g2)
+        d = _row_lcm(hj // g2, np.arange(e.size + 1), "harmonic check", den // g)
+        T = _row_lcm(np.insert(d, ptr[1:], h), ptr + np.arange(len(keep) + 1), "harmonic check")
+        R = np.add.reduceat(nums // g // g2 * (T[_rows(ptr)] // d), ptr[:-1]) - T // h
+        return float(max((Fraction(abs(r), t) for r, t in zip(R.tolist(), T.tolist()) if r),
+                         default=0.0))
+    bounds, cols, vals = indptr.tolist(), cols.tolist(), values.tolist()
     Qh = lambda i: sum(vals[e] / (2 * cols[e] + 1) for e in range(bounds[i], bounds[i + 1]))
-    return float(max((abs(Qh(i) - one / (2 * i + 1)) for i in keep), default=0.0))
+    return float(max((abs(Qh(i) - 1.0 / (2 * i + 1)) for i in keep), default=0.0))

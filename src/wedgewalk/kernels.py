@@ -4,9 +4,9 @@ and the continuous-time vase chain with its projection.
 Value modes
 -----------
 For the special half-angles (sin^2 alpha rational) kernels can be built over
-exact ``Fraction`` entries, which turns the algebraic identity checks in
-:mod:`wedgewalk.intertwining` into exact zero/nonzero verdicts.  Float mode
-targets 1e-12 residual tolerances.
+exact rational entries, int64 numerators over one denominator per row, which
+turns the identity checks in :mod:`wedgewalk.intertwining` into exact
+zero/nonzero verdicts.  Float mode targets 1e-12 residual tolerances.
 
 The half-angle pi/4 makes the wedge mesh coincide with the ordinary square
 lattice; a triangular mesh would play the same role at pi/6.
@@ -15,7 +15,6 @@ lattice; a triangular mesh would play the same role at pi/6.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from fractions import Fraction
 
@@ -40,80 +39,91 @@ def _resolve_mode(mode: str, s2_exact) -> str:
 
 
 def _check_stochastic(arrays, mode: str, what: str = "row"):
-    """``arrays``, the CSR arrays of an operator in ``mode``.  Raises
-    ``ParameterError`` unless every row is a probability vector: exactly
-    (integer numerators summing to the row denominator) in rational mode,
-    to 1e-12 in float mode."""
-    indptr, _, values = arrays
+    """``arrays``, the CSR arrays of an operator in ``mode``, exact values
+    converted by ``_ints``.  Raises ``ParameterError`` unless every row is a
+    probability vector: exactly (integer numerators summing to the row
+    denominator) in rational mode, to 1e-12 in float mode."""
+    indptr, indices, values = arrays
     n = len(indptr) - 1
     if mode == RATIONAL:
-        nums, dens = values
-        bounds = indptr.tolist()
-        # a row's sum; reduceat would give an empty row its next entry
-        sums = np.where(np.diff(indptr) > 0, np.add.reduceat(
-            np.array(nums + [0], dtype=object), indptr[:-1]), 0).tolist()
-        if sums != dens or min(nums, default=0) < 0 or 0 in dens:
-            for i, d in enumerate(dens):
-                if min(nums[bounds[i]:bounds[i + 1]], default=0) < 0:
-                    raise ParameterError(f"negative probability in {what} {i}")
-                if sums[i] != d or d == 0:
-                    raise ParameterError(
-                        f"{what} {i} sums to {Fraction(sums[i], d or 1)}, not 1")
-        return arrays
-    row_of = np.repeat(np.arange(n), np.diff(indptr))
-    negative = np.bincount(row_of[values < 0], minlength=n) > 0
-    sums = np.bincount(row_of, weights=values, minlength=n)
-    bad = negative | ~(np.abs(sums - 1.0) <= 1e-12)      # NaN sums fail too
-    if bad.any():
-        i = int(np.argmax(bad))
+        values = entries, dens = tuple(map(_ints, values))
+        # sums past 2^63 by 32-bit halves (reduceat gives an empty row its next entry)
+        (hi, lo), full = np.zeros((2, n), dtype=entries.dtype), np.flatnonzero(np.diff(indptr))
+        hi[full] = np.add.reduceat(entries >> 32, indptr[full])
+        lo[full] = np.add.reduceat(entries & 0xFFFFFFFF, indptr[full])
+        hi, lo = hi + (lo >> 32), lo & 0xFFFFFFFF
+        bad = (hi != dens >> 32) | (lo != dens & 0xFFFFFFFF) | (dens == 0)
+        total = lambda i: f"{Fraction((int(hi[i]) << 32) + int(lo[i]), int(dens[i]) or 1)}, not 1"
+    else:
+        entries, sums = values, np.bincount(_rows(indptr), weights=values, minlength=n)
+        bad = ~(np.abs(sums - 1.0) <= 1e-12)                 # NaN sums fail too
+        total = lambda i: repr(float(sums[i]))
+    negative = np.zeros(n, dtype=bool)
+    negative[np.searchsorted(indptr, np.flatnonzero(entries < 0), "right") - 1] = True
+    if (bad | negative).any():
+        i = int(np.argmax(bad | negative))
         if negative[i]:
             raise ParameterError(f"negative probability in {what} {i}")
-        raise ParameterError(f"{what} {i} sums to {float(sums[i])!r}")
-    return arrays
+        raise ParameterError(f"{what} {i} sums to {total(i)}")
+    return indptr, indices, values
+
+
+def _ints(x):
+    """The integers ``x`` in int64, or all as Python ints (object) if one leaves it."""
+    try:
+        return np.asarray(x, dtype=np.int64)
+    except OverflowError:           # no numpy int64 may stay, which could wrap
+        return np.frompyfunc(int, 1, 1)(np.array(x, dtype=object))
+
+
+def _row_lcm(x, indptr, what: str, times=1):
+    """``times`` each row's lcm of the positive ``x`` (first axis) over the CSR ``indptr``, no
+    row empty.  ``ParameterError``, ``what`` first, if int64 ``x`` give one beyond int64 (a
+    wrapped lcm is no positive common multiple of its row); Python ints (object) are exact."""
+    m = np.lcm.reduceat(x, indptr[:-1], axis=0)
+    if x.dtype != object and (not ((m > 0) & (m <= (2 ** 63 - 1) // times)).all()
+                              or (m[_rows(indptr)] % x).any()):
+        raise ParameterError(f"{what}: exact row denominators exceed the int64 range")
+    return m * times
 
 
 def _pattern_arrays(patterns, kind, layer, mode: str):
     """CSR arrays, in the form of ``mode``, of rows that each
     follow one of the ``patterns``.  ``patterns[c]`` lists pattern c's entries
     in column order as ``(a, b, value)``; row s of ``kind[s] == c`` holds
-    ``value`` at column ``s + a + b * layer[s]``.  Exact values go over the
-    lcm of their pattern's denominators.  A float value may be one number
-    or one value per row."""
+    ``value`` at column ``s + a + b * layer[s]``.  A value is one number or
+    one per row: a float, or a Fraction or a pair of int arrays (numerators,
+    denominators), reduced and put over the lcm of its pattern's ones; a
+    Fraction's parts go in as objects (numpy makes [2^63, 2^64) uint64, which int64 wraps)."""
     lengths = np.array([len(p) for p in patterns])
     indptr = np.concatenate([[0], np.cumsum(lengths[kind])])
     row = np.repeat(np.arange(len(kind)), lengths[kind])
     code = (np.cumsum(lengths) - lengths)[kind][row] + np.arange(indptr[-1]) - indptr[row]
     a, b, values = zip(*(entry for p in patterns for entry in p))
     indices = row + np.array(a)[code] + np.array(b)[code] * layer[row]
-    if mode == FLOAT:               # (entries,), or (entries, rows) with a per-row value
-        table = np.array(np.broadcast_arrays(*values), dtype=float)
-        return indptr, indices, table[code] if table.ndim == 1 else table[code, row]
-    dens = [math.lcm(*[v.denominator for _, _, v in p]) for p in patterns]
-    nums = [v.numerator * (d // v.denominator)
-            for p, d in zip(patterns, dens) for _, _, v in p]
-    return indptr, indices, (np.array(nums, dtype=object)[code].tolist(),
-                             np.array(dens, dtype=object)[kind].tolist())
+    pick = lambda table, i, r: table[i] if table.ndim == 1 else table[i, r]  # (entries[, rows])
+    if mode == FLOAT:
+        return indptr, indices, pick(np.array(np.broadcast_arrays(*values), float), code, row)
+    num, den = (_ints(np.broadcast_arrays(*t)) for t in zip(*[map(np.array, (
+        v.numerator, v.denominator), "OO") if isinstance(v, Fraction) else v for v in values]))
+    g, bounds = np.gcd(num, den), np.append(0, np.cumsum(lengths))
+    num, den = num // g, den // g
+    dens = _row_lcm(den, bounds, "kernel")          # each pattern's, per row where it varies
+    return indptr, indices, (pick(num * (dens[_rows(bounds)] // den), code, row),
+                             pick(dens, kind, np.arange(len(kind))))
 
 
 def _float_arrays(op):
     """Float CSR arrays of an operator: its kept ones in float mode, its
-    exact numerators divided by their row denominators in rational mode
-    (correctly rounded, as ``float(Fraction)``)."""
+    exact numerators over their row denominators in rational mode, rounded
+    as ``float(Fraction)`` (in numpy where both are exact floats, < 2^53)."""
     if op.mode == FLOAT:
         return op.arrays
     indptr, indices, (nums, dens) = op.arrays
-    dens = np.repeat(np.array(dens, dtype=object), np.diff(indptr))
-    return indptr, indices, np.array(list(map(operator.truediv, nums, dens)))
-
-
-def _entry_values(op) -> list:
-    """An operator's stored entries, row by row: Fractions in rational
-    mode, floats in float mode."""
-    indptr, _, values = op.arrays
-    if op.mode != RATIONAL:
-        return values.tolist()
-    dens = np.repeat(np.array(values[1], dtype=object), np.diff(indptr))
-    return list(map(Fraction, values[0], dens))
+    dens = np.repeat(dens, np.diff(indptr))
+    data, wide = np.asarray(nums / dens, dtype=float), np.flatnonzero(dens >= 2 ** 53)
+    data[wide] = list(map(operator.truediv, nums[wide].tolist(), dens[wide].tolist()))
+    return indptr, indices, data
 
 
 def _rows(indptr):
@@ -156,17 +166,19 @@ def _check_rates(arrays, mode=FLOAT, what: str = "row"):
 class _CSROperator:
     """An operator on the states 0 .. n-1, kept as checked CSR ``arrays``
     ``(indptr, indices, values)`` with the columns of each row ascending.
-    ``values`` is a float array in float mode; in rational mode it is a
-    pair of Python-int lists ``(numerators, dens)``, row i's numerators
-    over the positive denominator ``dens[i]``."""
+    ``values`` is a float array in float mode; in rational mode two int64
+    arrays ``(numerators, dens)``, row i's numerators over the positive
+    ``dens[i]``; Python ints (object) if one leaves int64, which the exact residual refuses."""
 
     what, check = "row", staticmethod(_check_stochastic)
 
     # a list of {column: value}; bench/spans.py counts entries through it
     @functools.cached_property
     def rows(self) -> list:
-        bounds, cols = self.arrays[0].tolist(), self.arrays[1].tolist()
-        values = _entry_values(self)
+        indptr, cols, values = self.arrays
+        bounds, cols = indptr.tolist(), cols.tolist()
+        values = values.tolist() if self.mode != RATIONAL else list(map(     # Fractions
+            Fraction, values[0].tolist(), np.repeat(values[1], np.diff(indptr)).tolist()))
         return [dict(zip(cols[lo:hi], values[lo:hi]))
                 for lo, hi in zip(bounds, bounds[1:])]
 
@@ -294,19 +306,19 @@ def projected_wedge_chain(layers: int, alpha: float,
     spec = WedgeSpec(alpha=alpha, layers=layers, apex_hold=apex_hold)
     N = layers
     mode, s2, r, one = _wedge_values(spec, mode)
+    i, b = np.arange(N + 1), 2 * np.arange(N + 1) + 1
     if spec.sin_sq is None:
-        step = lambda a, b: s2 / 2 * (a / b)
-    else:                           # the exact entry, rounded once in float mode
-        cast = Fraction if mode == RATIONAL else float
-        step = lambda a, b: cast(spec.sin_sq / 2 * Fraction(a, b))
+        step = lambda a: s2 / 2 * (a / b)
+    else:           # sin^2/2 a/b as (p a, 2 q b), divided once in float mode (both exact)
+        p, q = spec.sin_sq.numerator, 2 * spec.sin_sq.denominator
+        step = lambda a: (p * a, q * b) if mode == RATIONAL else p * a / (q * b)
     hold = 1 - 3 * r
-    patterns = [([(0, 0, hold)] if hold != 0 else []) + [(1, 0, 3 * r)]]
-    patterns += [[(-1, 0, step(2 * i - 1, 2 * i + 1)), (0, 0, 1 - s2),
-                  (1, 0, step(2 * i + 3, 2 * i + 1))] for i in range(1, N)]
-    patterns.append([(0, 0, one)])
-    return StochasticKernel(_pattern_arrays(patterns, np.arange(N + 1),
-                                            np.zeros(N + 1, dtype=np.int64), mode),
-                            mode=mode, layers=np.arange(N + 1, dtype=np.int32))
+    patterns = [([(0, 0, hold)] if hold != 0 else []) + [(1, 0, 3 * r)],
+                [(-1, 0, step(b - 2)), (0, 0, 1 - s2), (1, 0, step(b + 2))],
+                [(0, 0, one)]]
+    kind = np.select([i == 0, i == N], [0, 2], 1)
+    return StochasticKernel(_pattern_arrays(patterns, kind, np.zeros(N + 1, dtype=np.int64),
+                                            mode), mode=mode, layers=i.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,16 @@ def test_wedge_float_check_at_1000_layers_is_set_by_the_kernel(tmp_path):
     assert _peak_mb(tmp_path, argv) < 300
 
 
+def test_wedge_exact_check_at_1000_layers_keeps_int64_arrays(tmp_path):
+    # 1,002,001 sites over exact rows.  With Python-int lists and object
+    # arrays the whole process peaked at 253-259 MB, on int64 arrays at
+    # 207-212 MB (Python 3.11, numpy 2.4)
+    argv = ["verify-intertwining", "--alpha", "pi/6", "--mode", "rational", "--layers", "1000"]
+    assert _peak_mb(tmp_path, argv) < 240
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert record["pass"] is True and record["results"]["report"]["mode"] == "rational"
+
+
 def test_a_run_whose_walks_never_stop_exits_2_at_once(tmp_path):
     # at alpha = 1e-300 sin^2 underflows, no walk leaves layer 1, and a run
     # to the 10^8-step cap would take minutes

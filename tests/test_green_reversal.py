@@ -337,6 +337,27 @@ def test_reversed_float_arrays_round_the_exact_rows():
             [float(v) for row in rev.kernel.rows for _, v in sorted(row.items())]
 
 
+def test_reversed_row_beyond_int64_is_refused():
+    # 0 -> {1, 2} -> {3, 4} with the coprime 41-bit denominators B1 and B2:
+    # the reversed absorbing row 4 holds (B1 - 1)/(2 B1), (B2 - 1)/(2 B2) and
+    # (B1 + B2)/(2 B1 B2), whose reduction by the row gcd (2) leaves the
+    # denominator B1 B2, beyond int64
+    B1, B2 = 2 ** 41 - 1, 2 ** 41 + 1
+    rows = [{1: F(1, 2), 2: F(1, 2)}, {3: F(1, B1), 4: F(B1 - 1, B1)},
+            {3: F(1, B2), 4: F(B2 - 1, B2)}, {4: F(1)}, {4: F(1)}]
+    P = kernel_from_rows(rows, "rational")
+    green = _reference_green(P, 0)
+    want = _reversal_by_definition(P, green)[0][4]
+    assert max(v.denominator for v in want.values()) == B1 * B2 > 2 ** 63 - 1
+    with pytest.raises(ParameterError, match="^reversed kernel: exact row denominators exceed"):
+        nagasawa_reverse(P, green)
+    # with B2 = 3 every reversed row fits, and is the definition's
+    rows[2] = {3: F(1, 3), 4: F(2, 3)}
+    P = kernel_from_rows(rows, "rational")
+    green = _reference_green(P, 0)
+    assert nagasawa_reverse(P, green).kernel.rows == _reversal_by_definition(P, green)[0]
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_reversal_of_an_unreached_transient_state_is_refused(mode):
     # state 1 is transient, but the walk from 0 never visits it

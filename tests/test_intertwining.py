@@ -9,6 +9,7 @@ from wedgewalk import (
     ParameterError,
     RateMatrix,
     ShapeError,
+    StochasticKernel,
     WedgeSpec,
     build_link,
     build_vase_grid,
@@ -53,7 +54,9 @@ def test_link_arrays_match_the_dict_row_reference():
         want = [{site_index(k, y): F(1, 2 * k + 1) for y in range(-k, k + 1)}
                 for k in range(K + 1)]
         (ip, ix, exact), (wip, wix, wexact) = link.arrays, row_arrays(want, exact=True)
-        assert np.array_equal(ip, wip) and np.array_equal(ix, wix) and exact == wexact
+        assert np.array_equal(ip, wip) and np.array_equal(ix, wix)
+        for part, ints in zip(exact, wexact):   # int64 arrays of the reference's ints
+            assert part.dtype == np.int64 and part.tolist() == ints
         # the float form divides the exact arrays; the dict view is not built
         assert np.array_equal(_csr(_float_arrays(link), link.n_target).toarray(),
                               dense_rows(want, link.n_target))
@@ -142,6 +145,20 @@ def _int64_cases():
     Q = kernel_from_rows([{0: F(1, q), 1: F(q - 1, q)}, {1: F(1)}], "rational")
     P = kernel_from_rows([{0: F(1, p), 1: F(p - 1, p)}, {1: F(1)}, {2: F(1)}], "rational")
     yield link, P, Q, r"^link\.P - Q\.link: exact row denominators"
+    # the largest int64 denominator is kept: a fiber of one site meets it
+    d = 2 ** 63 - 1
+    link = link_from_rows(1, 2, [{0: F(1)}])
+    Q = kernel_from_rows([{0: F(1)}], "rational")
+    P = kernel_from_rows([{0: F(d - 1, d), 1: F(1, d)}, {1: F(1)}], "rational")
+    yield link, P, Q, float(F(1, d))
+    # a radial chain or a link with a denominator above 2^63 is built, and
+    # refused by the check under its own name
+    link = link_from_rows(2, 2, [{0: F(1)}, {1: F(1)}])
+    P = kernel_from_rows([{0: F(1, 2), 1: F(1, 2)}, {1: F(1)}], "rational")
+    Q = kernel_from_rows([{0: F(1, big), 1: F(big - 1, big)}, {1: F(1)}], "rational")
+    yield link, P, Q, r"^Q: exact row denominators"
+    link = link_from_rows(1, 2, [{0: F(1, big), 1: F(big - 1, big)}])
+    yield link, P, kernel_from_rows([{0: F(1)}], "rational"), r"^link: exact row denominators"
 
 
 def test_exact_check_refuses_numbers_beyond_int64():
@@ -426,6 +443,60 @@ def test_filter_sample_split_seeds_differ():
 def test_harmonic_residual_exact(alpha):
     Q = projected_wedge_chain(200, alpha)
     assert harmonic_residual(Q) == 0.0
+
+
+def test_harmonic_check_puts_each_term_in_lowest_terms():
+    # row i = 600,000 of the pi/3 radial chain, every other row absorbing.
+    # Its terms P(i, i+-1) / (2i+1+-2) reduce to 3 / (8 h), h = 2i+1, so it
+    # runs over 8 h; over its denominator 8 h times the lcm of the three 2j+1
+    # (about 8 h^4), or with each term reduced only by the gcd of its
+    # numerator and 8 h (about 8 h^3), it would leave int64
+    i, h = 600000, 1200001
+    width = np.ones(i + 2, dtype=np.int64)
+    width[i] = 3
+    nums = np.ones(i + 4, dtype=np.int64)
+    nums[i:i + 3] = 3 * (h - 2), 2 * h, 3 * (h + 2)
+    dens = np.ones(i + 2, dtype=np.int64)
+    dens[i] = 8 * h
+    Q = StochasticKernel((np.append(0, np.cumsum(width)),
+                          np.concatenate([np.arange(i), [i - 1, i, i + 1, i + 1]]), (nums, dens)),
+                         mode="rational")
+    assert harmonic_residual(Q) == 0.0
+
+
+def test_harmonic_residual_is_the_exact_fraction_or_refused():
+    # eps moved from row 2's step down to its step up changes its sum of
+    # P(2, j) / (2j+1) by eps (1/7 - 1/3)
+    Q = projected_wedge_chain(40, math.pi / 6)
+    rows = [dict(r) for r in Q.rows]
+    eps = F(1, 10 ** 6)
+    rows[2][1] -= eps
+    rows[2][3] += eps
+    assert harmonic_residual(kernel_from_rows(rows, "rational")) == float(F(4, 21) * eps)
+    # row 1's terms reduce to 1/d and (d-1)/(5d); for d prime to 15, and d-1
+    # prime to 5, the row runs over lcm(d, 5d, 3) = 15d
+    for d, refused in ((2 ** 63 // 15 - 1, False), (2 ** 63 // 15 + 2, True)):
+        Q = kernel_from_rows([{0: F(1)}, {0: F(1, d), 2: F(d - 1, d)}, {2: F(1)}], "rational")
+        want = abs(F(1, d) + F(d - 1, 5 * d) - F(1, 3))
+        if refused:
+            with pytest.raises(ParameterError, match="^harmonic check: exact row denominators"):
+                harmonic_residual(Q)
+        else:
+            assert harmonic_residual(Q) == float(want)
+
+
+def test_harmonic_check_reads_only_the_rows_it_checks():
+    # the apex row 0 and the absorbing row 1 are not checked, so row 0's
+    # term (d - 1) / (3 d), over a denominator beyond int64, is never formed
+    d = 2 ** 62 + 1
+    Q = kernel_from_rows([{0: F(1, d), 1: F(d - 1, d)}, {1: F(1)}], "rational")
+    assert harmonic_residual(Q) == 0.0
+    # an apex row above 2^63 keeps the chain's numbers as Python ints; row
+    # 1, harmonic (1/6 + 5/6 * 1/5 = 1/3), is checked on them
+    big = 2 ** 63 + 1
+    Q = kernel_from_rows([{0: F(1, big), 1: F(big - 1, big)}, {0: F(1, 6), 2: F(5, 6)},
+                          {2: F(1)}], "rational")
+    assert Q.arrays[2][1].dtype == object and harmonic_residual(Q) == 0.0
 
 
 def test_harmonic_fails_at_apex():

@@ -3,20 +3,27 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wedgewalk import (
     ParameterError,
     StochasticKernel,
     WedgeSpec,
+    build_link,
     build_vase_grid,
     build_wedge_lattice,
+    green_vector,
+    harmonic_residual,
+    intertwining_residual,
     linear_shape,
+    nagasawa_reverse,
     power_shape,
     projected_vase_rates,
     projected_wedge_chain,
     vase_rate_matrix,
     wedge_kernel,
 )
+from wedgewalk.kernels import _float_arrays
 
 from rows_reference import kernel_from_rows, layer_sites, row_arrays, row_displacement
 
@@ -263,6 +270,97 @@ def test_rational_row_sums_give_an_empty_row_zero():
     assert K.rows == [{0: F(1, 3), 1: F(2, 3)}, {1: F(1)}]
 
 
+def test_rational_row_check_is_exact_to_the_int64_limit():
+    # a row over the largest int64 denominator is kept; numerators whose
+    # int64 sum would wrap to the denominator, or past it, are refused
+    d = 2 ** 63 - 1
+    K = kernel_from_rows([{0: F(1, d), 1: F(d - 1, d)}, {1: F(1)}], "rational")
+    assert K.arrays[2][1].tolist() == [d, 1]
+    for nums in ([2 ** 62, 2 ** 62], [d, d, d, 2]):     # 2^63; 3 * 2^63 - 1
+        with pytest.raises(ParameterError, match=f"^row 0 sums to {sum(nums)}/{d}, not 1$"):
+            StochasticKernel((np.array([0, len(nums), len(nums) + 1]),
+                              np.array([0] * len(nums) + [1]), (nums + [1], [d, 1])),
+                             mode="rational")
+    # a number outside int64 is kept as a Python int, in object arrays that
+    # every reader takes; the exact checks refuse them (test_intertwining)
+    rows = [{0: F(1)}, {0: F(1, 2 ** 63), 1: F(2 ** 63 - 1, 2 ** 63)}]
+    K = StochasticKernel(row_arrays(rows, exact=True), mode="rational")
+    assert K.arrays[2][1].dtype == object and K.arrays[2][1].tolist() == [1, 2 ** 63]
+    assert K.rows == rows
+    _assert_float_arrays_are_the_fractions(K)
+    # numpy int64 numbers among them become Python ints too, which cannot wrap
+    K = StochasticKernel((np.array([0, 2, 3]), np.array([0, 1, 1]),
+                          ([np.int64(1), 2 ** 64 - 1, np.int64(1)], [2 ** 64, np.int64(1)])),
+                         mode="rational")
+    assert {type(v) for part in K.arrays[2] for v in part.tolist()} == {int}
+
+
+@pytest.mark.parametrize("apex_hold", [1e-30, F(1, 3 * 2 ** 64)])
+def test_builders_keep_exact_rows_beyond_int64_as_python_ints(apex_hold):
+    # Fraction(1e-30) is over 2^152, so the apex row (1 - 3r, then r or 3r)
+    # is too: the builders keep their numbers as Python ints, every reader
+    # takes them, and the exact intertwining check refuses the kernel as P
+    spec = WedgeSpec(alpha=math.pi / 6, layers=10, apex_hold=apex_hold)
+    lat, r = build_wedge_lattice(spec), F(apex_hold)
+    P, Q = wedge_kernel(lat, spec), projected_wedge_chain(10, math.pi / 6, apex_hold=apex_hold)
+    assert Q.rows[0] == {0: 1 - 3 * r, 1: 3 * r} and P.rows[0][0] == 1 - 3 * r
+    for op in (P, Q):
+        assert op.arrays[2][1].dtype == object and max(op.arrays[2][1].tolist()) > 2 ** 63
+        # all Python ints, none a numpy int64 that could wrap
+        assert {type(v) for part in op.arrays[2] for v in part.tolist()} == {int}
+        _assert_float_arrays_are_the_fractions(op)
+    assert harmonic_residual(Q) == 0.0
+    with pytest.raises(ParameterError, match="^P: exact row denominators exceed the int64"):
+        intertwining_residual(build_link(lat), P, Q, mode="stochastic")
+
+
+def _assert_float_arrays_are_the_fractions(op):
+    # every entry divides to float(Fraction), bit for bit
+    indptr, _, (nums, dens) = op.arrays
+    want = [float(F(n, d)) for n, d in zip(nums.tolist(),
+                                           np.repeat(dens, np.diff(indptr)).tolist())]
+    got = _float_arrays(op)[2]
+    assert got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])
+def test_float_arrays_round_every_exact_entry(alpha):
+    # the wedge kernels, their radial chains, the link and the reversed kernels
+    for N in (5, 20, 50, 100):
+        spec = WedgeSpec(alpha=alpha, layers=N)
+        lat = build_wedge_lattice(spec)
+        P = wedge_kernel(lat, spec)
+        rev = nagasawa_reverse(P, green_vector(P, (0, 0))).kernel
+        for op in (P, projected_wedge_chain(N, alpha), build_link(lat), rev):
+            assert op.mode == "rational"
+            _assert_float_arrays_are_the_fractions(op)
+
+
+@st.composite
+def _exact_rows(draw):
+    """CSR arrays of exact probability rows, each over a denominator at or
+    above 2^53 (up to 2^63 - 1) or below it."""
+    nums, dens, widths = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.one_of(st.integers(2 ** 53, 2 ** 63 - 1), st.integers(1, 2 ** 53 - 1),
+                           st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1])))
+        cuts = sorted(draw(st.lists(st.integers(0, d), max_size=3)))
+        nums += [b - a for a, b in zip([0] + cuts, cuts + [d])]
+        dens.append(d)
+        widths.append(len(cuts) + 1)
+    return (np.cumsum([0] + widths), np.concatenate([np.arange(w) for w in widths]),
+            (nums, dens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_rows())
+def test_float_arrays_divide_wide_rows_as_python_ints(arrays):
+    # at or above 2^53 a numerator and its denominator may round on their
+    # way to floats, so those rows divide as Python ints
+    _assert_float_arrays_are_the_fractions(StochasticKernel(arrays, mode="rational"))
+
+
 def test_float_validation_keeps_its_tolerance():
     kernel_from_rows([{0: 0.5, 1: 0.5 + 5e-13}, {1: 1.0}], "float")
     with pytest.raises(ParameterError, match="row 0"):
@@ -323,13 +421,14 @@ def _reference_radial_rows(spec, mode):
 
 
 def assert_same_arrays(got, want, mode):
-    """Equal CSR arrays: the same index dtypes and entries, the same Python
-    ints in rational mode and the same bits in float mode."""
+    """Equal CSR arrays: the same index dtypes and entries, the same int64
+    numerators and row denominators (the reference's Python ints) in
+    rational mode and the same bits in float mode."""
     for a, b in zip(got[:2], want[:2]):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
     if mode == "rational":
-        assert got[2] == want[2]
-        assert all(type(v) is int for part in got[2] for v in part)
+        for part, ints in zip(got[2], want[2]):
+            assert part.dtype == np.int64 and part.tolist() == ints
     else:
         assert got[2].dtype == want[2].dtype == np.float64
         assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
